@@ -1,33 +1,14 @@
-"""Hot array kernels with numba acceleration and a pure-numpy fallback.
+"""Hot array kernels in numpy: dense blocks of a CSR adjacency and a
+partial shuffle.
 
-Every kernel has two implementations that produce identical outputs:
-a numba @njit version and a numpy version. The active path is picked at
-import time; set PRIVEBC_NO_NUMBA=1 to force the numpy fallback (also
-used automatically when numba is not importable). None of the kernels
-consume randomness, so backend choice never affects seeded streams.
+The two dense kernels are loop-free. None of the kernels consume
+randomness: the caller draws the shuffle offsets, so the kernels never
+touch a seeded stream.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("PRIVEBC_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by PRIVEBC_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    njit = None
-    HAS_NUMBA = False
-
-
-def active_backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +35,10 @@ def _locate(sorted_nodes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
     return hit, pos[hit]
 
 
-def _induced_dense_np(indptr: np.ndarray, indices: np.ndarray,
-                      nodes: np.ndarray) -> np.ndarray:
-    # nodes must be sorted ascending; rows/cols follow that order
+def induced_dense(indptr: np.ndarray, indices: np.ndarray,
+                  nodes: np.ndarray) -> np.ndarray:
+    """Dense adjacency (uint8) of the subgraph induced on sorted `nodes`;
+    rows and columns follow that order."""
     m = nodes.size
     out = np.zeros((m, m), dtype=np.uint8)
     if m:
@@ -66,46 +48,13 @@ def _induced_dense_np(indptr: np.ndarray, indices: np.ndarray,
     return out
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _induced_dense_nb(indptr, indices, nodes):  # pragma: no cover - jitted
-        m = nodes.size
-        out = np.zeros((m, m), dtype=np.uint8)
-        for lu in range(m):
-            u = nodes[lu]
-            p = indptr[u]
-            end = indptr[u + 1]
-            lv = 0
-            # two-pointer merge of the sorted neighbour list with `nodes`
-            while p < end and lv < m:
-                w = indices[p]
-                v = nodes[lv]
-                if w == v:
-                    out[lu, lv] = 1
-                    p += 1
-                    lv += 1
-                elif w < v:
-                    p += 1
-                else:
-                    lv += 1
-        return out
-
-
-def induced_dense(indptr: np.ndarray, indices: np.ndarray,
-                  nodes: np.ndarray) -> np.ndarray:
-    """Dense adjacency (uint8) of the subgraph induced on sorted `nodes`."""
-    if HAS_NUMBA:
-        return _induced_dense_nb(indptr, indices, nodes)
-    return _induced_dense_np(indptr, indices, nodes)
-
-
 # ---------------------------------------------------------------------------
 # bipartite_dense: 0/1 membership matrix rows x cols
 # ---------------------------------------------------------------------------
 
-def _bipartite_dense_np(indptr: np.ndarray, indices: np.ndarray,
-                        rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def bipartite_dense(indptr: np.ndarray, indices: np.ndarray,
+                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Edge-membership matrix between sorted `rows` and node list `cols`."""
     out = np.zeros((rows.size, cols.size), dtype=np.uint8)
     if rows.size and cols.size:
         owner, neigh = _gather(indptr, indices, cols)
@@ -114,44 +63,17 @@ def _bipartite_dense_np(indptr: np.ndarray, indices: np.ndarray,
     return out
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _bipartite_dense_nb(indptr, indices, rows, cols):  # pragma: no cover
-        nr, nc = rows.size, cols.size
-        out = np.zeros((nr, nc), dtype=np.uint8)
-        for lc in range(nc):
-            c = cols[lc]
-            p = indptr[c]
-            end = indptr[c + 1]
-            lr = 0
-            while p < end and lr < nr:
-                w = indices[p]
-                r = rows[lr]
-                if w == r:
-                    out[lr, lc] = 1
-                    p += 1
-                    lr += 1
-                elif w < r:
-                    p += 1
-                else:
-                    lr += 1
-        return out
-
-
-def bipartite_dense(indptr: np.ndarray, indices: np.ndarray,
-                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Edge-membership matrix between sorted `rows` and node list `cols`."""
-    if HAS_NUMBA:
-        return _bipartite_dense_nb(indptr, indices, rows, cols)
-    return _bipartite_dense_np(indptr, indices, rows, cols)
-
-
 # ---------------------------------------------------------------------------
 # partial_shuffle: Fisher-Yates tail selection driven by pre-drawn offsets
 # ---------------------------------------------------------------------------
 
-def _partial_shuffle_np(scratch: np.ndarray, offsets: np.ndarray) -> None:
+def partial_shuffle(scratch: np.ndarray, offsets: np.ndarray) -> None:
+    """In-place partial Fisher-Yates: after the call the last len(offsets)
+    entries of `scratch` are a uniform without-replacement sample.
+
+    offsets[s] must lie in [0, n - s); the caller draws them in one
+    vectorized call.
+    """
     # the swaps are sequential; a memoryview swaps raw integers in place
     vals = memoryview(scratch)
     n = len(vals)
@@ -159,38 +81,3 @@ def _partial_shuffle_np(scratch: np.ndarray, offsets: np.ndarray) -> None:
         j = n - 1 - s
         vals[r], vals[j] = vals[j], vals[r]
 
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _partial_shuffle_nb(scratch, offsets):  # pragma: no cover - jitted
-        n = scratch.size
-        for s in range(offsets.size):
-            r = offsets[s]
-            j = n - 1 - s
-            tmp = scratch[r]
-            scratch[r] = scratch[j]
-            scratch[j] = tmp
-
-
-def partial_shuffle(scratch: np.ndarray, offsets: np.ndarray) -> None:
-    """In-place partial Fisher-Yates: after the call the last len(offsets)
-    entries of `scratch` are a uniform without-replacement sample.
-
-    offsets[s] must lie in [0, n - s); the caller draws them (one
-    vectorized call) so both backends see identical randomness.
-    """
-    if HAS_NUMBA:
-        _partial_shuffle_nb(scratch, offsets)
-    else:
-        _partial_shuffle_np(scratch, offsets)
-
-
-def warmup() -> None:
-    """Trigger jit compilation so timed paths never pay it."""
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    indices = np.array([1, 0], dtype=np.int64)
-    nodes = np.array([0, 1], dtype=np.int64)
-    induced_dense(indptr, indices, nodes)
-    bipartite_dense(indptr, indices, nodes, nodes)
-    partial_shuffle(nodes.copy(), np.array([0], dtype=np.int64))

@@ -148,18 +148,11 @@ def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[in
     noise drawn.
     """
     y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
-    return _spanning_counts_idx(pg, y_ego, R, params, rng)
-
-
-def _spanning_counts_idx(pg: PartitionedGraph | PartyView, y_ego: np.ndarray,
-                         R: frozenset[int], params: PrivacyParams,
-                         rng: np.random.Generator,
-                         noiseless: bool = False) -> Mapping[tuple[int, int], float]:
     if not R:
         return {}
     r_sorted = np.array(sorted(R), dtype=np.int64)
     core = _spanning_core_matrix(pg, r_sorted, y_ego)
-    return _noisy_counts(r_sorted, y_ego, core, params, None if noiseless else rng)
+    return _noisy_counts(r_sorted, y_ego, core, params, rng)
 
 
 def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
@@ -169,15 +162,9 @@ def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int]
     y_ego = _y_ego_sorted(pg, a_idx)
     if y_ego.size < 2:
         raise DegenerateEgoError("need at least two Y-side ego neighbours")
-    return _partial_ebc_y_idx(pg, a_idx, y_ego, R, params, rng)
-
-
-def _partial_ebc_y_idx(pg: PartitionedGraph | PartyView, a_idx: int, y_ego: np.ndarray,
-                       R: frozenset[int], params: PrivacyParams,
-                       rng: np.random.Generator, noiseless: bool = False) -> float:
     r_sorted = np.array(sorted(R), dtype=np.int64)
     s_y = _partial_sum_core(pg, a_idx, r_sorted, y_ego)
-    return _noisy_partial_sum(s_y, y_ego, params, None if noiseless else rng)
+    return _noisy_partial_sum(s_y, y_ego, params, rng)
 
 
 def backward_message(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],

@@ -1,59 +1,65 @@
 """Numeric substrate: extended-precision log arithmetic and noise draws.
 
 The stratum pmf/CDF math spans thousands of orders of magnitude, so it
-runs in log space at extended precision (default 300 significand bits,
-configurable). Laplace noise and EBC sums use native float64. All
-randomness comes from a caller-supplied numpy Generator; the library
-never reads ambient entropy.
+runs in log space in mpmath at extended precision (default 300
+significand bits, configurable). Laplace noise and EBC sums use native
+float64. All randomness comes from a caller-supplied numpy Generator;
+the library never reads ambient entropy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
+import mpmath
 import numpy as np
-
-from ._xp import make_backend
 
 
 class PrecisionContext:
-    """Immutable handle on extended-precision arithmetic at `bits`.
+    """Immutable handle on mpmath arithmetic at `bits` significand bits.
 
     bits must be at least 53 (native double significand); the default
-    300 matches the precision the samplers were validated at.
+    300 matches the precision the samplers were validated at. `mp` is
+    the mpmath context the extended-precision math calls directly.
     """
 
-    __slots__ = ("bits", "xp")
+    __slots__ = ("bits", "mp")
 
-    def __init__(self, bits: int = 300, backend: str = "auto"):
+    def __init__(self, bits: int = 300):
         if bits < 53:
             raise ValueError("precision must be at least 53 bits")
+        mp = mpmath.MPContext()
+        mp.prec = int(bits)
         object.__setattr__(self, "bits", int(bits))
-        object.__setattr__(self, "xp", make_backend(int(bits), backend))
+        object.__setattr__(self, "mp", mp)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionContext is immutable")
 
-    @property
-    def backend_name(self) -> str:
-        return self.xp.name
-
     def real(self, v):
-        return self.xp.real(v)
+        return self.mp.mpf(v)
 
     @property
     def neg_inf(self):
-        return self.xp.neg_inf
+        return self.mp.ninf
 
     def to_float(self, x) -> float:
-        return self.xp.to_float(x)
+        return float(x)
 
     def __repr__(self) -> str:
-        return f"PrecisionContext(bits={self.bits}, backend={self.backend_name})"
+        return f"PrecisionContext(bits={self.bits})"
 
 
 DEFAULT_CONTEXT = PrecisionContext()
+
+
+@lru_cache(maxsize=None)
+def context_for(bits: int) -> PrecisionContext:
+    """The shared context at `bits`: DEFAULT_CONTEXT at its precision,
+    else one context per value, built on first use."""
+    return DEFAULT_CONTEXT if bits == DEFAULT_CONTEXT.bits else PrecisionContext(bits)
 
 
 @dataclass(frozen=True)
@@ -81,23 +87,23 @@ class PrivacyParams:
 def log_add(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """log(e^x + e^y), computed stably by factoring out the max.
 
-    Inputs may be backend reals or floats; -inf is the exact identity
+    Inputs may be context reals or floats; -inf is the exact identity
     element.
     """
-    xp = ctx.xp
+    mp = ctx.mp
     if isinstance(x, (int, float)):
-        x = xp.real(x)
+        x = mp.mpf(x)
     if isinstance(y, (int, float)):
-        y = xp.real(y)
-    if xp.is_neg_inf(x):
+        y = mp.mpf(y)
+    if x == mp.ninf:
         return y
-    if xp.is_neg_inf(y):
+    if y == mp.ninf:
         return x
     if x >= y:
         hi, lo = x, y
     else:
         hi, lo = y, x
-    return xp.add(hi, xp.log1p(xp.exp(xp.sub(lo, hi))))
+    return mp.fadd(hi, mp.log1p(mp.exp(mp.fsub(lo, hi))))
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .graphs import Graph, PartitionedGraph, UnknownNodeError, load_edge_list, partition_nodes
 from .graphs import exact_ebc as _exact_ebc
 from .protocol import ALL_MECHS, CLAMP_MODES, ProtocolConfig, run_session
@@ -284,7 +283,6 @@ def _collect(config: ExperimentConfig) -> tuple[list[ResultRow], list[str], Part
     egos, warnings = select_egos(pg, config)
     if not egos:
         raise ConfigError("no usable ego nodes after selection")
-    _kernels.warmup()
     true_map = {idx: _exact_ebc(pg.graph, pg.graph.label_of(idx)) for idx in egos}
     outcomes = _run_tasks(config, pg, egos)
 

@@ -5,7 +5,8 @@ ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled exactly
 in two stages: first the quality stratum index I (whose law reduces to
 Binomial(|X^-|, sigma(t)) with t = eps/(2 delta)), then a uniform
 member of that stratum via pick-and-flip. Stage one runs in log space
-at extended precision; stage two is a partial Fisher-Yates over X^-.
+in mpmath at extended precision; stage two is a partial Fisher-Yates
+over X^-.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .dpnum import DEFAULT_CONTEXT, PrecisionContext, PrivacyParams, log_add, sample_neg_exp1
+from .dpnum import (
+    DEFAULT_CONTEXT,
+    PrecisionContext,
+    PrivacyParams,
+    context_for,
+    log_add,
+    sample_neg_exp1,
+)
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 
@@ -42,8 +50,8 @@ class StratumDistribution:
     _log_cdf: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def pmf_floats(self) -> np.ndarray:
-        xp = self.ctx.xp
-        return np.array([self.ctx.to_float(xp.exp(p)) for p in self.log_pmf])
+        mp = self.ctx.mp
+        return np.array([float(mp.exp(p)) for p in self.log_pmf])
 
 
 @dataclass(frozen=True)
@@ -54,11 +62,10 @@ class ForwardMsg:
 
 
 @lru_cache(maxsize=8)
-def _log_int_table(n: int, bits: int, backend: str) -> tuple:
+def _log_int_table(n: int, bits: int) -> tuple:
     """log(1), ..., log(n) at extended precision; pure constants."""
-    ctx = PrecisionContext(bits, backend) if backend != "auto" else PrecisionContext(bits)
-    xp = ctx.xp
-    return tuple(xp.log(xp.real(i)) for i in range(1, n + 1))
+    mp = context_for(bits).mp
+    return tuple(mp.log(mp.mpf(i)) for i in range(1, n + 1))
 
 
 def quality(R: Iterable[int], R_star: Iterable[int], X_minus: Iterable[int]) -> int:
@@ -76,35 +83,33 @@ def stratum_distribution(n: int, params: PrivacyParams,
     """Exact stratum pmf for |X^-| = n at the context's precision.
 
     The eight most recently used distributions are kept, keyed by
-    (n, epsilon, delta0, bits, backend), so repeated releases at one
-    size compute the pmf once. The key holds nothing of the graph.
+    (n, epsilon, delta0, bits), so repeated releases at one size
+    compute the pmf once. The key holds nothing of the graph.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _stratum_distribution(n, float(params.epsilon), float(params.delta0),
-                                 ctx.bits, ctx.backend_name)
+    return _stratum_distribution(n, float(params.epsilon), float(params.delta0), ctx.bits)
 
 
 @lru_cache(maxsize=8)
-def _stratum_distribution(n: int, epsilon: float, delta0: float, bits: int,
-                          backend: str) -> StratumDistribution:
-    ctx = (DEFAULT_CONTEXT if (bits, backend) == (DEFAULT_CONTEXT.bits, DEFAULT_CONTEXT.backend_name)
-           else PrecisionContext(bits, backend))
-    xp = ctx.xp
-    t = xp.div(xp.real(epsilon), xp.real(2.0 * delta0))
-    norm = xp.mul(xp.real(n), xp.log1p(xp.exp(t)))
-    logs = _log_int_table(n, ctx.bits, ctx.backend_name)
-    pmf = [xp.sub(xp.real(0), norm)]
-    log_choose = xp.real(0)
-    acc_t = xp.real(0)
+def _stratum_distribution(n: int, epsilon: float, delta0: float,
+                          bits: int) -> StratumDistribution:
+    ctx = context_for(bits)
+    mp = ctx.mp
+    t = mp.fdiv(mp.mpf(epsilon), mp.mpf(2.0 * delta0))
+    norm = mp.fmul(mp.mpf(n), mp.log1p(mp.exp(t)))
+    logs = _log_int_table(n, bits)
+    pmf = [mp.fsub(mp.mpf(0), norm)]
+    log_choose = mp.mpf(0)
+    acc_t = mp.mpf(0)
     for i in range(1, n + 1):
         # log C(n,i) accumulates as log(n-i+1) - log(i); the i*t term
         # accumulates alongside so each step is the previous plus
         # log(n-i+1) - log(i) + t
-        log_choose = xp.sub(xp.add(log_choose, logs[n - i]), logs[i - 1])
-        acc_t = xp.add(acc_t, t)
-        pmf.append(xp.sub(xp.add(log_choose, acc_t), norm))
-    return StratumDistribution(n=n, t=ctx.to_float(t), log_pmf=tuple(pmf), ctx=ctx)
+        log_choose = mp.fsub(mp.fadd(log_choose, logs[n - i]), logs[i - 1])
+        acc_t = mp.fadd(acc_t, t)
+        pmf.append(mp.fsub(mp.fadd(log_choose, acc_t), norm))
+    return StratumDistribution(n=n, t=float(t), log_pmf=tuple(pmf), ctx=ctx)
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
@@ -119,7 +124,7 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
     log_add never decreases its first argument, so bisection and scan
     return the same index.
     """
-    psi = dist.ctx.xp.real(sample_neg_exp1(rng))
+    psi = dist.ctx.mp.mpf(sample_neg_exp1(rng))
     cdf = dist._log_cdf
     if cdf and cdf[-1] >= psi:
         return bisect_left(cdf, psi)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import BackwardMsg, CountGrid, DegenerateEgoError, _reply, _y_ego_sorted
-from .dpnum import DEFAULT_CONTEXT, PrecisionContext, PrivacyParams
+from .dpnum import PrecisionContext, PrivacyParams, context_for
 from .forward import ForwardMsg, forward_message_from_context
 from .graphs import (
     EgoContext,
@@ -323,8 +323,7 @@ def _session(pg: PartitionedGraph, a_idx: int, config: ProtocolConfig,
     view_x = pg.view_x()
     view_y = pg.view_y()
     if ctx is None:
-        ctx = (DEFAULT_CONTEXT if config.precision_bits == DEFAULT_CONTEXT.bits
-               else PrecisionContext(config.precision_bits))
+        ctx = context_for(config.precision_bits)
     ledger = BudgetLedger()
     ectx = _ego_context_idx(view_x, a_idx)
 
@@ -432,8 +431,7 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
     """
     children = np.random.default_rng(seed).spawn(2)
     a_idx = view.graph.index_of(a)
-    ctx = (DEFAULT_CONTEXT if config.precision_bits == DEFAULT_CONTEXT.bits
-           else PrecisionContext(config.precision_bits))
+    ctx = context_for(config.precision_bits)
     ledger = BudgetLedger()
     y_ego = _y_ego_sorted(view, a_idx)  # both parties know the shared edges
     expect_backward = y_ego.size >= 2

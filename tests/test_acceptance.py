@@ -34,7 +34,7 @@ from privebc import (
     run_session,
     stratum_distribution,
 )
-from privebc import _kernels, oracle
+from privebc import oracle
 from privebc.backward import _partial_sum_core, _spanning_core_matrix, _y_ego_sorted
 from privebc.experiments import ExperimentConfig, load_experiment_graph, parse_csv, run_error_sweep
 from privebc.graphs import partition_nodes
@@ -391,7 +391,6 @@ def _timed_forward(n: int, reps: int) -> tuple[float, int]:
 
 
 def test_criterion_7_complexity_shape():
-    _kernels.warmup()
     t0 = time.perf_counter()
     med_small, peak_small = _timed_forward(10_000, 15)
     med_big, peak_big = _timed_forward(20_000, 15)
@@ -467,7 +466,6 @@ def test_criterion_8_error_levels():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_timing_shape():
-    _kernels.warmup()
     t0 = time.perf_counter()
     g = load_experiment_graph(ExperimentConfig(synthetic=(10_000, 15), ego_count=1))
     pg = partition_nodes(g, 0, 0.5)

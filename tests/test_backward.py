@@ -15,10 +15,10 @@ from privebc import (
 )
 from privebc.backward import (
     CountGrid,
-    _partial_ebc_y_idx,
+    _noisy_counts,
+    _noisy_partial_sum,
     _partial_sum_core,
     _spanning_core_matrix,
-    _spanning_counts_idx,
     _y_ego_sorted,
 )
 
@@ -289,11 +289,13 @@ def test_noiseless_flags_bypass_sampling():
     params = PrivacyParams(epsilon=0.1)
     rng = np.random.default_rng(9)
     before = copy.deepcopy(rng.bit_generator.state)
-    t = _spanning_counts_idx(pg, y_ego, r, params, rng, noiseless=True)
-    s = _partial_ebc_y_idx(pg, a_idx, y_ego, r, params, rng, noiseless=True)
-    assert rng.bit_generator.state == before
     r_sorted = np.array(sorted(r), dtype=np.int64)
     core = _spanning_core_matrix(pg, r_sorted, y_ego)
+    s_core = _partial_sum_core(pg, a_idx, r_sorted, y_ego)
+    # a None generator is the noiseless route
+    t = _noisy_counts(r_sorted, y_ego, core, params, None)
+    s = _noisy_partial_sum(s_core, y_ego, params, None)
+    assert rng.bit_generator.state == before
     assert t[(int(r_sorted[0]), int(y_ego[0]))] == core[0, 0]
     assert s == _partial_sum_core(pg, a_idx, r_sorted, y_ego)
 

@@ -7,7 +7,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privebc import DEFAULT_CONTEXT, PrecisionContext, PrivacyParams, log_add, sample_laplace, sample_neg_exp1
+from privebc import (
+    DEFAULT_CONTEXT,
+    PrecisionContext,
+    PrivacyParams,
+    ProtocolConfig,
+    forward,
+    log_add,
+    run_session,
+    sample_laplace,
+    sample_neg_exp1,
+    stratum_distribution,
+)
 from privebc.dpnum import sample_laplace_array
 
 
@@ -28,6 +39,28 @@ def test_context_immutable():
         ctx.bits = 128
 
 
+def test_contexts_are_built_once_per_precision(monkeypatch, mixed_pg):
+    built = []
+
+    class CountingContext(mpmath.MPContext):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "MPContext", CountingContext)
+    # fresh sizes: every pmf and log table below is a cache miss
+    forward._stratum_distribution.cache_clear()
+    forward._log_int_table.cache_clear()
+    params = PrivacyParams(epsilon=1.0)
+    for n in range(40, 60):
+        stratum_distribution(n, params)
+    assert built == []
+    config = ProtocolConfig(epsilon=1.0, precision_bits=128)
+    for seed in (0, 1):
+        run_session(mixed_pg, "a", config, np.random.default_rng(seed))
+    assert len(built) <= 1
+
+
 def test_privacy_params_validation():
     PrivacyParams(epsilon=1.0)
     with pytest.raises(ValueError):
@@ -41,7 +74,7 @@ def test_privacy_params_validation():
 # ---------------------------------------------------------------------------
 
 def _to_mpf(ctx, v):
-    # round-trip through the backend's faithful repr
+    # round-trip through mpmath's faithful repr
     return mpmath.mpf(str(v))
 
 
@@ -50,7 +83,7 @@ def test_log_add_neg_inf_identity():
     y = ctx.real(2.5)
     assert log_add(ctx.neg_inf, y) is y
     assert log_add(y, ctx.neg_inf) is y
-    assert ctx.xp.is_neg_inf(log_add(ctx.neg_inf, ctx.neg_inf))
+    assert log_add(ctx.neg_inf, ctx.neg_inf) == ctx.neg_inf
 
 
 def test_log_add_exact_small_case():
@@ -92,18 +125,6 @@ def test_log_add_associative_within_ulp():
             left = _to_mpf(ctx, log_add(log_add(x, y, ctx), ctx.real(z), ctx))
             right = _to_mpf(ctx, log_add(ctx.real(x), log_add(y, z, ctx), ctx))
             assert abs(left - right) <= abs(left) * tol
-
-
-def test_log_add_backend_routes_agree():
-    pytest.importorskip("gmpy2")
-    gm = PrecisionContext(300, backend="gmpy2")
-    mp = PrecisionContext(300, backend="mpmath")
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        x, y = rng.uniform(-500, 500, size=2)
-        a = mpmath.mpf(str(log_add(x, y, gm)))
-        b = mpmath.mpf(str(log_add(x, y, mp)))
-        assert abs(a - b) <= abs(a) * mpmath.mpf(2) ** -290
 
 
 # ---------------------------------------------------------------------------

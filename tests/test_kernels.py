@@ -1,10 +1,5 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 
 from privebc import Graph, _kernels
@@ -12,35 +7,15 @@ from privebc import Graph, _kernels
 from .conftest import random_graph
 
 
-def _random_csr(seed, n=40, p=0.2):
-    g = random_graph(np.random.default_rng(seed), n, p)
-    return g.csr()
+def _lookup(indptr, indices):
+    """Plain set-lookup reference for both dense kernels."""
+    nbr = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(indptr.size - 1)]
 
+    def lookup(rows, cols):
+        return np.array([[1 if v in nbr[u] else 0 for v in cols] for u in rows],
+                        dtype=np.uint8).reshape(len(rows), len(cols))
 
-def test_induced_dense_backends_agree():
-    indptr, indices = _random_csr(0)
-    rng = np.random.default_rng(1)
-    for size in (0, 1, 5, 17, 40):
-        nodes = np.sort(rng.choice(40, size=size, replace=False)).astype(np.int64)
-        got = _kernels.induced_dense(indptr, indices, nodes)
-        want = _kernels._induced_dense_np(indptr, indices, nodes)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, got.T)  # undirected
-        assert not got.diagonal().any()
-
-
-def test_bipartite_dense_backends_agree():
-    indptr, indices = _random_csr(2)
-    rng = np.random.default_rng(3)
-    for nr, nc in ((0, 4), (3, 0), (6, 9), (15, 15)):
-        pool = rng.permutation(40)
-        rows = np.sort(pool[:nr]).astype(np.int64)
-        cols = np.sort(pool[nr:nr + nc]).astype(np.int64)
-        got = _kernels.bipartite_dense(indptr, indices, rows, cols)
-        want = _kernels._bipartite_dense_np(indptr, indices, rows, cols)
-        assert np.array_equal(got, want)
-        assert got.shape == (nr, nc)
+    return nbr, lookup
 
 
 def test_induced_dense_matches_direct_lookup():
@@ -51,15 +26,11 @@ def test_induced_dense_matches_direct_lookup():
     g = Graph(g.labels, [(g.label_of(i), g.label_of(j)) for i, j in g.edges_iter()
                          if lonely not in (i, j)])
     indptr, indices = g.csr()
-    nbr = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(g.n)]
+    nbr, lookup = _lookup(indptr, indices)
     assert not nbr[lonely]
     last = g.n - 1
     selections = [[], [lonely], [last], [0, last], [3, 7, 11, 20, 33],
                   [3, 7, 11, lonely, 20, 33, last], list(range(g.n))]
-
-    def lookup(rows, cols):
-        return np.array([[1 if v in nbr[u] else 0 for v in cols] for u in rows],
-                        dtype=np.uint8).reshape(len(rows), len(cols))
 
     for sel in selections:
         nodes = np.array(sorted(sel), dtype=np.int64)
@@ -74,6 +45,28 @@ def test_induced_dense_matches_direct_lookup():
             assert b.dtype == np.uint8
             assert np.array_equal(b, lookup(rows.tolist(), cols.tolist()))
 
+    # random selections on fresh random graphs
+    indptr, indices = random_graph(np.random.default_rng(0), 40, 0.2).csr()
+    _, lookup = _lookup(indptr, indices)
+    rng = np.random.default_rng(1)
+    for size in (0, 1, 5, 17, 40):
+        nodes = np.sort(rng.choice(40, size=size, replace=False)).astype(np.int64)
+        m = _kernels.induced_dense(indptr, indices, nodes)
+        assert m.dtype == np.uint8
+        assert np.array_equal(m, lookup(nodes.tolist(), nodes.tolist()))
+        assert np.array_equal(m, m.T)  # undirected
+        assert not m.diagonal().any()
+    indptr, indices = random_graph(np.random.default_rng(2), 40, 0.2).csr()
+    _, lookup = _lookup(indptr, indices)
+    rng = np.random.default_rng(3)
+    for nr, nc in ((0, 4), (3, 0), (6, 9), (15, 15)):
+        pool = rng.permutation(40)
+        rows = np.sort(pool[:nr]).astype(np.int64)
+        cols = np.sort(pool[nr:nr + nc]).astype(np.int64)
+        b = _kernels.bipartite_dense(indptr, indices, rows, cols)
+        assert np.array_equal(b, lookup(rows.tolist(), cols.tolist()))
+        assert b.shape == (nr, nc)
+
 
 def test_partial_shuffle_backends_agree():
     rng = np.random.default_rng(5)
@@ -81,10 +74,7 @@ def test_partial_shuffle_backends_agree():
     for k in (0, 1, 13, 100):
         offsets = rng.integers(0, np.arange(100, 100 - k, -1, dtype=np.int64)) if k else np.empty(0, dtype=np.int64)
         a = base.copy()
-        b = base.copy()
         _kernels.partial_shuffle(a, offsets.astype(np.int64))
-        _kernels._partial_shuffle_np(b, offsets.astype(np.int64))
-        assert np.array_equal(a, b)
         assert sorted(a.tolist()) == list(range(100))  # permutation
         ref = base.copy()  # the plain swap loop
         for s, r in enumerate(offsets.tolist()):
@@ -103,42 +93,3 @@ def test_partial_shuffle_tail_holds_selection():
     tail = arr[10 - k:]
     assert len(set(tail.tolist())) == k
 
-
-def test_warmup_idempotent():
-    _kernels.warmup()
-    _kernels.warmup()
-
-
-def test_env_flag_selects_numpy_backend():
-    code = textwrap.dedent("""
-        from privebc import Graph, _kernels
-        print(_kernels.active_backend())
-    """)
-    env = dict(os.environ, PRIVEBC_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backends_share_rng_stream():
-    # kernels draw no randomness, so a full protocol run is bit-identical
-    # across backends given one seed
-    code = textwrap.dedent("""
-        import numpy as np
-        from privebc import Graph, PartitionedGraph, ProtocolConfig, run_session
-        edges = [("a","b"),("a","c"),("a","d"),("a","e"),("b","c"),
-                 ("c","d"),("d","f"),("e","f"),("f","g"),("b","g")]
-        g = Graph.from_edges(edges)
-        mask = np.array([lab in {"a","e","f","g"} for lab in g.labels])
-        pg = PartitionedGraph(g, mask)
-        r = run_session(pg, "a", ProtocolConfig(epsilon=0.7), np.random.default_rng(99))
-        print(repr(r.value))
-        print(b"|".join(r.frames).hex())
-    """)
-    outs = []
-    for flag in ("", "1"):
-        env = dict(os.environ, PRIVEBC_NO_NUMBA=flag)
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        outs.append(res.stdout)
-    assert outs[0] == outs[1]
