@@ -45,17 +45,23 @@ def test_induced_dense_matches_direct_lookup():
             assert b.dtype == np.uint8
             assert np.array_equal(b, lookup(rows.tolist(), cols.tolist()))
 
-    # random selections on fresh random graphs
+
+def test_induced_dense_backends_agree():
+    # the kernel agrees with the set-lookup reference on random selections
     indptr, indices = random_graph(np.random.default_rng(0), 40, 0.2).csr()
     _, lookup = _lookup(indptr, indices)
     rng = np.random.default_rng(1)
     for size in (0, 1, 5, 17, 40):
         nodes = np.sort(rng.choice(40, size=size, replace=False)).astype(np.int64)
-        m = _kernels.induced_dense(indptr, indices, nodes)
-        assert m.dtype == np.uint8
-        assert np.array_equal(m, lookup(nodes.tolist(), nodes.tolist()))
-        assert np.array_equal(m, m.T)  # undirected
-        assert not m.diagonal().any()
+        got = _kernels.induced_dense(indptr, indices, nodes)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, lookup(nodes.tolist(), nodes.tolist()))
+        assert np.array_equal(got, got.T)  # undirected
+        assert not got.diagonal().any()
+
+
+def test_bipartite_dense_backends_agree():
+    # the kernel agrees with the set-lookup reference on random disjoint blocks
     indptr, indices = random_graph(np.random.default_rng(2), 40, 0.2).csr()
     _, lookup = _lookup(indptr, indices)
     rng = np.random.default_rng(3)
@@ -63,9 +69,9 @@ def test_induced_dense_matches_direct_lookup():
         pool = rng.permutation(40)
         rows = np.sort(pool[:nr]).astype(np.int64)
         cols = np.sort(pool[nr:nr + nc]).astype(np.int64)
-        b = _kernels.bipartite_dense(indptr, indices, rows, cols)
-        assert np.array_equal(b, lookup(rows.tolist(), cols.tolist()))
-        assert b.shape == (nr, nc)
+        got = _kernels.bipartite_dense(indptr, indices, rows, cols)
+        assert np.array_equal(got, lookup(rows.tolist(), cols.tolist()))
+        assert got.shape == (nr, nc)
 
 
 def test_partial_shuffle_backends_agree():
