@@ -12,58 +12,24 @@ raw (possibly negative); any clamping is X-side post-processing.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import _kernels
-from .dpnum import PrivacyParams, sample_laplace, sample_laplace_array
+from .dpnum import PrivacyParams, sample_laplace
 from .graphs import PartitionedGraph, PartyView, _neighbor_array, _pair_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackwardMsg:
-    """Y's reply: T maps (i, j) index pairs to noisy counts; S_Y is the
-    noisy partial sum. T's key set is exactly R x (N_a n V_Y)."""
+    """Y's reply. T is the |R| x d_Y matrix of noisy counts: row r holds
+    the r-th node of R and column c the c-th node of N_a n V_Y, both in
+    ascending index order, so the ids themselves are never sent. S_Y is
+    the noisy partial sum."""
 
-    T: Mapping[tuple[int, int], float]
+    T: np.ndarray
     S_Y: float
-
-
-class CountGrid(Mapping):
-    """Read-only map (i, j) -> matrix[row of i, column of j] over the
-    grid rows x cols, both sorted index arrays; it iterates in sorted
-    (i, j) order. This is how Y builds T: one matrix, no per-entry
-    objects."""
-
-    __slots__ = ("rows", "cols", "matrix", "_row_of", "_col_of")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, matrix: np.ndarray):
-        if matrix.shape != (rows.size, cols.size):
-            raise ValueError("matrix must have one row per row id and one column per column id")
-        self.rows = rows
-        self.cols = cols
-        self.matrix = matrix
-        self._row_of = {i: pos for pos, i in enumerate(rows.tolist())}
-        self._col_of = {j: pos for pos, j in enumerate(cols.tolist())}
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        i, j = key
-        try:
-            return float(self.matrix[self._row_of[i], self._col_of[j]])
-        except KeyError:
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        return product(self.rows.tolist(), self.cols.tolist())
-
-    def __len__(self) -> int:
-        return self.matrix.size
-
-    def __repr__(self) -> str:
-        return f"CountGrid({self.rows.size} x {self.cols.size})"
 
 
 class DegenerateEgoError(ValueError):
@@ -97,8 +63,8 @@ def _spanning_core_matrix(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray
     return b @ m1
 
 
-def _partial_sum_core(pg: PartitionedGraph | PartyView, a_idx: int,
-                      r_sorted: np.ndarray, y_ego: np.ndarray) -> float:
+def _partial_sum_core(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
+                      y_ego: np.ndarray) -> float:
     """Noiseless partial sum over non-adjacent pairs inside y_ego.
 
     Intermediates are restricted to R u {a} u y_ego; a itself always
@@ -107,15 +73,15 @@ def _partial_sum_core(pg: PartitionedGraph | PartyView, a_idx: int,
     return _partial_sum_from_blocks(*_core_blocks(pg, r_sorted, y_ego))
 
 
-def _noisy_counts(r_sorted: np.ndarray, y_ego: np.ndarray, core: np.ndarray,
-                  params: PrivacyParams, rng: np.random.Generator | None) -> CountGrid:
-    """The count map for R x y_ego; with rng None the counts are exact.
-    Noise is one Laplace draw of scale 2*(2|R|)/eps per entry, drawn in
-    sorted (i, j) order."""
-    if rng is not None:
-        scale = 2.0 * (2.0 * r_sorted.size) / params.epsilon
-        core = core + sample_laplace_array(scale, core.size, rng).reshape(core.shape)
-    return CountGrid(r_sorted, y_ego, core)
+def _noisy_counts(core: np.ndarray, params: PrivacyParams,
+                  rng: np.random.Generator | None) -> np.ndarray:
+    """The |R| x d_Y count matrix; with rng None (or nothing to noise)
+    the counts are exact. Noise is one Laplace draw of scale
+    2*(2|R|)/eps per entry, drawn in row-major order."""
+    if rng is None or core.size == 0:
+        return core
+    scale = 2.0 * (2.0 * core.shape[0]) / params.epsilon
+    return core + rng.laplace(0.0, scale, core.shape)
 
 
 def _noisy_partial_sum(s_y: float, y_ego: np.ndarray, params: PrivacyParams,
@@ -126,44 +92,44 @@ def _noisy_partial_sum(s_y: float, y_ego: np.ndarray, params: PrivacyParams,
     return s_y
 
 
-def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, R: frozenset[int],
+def _sorted_ids(R: frozenset[int]) -> np.ndarray:
+    return np.array(sorted(R), dtype=np.int64)
+
+
+def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, r_sorted: np.ndarray,
            params: PrivacyParams, rng_t: np.random.Generator | None,
            rng_s: np.random.Generator | None) -> BackwardMsg:
-    """Y's reply from one pair of blocks: the count map (noised from
+    """Y's reply from one pair of blocks: the count matrix (noised from
     rng_t) and then the partial sum (noised from rng_s)."""
-    r_sorted = np.array(sorted(R), dtype=np.int64)
     b, m1 = _core_blocks(pg, r_sorted, y_ego)
-    t = _noisy_counts(r_sorted, y_ego, b @ m1, params, rng_t) if R else {}
+    t = _noisy_counts(b @ m1, params, rng_t)
     s_y = _noisy_partial_sum(_partial_sum_from_blocks(b, m1), y_ego, params, rng_s)
     return BackwardMsg(T=t, S_Y=s_y)
 
 
 def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
-                    params: PrivacyParams, rng: np.random.Generator) -> Mapping[tuple[int, int], float]:
-    """Noisy 2-path counts for every (i, j) in R x (N_a n V_Y).
+                    params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
+    """Noisy 2-path counts for every (i, j) in R x (N_a n V_Y), as the
+    |R| x d_Y matrix BackwardMsg.T carries (rows in ascending order of
+    R, columns in ascending order of N_a n V_Y).
 
     All pairs are released, adjacent ones included; filtering happens
     on X's side. Fresh Laplace noise of scale 2*(2|R|)/eps per entry,
-    drawn in sorted (i, j) order. Empty R yields an empty map with no
+    drawn in row-major order. Empty R yields a 0 x d_Y matrix with no
     noise drawn.
     """
     y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
-    if not R:
-        return {}
-    r_sorted = np.array(sorted(R), dtype=np.int64)
-    core = _spanning_core_matrix(pg, r_sorted, y_ego)
-    return _noisy_counts(r_sorted, y_ego, core, params, rng)
+    core = _spanning_core_matrix(pg, _sorted_ids(R), y_ego)
+    return _noisy_counts(core, params, rng)
 
 
 def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
                   params: PrivacyParams, rng: np.random.Generator) -> float:
     """Noisy partial EBC sum over Y's side of the ego network."""
-    a_idx = pg.graph.index_of(a)
-    y_ego = _y_ego_sorted(pg, a_idx)
+    y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
     if y_ego.size < 2:
         raise DegenerateEgoError("need at least two Y-side ego neighbours")
-    r_sorted = np.array(sorted(R), dtype=np.int64)
-    s_y = _partial_sum_core(pg, a_idx, r_sorted, y_ego)
+    s_y = _partial_sum_core(pg, _sorted_ids(R), y_ego)
     return _noisy_partial_sum(s_y, y_ego, params, rng)
 
 
@@ -174,4 +140,4 @@ def backward_message(pg: PartitionedGraph | PartyView, a: object, R: frozenset[i
     y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
     if y_ego.size < 2:
         raise DegenerateEgoError("need at least two Y-side ego neighbours")
-    return _reply(pg, y_ego, R, params, rng, rng)
+    return _reply(pg, y_ego, _sorted_ids(R), params, rng, rng)

@@ -107,36 +107,11 @@ def log_add(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One draw from a zero-mean Laplace via inverse CDF of one uniform."""
+    """One draw from a zero-mean Laplace: numpy's inverse-CDF sampler,
+    which reads one uniform per draw and redraws a zero one."""
     if not scale > 0:
         raise ValueError("scale must be positive")
-    u = rng.random()
-    while u == 0.0:  # measure-zero guard keeps log finite
-        u = rng.random()
-    if u < 0.5:
-        return scale * math.log(2.0 * u)
-    return -scale * math.log(2.0 * (1.0 - u))
-
-
-def sample_laplace_array(scale: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` Laplace draws, equal to the bit to `count` successive
-    sample_laplace(scale, rng) calls and leaving rng in the same state.
-
-    The uniforms come in one vectorized call; zeros are dropped and
-    replaced from the continuing stream, as the scalar guard does. The
-    logarithm stays math.log, whose results numpy's vectorized log does
-    not always match in the last bit.
-    """
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    u = rng.random(count)
-    while not u.all():
-        u = u[u != 0.0]
-        u = np.concatenate((u, rng.random(count - u.size)))
-    low = u < 0.5
-    x = 2.0 * np.where(low, u, 1.0 - u)
-    logs = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=count)
-    return np.where(low, scale * logs, -scale * logs)
+    return float(rng.laplace(0.0, scale))
 
 
 def sample_neg_exp1(rng: np.random.Generator) -> float:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import socket
 import struct
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import BackwardMsg, CountGrid, DegenerateEgoError, _reply, _y_ego_sorted
+from . import _kernels
+from .backward import BackwardMsg, DegenerateEgoError, _reply, _sorted_ids, _y_ego_sorted
 from .dpnum import PrecisionContext, PrivacyParams, context_for
 from .forward import ForwardMsg, forward_message_from_context
 from .graphs import (
@@ -128,52 +128,49 @@ class SessionResult:
 
 
 # ---------------------------------------------------------------------------
-# Wire format v1
+# Wire format v2
 # ---------------------------------------------------------------------------
 # frame   = u32 length | u8 version | u8 type | payload   (big-endian)
 # length counts every byte after the length field itself.
 # type 1 (forward):  u32 count | count * u64 node index, strictly ascending
-# type 2 (backward): u32 count | count * (u64 i, u64 j, f64 value), strictly
-#                    ascending by (i, j) | f64 S_Y
+# type 2 (backward): u32 rows | u32 cols | rows * cols * f64, row-major |
+#                    f64 S_Y; every value finite
+# The backward matrix's rows and columns are the ascending ids of R and of
+# the ego's Y-side neighbours, which both parties know, so none are sent.
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 TYPE_FORWARD = 1
 TYPE_BACKWARD = 2
 HANDSHAKE_MAGIC = b"PEBC"
 
 _FWD_ENTRY = np.dtype(">u8")
-_BWD_ENTRY = np.dtype([("i", ">u8"), ("j", ">u8"), ("v", ">f8")])
+_BWD_VALUE = np.dtype(">f8")
+
+
+def _forward_frame_size(count: int) -> int:
+    return 10 + 8 * count
+
+
+def _backward_frame_size(rows: int, cols: int) -> int:
+    return 22 + 8 * rows * cols
 
 
 def encode_msg(msg: ForwardMsg | BackwardMsg) -> bytes:
     """Serialize one message as a single wire frame."""
     if isinstance(msg, ForwardMsg):
-        records = np.array(sorted(msg.R), dtype=_FWD_ENTRY)
-        trailer, mtype = b"", TYPE_FORWARD
+        body = np.array(sorted(msg.R), dtype=_FWD_ENTRY)
+        dims, trailer, mtype = body.shape, b"", TYPE_FORWARD
     elif isinstance(msg, BackwardMsg):
-        records = _backward_entries(msg.T)
-        trailer, mtype = struct.pack(">d", msg.S_Y), TYPE_BACKWARD
+        body = np.ascontiguousarray(msg.T, dtype=_BWD_VALUE)
+        if body.ndim != 2:
+            raise ValueError(f"T must be a matrix, got {body.ndim} dimensions")
+        dims, trailer, mtype = body.shape, struct.pack(">d", msg.S_Y), TYPE_BACKWARD
     else:
         raise TypeError(f"cannot encode {type(msg).__name__}")
-    head = struct.pack(">IBBI", 6 + records.nbytes + len(trailer), WIRE_VERSION, mtype, records.size)
-    # one join copies the records once, however large the frame
-    return b"".join((head, records, trailer))
-
-
-def _backward_entries(t: Mapping[tuple[int, int], float]) -> np.ndarray:
-    """T's entries sorted by (i, j), as wire records."""
-    entries = np.empty(len(t), dtype=_BWD_ENTRY)
-    if isinstance(t, CountGrid):  # already a sorted grid
-        grid = entries.reshape(t.matrix.shape)
-        grid["i"] = t.rows[:, None]
-        grid["j"] = t.cols
-        grid["v"] = t.matrix
-        return entries
-    keys = sorted(t)
-    entries["i"] = [i for i, _ in keys]
-    entries["j"] = [j for _, j in keys]
-    entries["v"] = [t[k] for k in keys]
-    return entries
+    length = 2 + 4 * len(dims) + body.nbytes + len(trailer)
+    head = struct.pack(f">IBB{len(dims)}I", length, WIRE_VERSION, mtype, *dims)
+    # one join copies the body once, however large the frame
+    return b"".join((head, body, trailer))
 
 
 def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
@@ -202,22 +199,19 @@ def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
             raise DecodeError(10 + 8 * bad, "node indices not strictly ascending")
         return ForwardMsg(R=frozenset(int(v) for v in nodes))
     if mtype == TYPE_BACKWARD:
-        if len(payload) < 4:
-            raise DecodeError(6, "truncated count field")
-        (count,) = struct.unpack_from(">I", payload, 0)
-        if len(payload) != 4 + 24 * count + 8:
-            raise DecodeError(10, f"backward payload needs {4 + 24 * count + 8} bytes, got {len(payload)}")
-        entries = np.frombuffer(payload, dtype=_BWD_ENTRY, count=count, offset=4)
-        t: dict[tuple[int, int], float] = {}
-        prev: tuple[int, int] | None = None
-        for pos in range(count):
-            key = (int(entries["i"][pos]), int(entries["j"][pos]))
-            if prev is not None and key <= prev:
-                raise DecodeError(10 + 24 * pos, "entries not strictly ascending by (i, j)")
-            prev = key
-            t[key] = float(entries["v"][pos])
-        (s_y,) = struct.unpack_from(">d", payload, 4 + 24 * count)
-        return BackwardMsg(T=t, S_Y=s_y)
+        if len(payload) < 8:
+            raise DecodeError(6, "truncated shape field")
+        rows, cols = struct.unpack_from(">II", payload, 0)
+        need = 16 + 8 * rows * cols
+        if len(payload) != need:
+            raise DecodeError(14, f"{rows} x {cols} backward payload needs {need} bytes, "
+                                  f"got {len(payload)}")
+        values = np.frombuffer(payload, dtype=_BWD_VALUE, offset=8)  # the matrix, then S_Y
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DecodeError(14 + 8 * int(bad[0]), "value is not finite")
+        t = values[:-1].astype(np.float64).reshape(rows, cols)
+        return BackwardMsg(T=t, S_Y=float(values[-1]))
     raise DecodeError(5, f"unknown message type {mtype}")
 
 
@@ -236,14 +230,22 @@ def _forward_stage(view_x: PartyView, ectx: EgoContext, config: ProtocolConfig,
     return ForwardMsg(R=ectx.R_star)
 
 
-def _backward_stage(view_y: PartyView, y_ego: np.ndarray, R: frozenset[int],
+def _backward_stage(view_y: PartyView, a_idx: int, y_ego: np.ndarray, R: frozenset[int],
                     config: ProtocolConfig, rng: np.random.Generator | None,
                     ledger: BudgetLedger) -> BackwardMsg:
+    """Y's reply to R, which must be a subset of X^- = V_X minus {a}:
+    any other id would make the counts depend on edges the noise's
+    sensitivity bound does not cover."""
     if y_ego.size < 2:
         raise DegenerateEgoError("backward stage invoked on a gated case")
+    if R and not 0 <= min(R) <= max(R) < view_y.graph.n:
+        raise ProtocolError("forward set holds an id outside the graph")
+    r_sorted = _sorted_ids(R)
+    if a_idx in R or not view_y._is_x[r_sorted].all():
+        raise ProtocolError("forward set is not a subset of X^-")
     noisy_t = "mech2" in config.mech_mask
     noisy_sy = "mech3" in config.mech_mask
-    back = _reply(view_y, y_ego, R, PrivacyParams(epsilon=config.epsilon),
+    back = _reply(view_y, y_ego, r_sorted, PrivacyParams(epsilon=config.epsilon),
                   rng if noisy_t else None, rng if noisy_sy else None)
     if noisy_t:
         ledger.charge("Y", "count-vector", config.epsilon / 2.0)
@@ -273,11 +275,10 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, R: frozenset[int],
         # X-side 2-path counts through R* u {a}: rows R*, cols Y-side ego
         k_x = rows[:, in_x] @ m[in_x][:, ys]
         t_recv = np.zeros(k_x.shape, dtype=np.float64)
-        if back is not None:
-            y_list = local[ys].tolist()
-            for ri, i in enumerate(local[rs].tolist()):
-                if i in R:
-                    t_recv[ri] = [back.T[(i, j)] for j in y_list]
+        if back is not None and R:
+            # back.T's rows are R in ascending order; take those of R n R*
+            hit, pos = _kernels._locate(_sorted_ids(R), local[rs])
+            t_recv[hit] = back.T[pos]
         if config.clamp_mode == "clamp_nonneg":
             np.maximum(t_recv, 0.0, out=t_recv)
         denom = t_recv + k_x
@@ -341,7 +342,7 @@ def _session(pg: PartitionedGraph, a_idx: int, config: ProtocolConfig,
     back: BackwardMsg | None = None
     degenerate = ""
     if y_ego.size >= 2:
-        back = _backward_stage(view_y, y_ego, fwd.R, config, rng_y, ledger)
+        back = _backward_stage(view_y, a_idx, y_ego, fwd.R, config, rng_y, ledger)
         frames.append(encode_msg(back))
     else:
         degenerate = "small-y-ego"
@@ -394,9 +395,13 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
     return bytes(buf)
 
 
-def _recv_frame(sock: socket.socket) -> bytes:
+def _recv_frame(sock: socket.socket, max_size: int) -> bytes:
+    """One frame of at most max_size bytes; a longer one is refused
+    before any of its body is read."""
     head = _recv_exact(sock, 4)
     (length,) = struct.unpack(">I", head)
+    if 4 + length > max_size:
+        raise ProtocolError(f"peer announced a {4 + length}-byte frame, at most {max_size} allowed")
     return head + _recv_exact(sock, length)
 
 
@@ -461,12 +466,16 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
                 transcript.append(("sent-forward", frame))
             back = None
             if expect_backward:
-                raw = _recv_frame(sock)
+                shape = (len(fwd.R), y_ego.size)
+                raw = _recv_frame(sock, _backward_frame_size(*shape))
                 if transcript is not None:
                     transcript.append(("received-backward", raw))
                 msg = decode_msg(raw)
                 if not isinstance(msg, BackwardMsg):
                     raise ProtocolError("expected a backward frame")
+                if msg.T.shape != shape:
+                    raise ProtocolError(f"backward matrix is {msg.T.shape[0]} x {msg.T.shape[1]}, "
+                                        f"expected {shape[0]} x {shape[1]}")
                 back = msg
         acc, _ = _assemble_x(view, ectx, fwd.R, back, config)
         return acc.total
@@ -481,14 +490,14 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
             conn, _ = listener.accept()
             with conn:
                 _handshake_accept(conn)
-                raw = _recv_frame(conn)
+                raw = _recv_frame(conn, _forward_frame_size(view.vx_indices.size - 1))
                 if transcript is not None:
                     transcript.append(("received-forward", raw))
                 msg = decode_msg(raw)
                 if not isinstance(msg, ForwardMsg):
                     raise ProtocolError("expected a forward frame")
                 if expect_backward:
-                    back = _backward_stage(view, y_ego, msg.R, config, rng_y, ledger)
+                    back = _backward_stage(view, a_idx, y_ego, msg.R, config, rng_y, ledger)
                     frame = encode_msg(back)
                     _send_all(conn, frame)
                     if transcript is not None:

@@ -227,7 +227,7 @@ def _sensitivity_sweep(x_labels, y_labels):
         y_ego = _y_ego_sorted(pg, a_idx)
         r_sorted = np.array(sorted(g.index_of(r) for r in r_labels), dtype=np.int64)
         c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
-        s1 = _partial_sum_core(pg, a_idx, r_sorted, y_ego) if y_ego.size >= 2 else None
+        s1 = _partial_sum_core(pg, r_sorted, y_ego) if y_ego.size >= 2 else None
         edge_set = {tuple(sorted(e)) for e in edges}
         for yp in y_pairs:
             flipped = list(edge_set ^ {tuple(sorted(yp))})
@@ -238,7 +238,7 @@ def _sensitivity_sweep(x_labels, y_labels):
                 worst_t = max(worst_t,
                               float(np.abs(c1 - c2).sum()) / (2.0 * r_sorted.size))
             if s1 is not None:
-                s2 = _partial_sum_core(pg2, a_idx, r_sorted, y_ego)
+                s2 = _partial_sum_core(pg2, r_sorted, y_ego)
                 worst_s = max(worst_s, abs(s1 - s2) / (y_ego.size - 1))
             checked += 1
     return worst_t, worst_s, checked
@@ -292,7 +292,7 @@ def test_criterion_4_sensitivity_sweeps():
         y_ego = _y_ego_sorted(pg, a_idx)
         r_sorted = np.array(sorted(g.index_of(x) for x in x_labels[1:]), dtype=np.int64)
         c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
-        s1 = _partial_sum_core(pg, a_idx, r_sorted, y_ego) if y_ego.size >= 2 else None
+        s1 = _partial_sum_core(pg, r_sorted, y_ego) if y_ego.size >= 2 else None
         edge_set = {tuple(sorted(e)) for e in edges}
         for yp in y_pairs:
             flipped = list(edge_set ^ {tuple(sorted(yp))})
@@ -300,7 +300,7 @@ def test_criterion_4_sensitivity_sweeps():
             c2 = _spanning_core_matrix(pg2, r_sorted, y_ego)
             worst_t3 = max(worst_t3, float(np.abs(c1 - c2).sum()) / (2.0 * r_sorted.size))
             if s1 is not None:
-                s2 = _partial_sum_core(pg2, a_idx, r_sorted, y_ego)
+                s2 = _partial_sum_core(pg2, r_sorted, y_ego)
                 worst_s3 = max(worst_s3, abs(s1 - s2) / (y_ego.size - 1))
             n3 += 1
 

@@ -19,7 +19,7 @@ from privebc import (
     sample_neg_exp1,
     stratum_distribution,
 )
-from privebc.dpnum import sample_laplace_array
+from privebc.backward import _noisy_counts
 
 
 # ---------------------------------------------------------------------------
@@ -169,35 +169,45 @@ def test_laplace_reproducible():
 # ---------------------------------------------------------------------------
 
 def test_laplace_array_matches_scalar_draws():
+    # the count matrix's noise is the row-major run of scalar draws
     for seed in range(20):
-        for scale, count in ((0.5, 0), (1.0, 1), (3.0, 17), (4096.0, 2500)):
+        for scale, shape in ((0.5, (1, 0)), (1.0, (1, 1)), (3.0, (17, 1)), (4096.0, (50, 50))):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sample_laplace_array(scale, count, a)
-            want = np.array([sample_laplace(scale, b) for _ in range(count)], dtype=np.float64)
+            params = PrivacyParams(epsilon=4.0 * shape[0] / scale)
+            got = _noisy_counts(np.zeros(shape), params, a)
+            want = np.array([sample_laplace(scale, b) for _ in range(shape[0] * shape[1])],
+                            dtype=np.float64).reshape(shape)
             assert got.tobytes() == want.tobytes()
             assert a.bit_generator.state == b.bit_generator.state
 
 
-class _ScriptedUniforms:
-    """Stands in for a Generator whose uniform stream is fixed."""
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    def __init__(self, stream):
-        self.stream = list(stream)
 
-    def random(self, size=None):
-        if size is None:
-            return self.stream.pop(0)
-        out, self.stream = self.stream[:size], self.stream[size:]
-        return np.array(out, dtype=np.float64)
+def _zero_uniform_at(seed: int, k: int) -> np.random.Generator:
+    """A PCG64 generator whose k-th uniform (from 0) is exactly 0.0: its
+    state is set k + 1 steps before the LCG state 0, whose output is 0."""
+    rng = np.random.default_rng(seed)
+    st = rng.bit_generator.state
+    inc, state = st["state"]["inc"], 0
+    for _ in range(k + 1):
+        state = (state - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    st["state"]["state"] = state
+    rng.bit_generator.state = st
+    return rng
 
 
 def test_laplace_array_skips_zero_uniforms_like_scalar():
-    stream = [0.25, 0.0, 0.75, 0.0, 0.0, 0.5, 0.125, 0.9]
-    a, b = _ScriptedUniforms(stream), _ScriptedUniforms(stream)
-    got = sample_laplace_array(2.0, 4, a)
+    u = _zero_uniform_at(11, 1).random(6)
+    assert u[1] == 0.0 and u[[0, 2, 3, 4, 5]].all()
+    a, b = _zero_uniform_at(11, 1), _zero_uniform_at(11, 1)
+    got = _noisy_counts(np.zeros((2, 2)), PrivacyParams(epsilon=4.0), a)  # scale 2
     want = [sample_laplace(2.0, b) for _ in range(4)]
-    assert got.tolist() == want
-    assert a.stream == b.stream == [0.9]
+    assert got.ravel().tolist() == want
+    assert np.all(np.isfinite(want))
+    assert a.bit_generator.state == b.bit_generator.state
+    # both skipped the zero: the next uniform is the stream's sixth
+    assert a.random() == u[5]
 
 
 def test_neg_exp1_support():

@@ -1,8 +1,10 @@
 import hashlib
+import math
 import multiprocessing
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ from privebc import (
     run_session,
     run_two_process,
 )
-from privebc.backward import CountGrid
-from privebc.protocol import _assemble_x
+from privebc import protocol
+from privebc.backward import _spanning_core_matrix, _y_ego_sorted
+from privebc.protocol import HANDSHAKE_MAGIC, WIRE_VERSION, BudgetLedger, _assemble_x
 
 from .conftest import make_pg, random_graph, random_partition
 
@@ -206,7 +209,8 @@ def _assembly_fixture():
 
 def test_clamp_mode_restores_denominators():
     view_x, ectx, x1, y1, y2 = _assembly_fixture()
-    back = BackwardMsg(T={(x1, y1): -5.0, (x1, y2): 0.5}, S_Y=0.25)
+    assert y1 < y2  # columns in ascending id order
+    back = BackwardMsg(T=np.array([[-5.0, 0.5]]), S_Y=0.25)
     acc, skipped = _assemble_x(view_x, ectx, frozenset({x1}), back,
                                ProtocolConfig(epsilon=1.0))
     # K_x = 1 for both pairs (the path through a); clamp zeroes the -5
@@ -218,13 +222,13 @@ def test_clamp_mode_restores_denominators():
 
 def test_raw_mode_skips_nonpositive_denominators():
     view_x, ectx, x1, y1, y2 = _assembly_fixture()
-    back = BackwardMsg(T={(x1, y1): -5.0, (x1, y2): 0.5}, S_Y=0.25)
+    back = BackwardMsg(T=np.array([[-5.0, 0.5]]), S_Y=0.25)
     acc, skipped = _assemble_x(view_x, ectx, frozenset({x1}), back,
                                ProtocolConfig(epsilon=1.0, clamp_mode="raw"))
     assert skipped == 1
     assert acc.S_XY == pytest.approx(1.0 / 1.5)
     # exactly zero denominators are skipped too
-    back0 = BackwardMsg(T={(x1, y1): -1.0, (x1, y2): 0.5}, S_Y=0.0)
+    back0 = BackwardMsg(T=np.array([[-1.0, 0.5]]), S_Y=0.0)
     _, skipped0 = _assemble_x(view_x, ectx, frozenset({x1}), back0,
                               ProtocolConfig(epsilon=1.0, clamp_mode="raw"))
     assert skipped0 == 1
@@ -236,10 +240,9 @@ def test_counts_for_nodes_outside_r_star_are_discarded(mixed_pg):
     ectx = ego_context(view_x, "a")
     y_ego = sorted(v for v in ectx.N_a if not view_x.is_x(v))
     r = frozenset(ectx.R_star) | {g.index_of("f")}  # f is X-side, not in N_a
-    base_t = {(int(i), int(j)): 1.0 for i in sorted(r) for j in y_ego}
-    tampered = dict(base_t)
-    for j in y_ego:
-        tampered[(g.index_of("f"), int(j))] = 1e12
+    base_t = np.ones((len(r), len(y_ego)))
+    tampered = base_t.copy()
+    tampered[sorted(r).index(g.index_of("f"))] = 1e12
     cfg = ProtocolConfig(epsilon=1.0)
     acc1, s1 = _assemble_x(view_x, ectx, r, BackwardMsg(T=base_t, S_Y=0.0), cfg)
     acc2, s2 = _assemble_x(view_x, ectx, r, BackwardMsg(T=tampered, S_Y=0.0), cfg)
@@ -253,7 +256,7 @@ def test_missing_rows_start_from_zero(mixed_pg):
     y_ego = sorted(v for v in ectx.N_a if not view_x.is_x(v))
     cfg = ProtocolConfig(epsilon=1.0)
     acc_none, _ = _assemble_x(view_x, ectx, frozenset(), None, cfg)
-    empty = BackwardMsg(T={}, S_Y=0.0)
+    empty = BackwardMsg(T=np.zeros((0, len(y_ego))), S_Y=0.0)
     acc_zero, _ = _assemble_x(view_x, ectx, frozenset(), empty, cfg)
     assert acc_none.S_XY == acc_zero.S_XY == pytest.approx(
         sum(1.0 for _ in ectx.R_star for _ in y_ego))  # all K_x = 1 here
@@ -264,36 +267,61 @@ def test_missing_rows_start_from_zero(mixed_pg):
 
 def test_forward_frame_bytes_empty():
     frame = encode_msg(ForwardMsg(R=frozenset()))
-    assert frame == struct.pack(">IBBI", 6, 1, 1, 0)
+    assert frame == struct.pack(">IBBI", 6, 2, 1, 0)
     assert len(frame) == 10
     assert decode_msg(frame) == ForwardMsg(R=frozenset())
 
 
 def test_forward_frame_bytes_single_node():
     frame = encode_msg(ForwardMsg(R=frozenset({5})))
-    assert frame == struct.pack(">IBBIQ", 14, 1, 1, 1, 5)
+    assert frame == struct.pack(">IBBIQ", 14, 2, 1, 1, 5)
     assert len(frame) == 18
 
 
+def _same_msg(a: BackwardMsg, b: BackwardMsg) -> bool:
+    return (a.T.shape == b.T.shape and a.T.tobytes() == b.T.tobytes()
+            and struct.pack(">d", a.S_Y) == struct.pack(">d", b.S_Y))
+
+
 def test_backward_frame_bytes_three_entries():
-    msg = BackwardMsg(T={(1, 7): 0.5, (1, 9): -2.0, (3, 7): 4.0}, S_Y=1.25)
+    msg = BackwardMsg(T=np.array([[0.5, -2.0, 4.0]]), S_Y=1.25)
     frame = encode_msg(msg)
-    want = struct.pack(">IBBI", 86, 1, 2, 3)
-    want += struct.pack(">QQd", 1, 7, 0.5)
-    want += struct.pack(">QQd", 1, 9, -2.0)
-    want += struct.pack(">QQd", 3, 7, 4.0)
+    want = struct.pack(">IBBII", 42, 2, 2, 1, 3)
+    want += struct.pack(">ddd", 0.5, -2.0, 4.0)
     want += struct.pack(">d", 1.25)
     assert frame == want
-    assert len(frame) == 90
-    assert decode_msg(frame) == msg
+    assert len(frame) == 46
+    assert _same_msg(decode_msg(frame), msg)
 
 
-def test_backward_frame_same_for_grid_and_dict():
-    grid = CountGrid(np.array([1, 3], dtype=np.int64), np.array([7, 9], dtype=np.int64),
-                     np.array([[0.5, -2.0], [4.0, 1e-300]]))
-    as_dict = {(3, 9): 1e-300, (1, 7): 0.5, (3, 7): 4.0, (1, 9): -2.0}
-    assert encode_msg(BackwardMsg(T=grid, S_Y=1.25)) == encode_msg(BackwardMsg(T=as_dict, S_Y=1.25))
-    assert decode_msg(encode_msg(BackwardMsg(T=grid, S_Y=1.25))) == BackwardMsg(T=as_dict, S_Y=1.25)
+def test_backward_frame_bytes_two_by_two():
+    msg = BackwardMsg(T=np.array([[0.5, -2.0], [4.0, 1e-300]]), S_Y=-0.75)
+    frame = encode_msg(msg)
+    want = bytes.fromhex(
+        "00000032" "02" "02" "00000002" "00000002"
+        "3fe0000000000000" "c000000000000000"
+        "4010000000000000" "01a56e1fc2f8f359"
+        "bfe8000000000000")
+    assert frame == want
+    assert len(frame) == 54
+    got = decode_msg(frame)
+    assert _same_msg(got, msg)
+    assert got.T.dtype == np.float64 and got.T.flags.c_contiguous
+
+
+def test_backward_frame_bytes_empty_r():
+    # R empty: a 0 x d_Y matrix, so only the shape and S_Y travel
+    msg = BackwardMsg(T=np.zeros((0, 3)), S_Y=2.0)
+    frame = encode_msg(msg)
+    assert frame == struct.pack(">IBBIId", 18, 2, 2, 0, 3, 2.0)
+    assert len(frame) == 22
+    got = decode_msg(frame)
+    assert got.T.shape == (0, 3) and got.S_Y == 2.0
+
+
+def test_encode_rejects_non_matrix_counts():
+    with pytest.raises(ValueError):
+        encode_msg(BackwardMsg(T=np.zeros(4), S_Y=0.0))
 
 
 def test_seeded_frames_and_values_are_pinned():
@@ -312,7 +340,36 @@ def test_seeded_frames_and_values_are_pinned():
                 for f in res.frames:
                     h.update(f)
                 h.update(repr(res.value).encode())
-    assert h.hexdigest() == "6959b7fe699991c43f47422f416a23399b3434eb39db31795c67349524c755dc"
+    assert h.hexdigest() == "3cc19a6f00f22c1abb07b06318270b51b113a2d0c9ddcba8b7753a2cbaadcbd4"
+
+
+def test_seeded_r_sets_and_noiseless_values_are_pinned():
+    # the sessions above, without Y's noise: their R sets, the noiseless
+    # counts for each R and the values with noiseless replies. The digest
+    # was computed before the wire format and the Laplace sampler changed,
+    # which moved only the noisy values pinned above.
+    rng = np.random.default_rng(31)
+    h = hashlib.sha256()
+    for n in (12, 30, 60):
+        edges = [(str(i), str(j)) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+        g = Graph([str(i) for i in range(n)], edges)
+        pg = PartitionedGraph(g, rng.random(n) < 0.5)
+        for a in pg.vx_indices[:3]:
+            label = g.label_of(int(a))
+            y_ego = _y_ego_sorted(pg, int(a))
+            for eps in (0.1, 1.0, 7.0):
+                seed = n + int(a)
+                res = run_session(pg, label, ProtocolConfig(epsilon=eps), np.random.default_rng(seed))
+                r_sorted = sorted(decode_msg(res.frames[0]).R)
+                exact = run_session(pg, label,
+                                    ProtocolConfig(epsilon=eps, mech_mask=frozenset({"mech1"})),
+                                    np.random.default_rng(seed))
+                core = _spanning_core_matrix(pg.view_y(), np.array(r_sorted, dtype=np.int64), y_ego)
+                h.update(repr(r_sorted).encode())
+                h.update(repr((exact.value, exact.parts.S_X, exact.parts.S_XY,
+                               exact.parts.S_Y)).encode())
+                h.update(repr(core.shape).encode() + core.tobytes())
+    assert h.hexdigest() == "68623b5362a1555b3d352cf30e8851cd96e4f681c9e990d3402295fa3a8354f7"
 
 
 def test_encode_rejects_unknown_type():
@@ -326,15 +383,18 @@ def test_forward_roundtrip(r):
     assert decode_msg(encode_msg(ForwardMsg(R=r))) == ForwardMsg(R=r)
 
 
-@given(
-    st.dictionaries(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
-                    st.floats(allow_nan=False), max_size=40),
-    st.floats(allow_nan=False),
-)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(0, 8), st.integers(0, 8), st.data(), _FINITE)
 @settings(max_examples=200, deadline=None)
-def test_backward_roundtrip(t, s_y):
-    msg = BackwardMsg(T=t, S_Y=s_y)
-    assert decode_msg(encode_msg(msg)) == msg
+def test_backward_roundtrip(rows, cols, data, s_y):
+    values = data.draw(st.lists(_FINITE, min_size=rows * cols, max_size=rows * cols))
+    msg = BackwardMsg(T=np.array(values, dtype=np.float64).reshape(rows, cols), S_Y=s_y)
+    frame = encode_msg(msg)
+    assert len(frame) == 22 + 8 * rows * cols
+    assert _same_msg(decode_msg(frame), msg)
+    assert encode_msg(decode_msg(frame)) == frame
 
 
 def _offset_of(exc_info) -> int:
@@ -379,21 +439,59 @@ def test_decode_error_bad_type():
 
 def test_decode_error_unsorted_forward():
     payload = struct.pack(">I", 2) + struct.pack(">QQ", 3, 3)
-    frame = struct.pack(">IBB", 2 + len(payload), 1, 1) + payload
+    frame = struct.pack(">IBB", 2 + len(payload), 2, 1) + payload
     with pytest.raises(DecodeError) as e:
         decode_msg(frame)
     assert _offset_of(e) == 18
 
 
-def test_decode_error_unsorted_backward():
-    payload = struct.pack(">I", 2)
-    payload += struct.pack(">QQd", 2, 5, 0.0)
-    payload += struct.pack(">QQd", 1, 5, 0.0)
-    payload += struct.pack(">d", 0.0)
-    frame = struct.pack(">IBB", 2 + len(payload), 1, 2) + payload
+def _backward_frame(rows: int, cols: int, values: list[float]) -> bytes:
+    """A hand-built v2 backward frame; values are the matrix, then S_Y."""
+    payload = struct.pack(">II", rows, cols) + struct.pack(f">{len(values)}d", *values)
+    return struct.pack(">IBB", 2 + len(payload), 2, 2) + payload
+
+
+def test_decode_error_backward_shape_count_mismatch():
+    # 2 x 2 announced, 3 values sent (and the reverse): the payload
+    # disagrees with the shape, reported where the matrix starts
+    for rows, cols, values in ((2, 2, [1.0, 2.0, 3.0, 0.0]), (1, 2, [1.0, 2.0, 3.0, 0.0])):
+        with pytest.raises(DecodeError) as e:
+            decode_msg(_backward_frame(rows, cols, values))
+        assert _offset_of(e) == 14
+
+
+def test_decode_error_backward_truncated_and_oversized():
+    frame = encode_msg(BackwardMsg(T=np.ones((2, 3)), S_Y=0.5))
+    with pytest.raises(DecodeError) as e:  # cut inside the matrix
+        decode_msg(frame[:30])
+    assert _offset_of(e) == 30
+    with pytest.raises(DecodeError) as e:  # trailing bytes after the frame
+        decode_msg(frame + b"\x00" * 8)
+    assert _offset_of(e) == len(frame)
+    with pytest.raises(DecodeError) as e:  # a frame with a value too many
+        decode_msg(_backward_frame(2, 3, [1.0] * 8))
+    assert _offset_of(e) == 14
+    with pytest.raises(DecodeError) as e:  # no room for the shape field
+        decode_msg(struct.pack(">IBBI", 6, 2, 2, 1))
+    assert _offset_of(e) == 6
+    # rows * cols beyond any frame is only a mismatch, never an allocation
     with pytest.raises(DecodeError) as e:
-        decode_msg(frame)
-    assert _offset_of(e) == 10 + 24
+        decode_msg(_backward_frame(2**32 - 1, 2**32 - 1, [0.0]))
+    assert _offset_of(e) == 14
+
+
+def test_decode_error_backward_non_finite():
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (1, 3, [0.5, nan, inf, 0.0], 14 + 8),  # first offender in the matrix
+        (2, 2, [0.5, 1.0, -inf, 2.0, 0.0], 14 + 16),
+        (1, 3, [0.5, 1.0, 2.0, inf], 14 + 24),  # S_Y
+        (0, 4, [nan], 14),  # S_Y of an empty R
+    ]
+    for rows, cols, values, offset in cases:
+        with pytest.raises(DecodeError) as e:
+            decode_msg(_backward_frame(rows, cols, values))
+        assert _offset_of(e) == offset
 
 
 # ----------------------------------------------------- two-process runs
@@ -487,6 +585,177 @@ def test_two_process_handshake_version_mismatch(mixed_pg):
                         _handshake_version=99)
     yt.join(timeout=30)
     assert len(box) == 1 and isinstance(box[0], HandshakeError)
+
+
+def test_two_process_handshake_rejects_v1_peer(mixed_pg):
+    cfg = ProtocolConfig(epsilon=0.9)
+    # Y answers a v1 hello with its own version and then refuses
+    address = ("127.0.0.1", _free_port())
+    box: list = []
+    yt = threading.Thread(target=_run_y,
+                          args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
+    yt.start()
+    for _ in range(200):
+        try:
+            sock = socket.create_connection(address, timeout=10.0)
+            break
+        except OSError:
+            time.sleep(0.05)
+    with sock:
+        sock.sendall(HANDSHAKE_MAGIC + b"\x01")
+        assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
+    yt.join(timeout=30)
+    assert len(box) == 1 and isinstance(box[0], HandshakeError)
+    # X refuses a Y that answers with version 1
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve_v1():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(5)
+                conn.sendall(HANDSHAKE_MAGIC + b"\x01")
+                conn.recv(1)
+
+    st = threading.Thread(target=serve_v1)
+    st.start()
+    with pytest.raises(HandshakeError):
+        run_two_process("X", listener.getsockname(), mixed_pg.view_x(), "a", cfg, 1)
+    st.join(timeout=30)
+
+
+def _fake_x(address, payload: bytes) -> bytes:
+    """Stands in for X: says hello, sends `payload` raw and returns all
+    Y sends after its hello, until Y hangs up (or 10 s pass)."""
+    for _ in range(200):  # Y's listener may still be starting up
+        try:
+            sock = socket.create_connection(address, timeout=10.0)
+            break
+        except OSError:
+            time.sleep(0.05)
+    with sock:
+        sock.sendall(HANDSHAKE_MAGIC + bytes([WIRE_VERSION]) + payload)
+        assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
+        rest = b""
+        try:
+            while chunk := sock.recv(65536):
+                rest += chunk
+        except OSError:
+            pass
+    return rest
+
+
+def _fake_y_session(pg, cfg, reply) -> None:
+    """X's half of a session against a stand-in Y that reads the forward
+    frame and answers with the bytes `reply(forward message)`."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    box: list = []
+
+    def serve():
+        try:
+            with listener:
+                conn, _ = listener.accept()
+                with conn:
+                    protocol._handshake_accept(conn)
+                    fwd = decode_msg(protocol._recv_frame(conn, 1 << 20))
+                    conn.sendall(reply(fwd))
+                    conn.recv(1)  # hold the connection until X hangs up
+        except Exception as exc:
+            box.append(exc)
+
+    yt = threading.Thread(target=serve)
+    yt.start()
+    try:
+        run_two_process("X", listener.getsockname(), pg.view_x(), "a", cfg, 0)
+    finally:
+        yt.join(timeout=30)
+    assert not box
+
+
+def _bad_forward_sets(pg):
+    g = pg.graph
+    return [frozenset({g.n}), frozenset({2**64 - 1}), frozenset({g.index_of("b")}),
+            frozenset({g.index_of("a")}), frozenset({g.index_of("e"), g.index_of("c")})]
+
+
+def test_y_refuses_forward_set_outside_x_minus(mixed_pg):
+    # an id >= n, a Y node or the ego in R would make Y's counts depend on
+    # edges the 2|R| sensitivity bound does not cover
+    view_y = mixed_pg.view_y()
+    a_idx = mixed_pg.graph.index_of("a")
+    y_ego = _y_ego_sorted(view_y, a_idx)
+    cfg = ProtocolConfig(epsilon=1.0)
+    for r in _bad_forward_sets(mixed_pg):
+        ledger = BudgetLedger()
+        with pytest.raises(ProtocolError):
+            protocol._backward_stage(view_y, a_idx, y_ego, r, cfg, np.random.default_rng(0), ledger)
+        assert ledger.events == []
+    g = mixed_pg.graph
+    x_minus = frozenset({g.index_of("e"), g.index_of("f"), g.index_of("g")})
+    back = protocol._backward_stage(view_y, a_idx, y_ego, x_minus, cfg,
+                                    np.random.default_rng(0), BudgetLedger())
+    assert back.T.shape == (3, y_ego.size)
+
+
+def test_y_refuses_forward_set_outside_x_minus_over_tcp(mixed_pg):
+    cfg = ProtocolConfig(epsilon=1.0)
+    for r in _bad_forward_sets(mixed_pg):
+        address = ("127.0.0.1", _free_port())
+        box: list = []
+        yt = threading.Thread(target=_run_y,
+                              args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
+        yt.start()
+        payload = struct.pack(f">IBBI{len(r)}Q", 6 + 8 * len(r), 2, 1, len(r), *sorted(r))
+        assert _fake_x(address, payload) == b""  # no backward frame
+        yt.join(timeout=30)
+        assert len(box) == 1 and isinstance(box[0], ProtocolError)
+
+
+def test_y_refuses_oversized_frame_before_reading_it(mixed_pg):
+    # Y's bound is the forward frame for R = X^-, 10 + 8 * 3 = 34 bytes
+    # here: a length field of 31 is one byte over
+    cfg = ProtocolConfig(epsilon=1.0)
+    for length in (0xFFFFFFFF, 31):
+        address = ("127.0.0.1", _free_port())
+        box: list = []
+        yt = threading.Thread(target=_run_y,
+                              args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
+        yt.start()
+        assert _fake_x(address, struct.pack(">I", length)) == b""
+        yt.join(timeout=30)
+        assert not yt.is_alive()
+        assert len(box) == 1 and isinstance(box[0], ProtocolError)
+
+
+def test_x_refuses_oversized_frame_before_reading_it(mixed_pg):
+    # R = R* = {e} without mech1: X's bound is the 1 x 3 frame, 46 bytes,
+    # so a length field of 43 is one byte over
+    cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
+    for length in (0xFFFFFFFF, 43):
+        with pytest.raises(ProtocolError):
+            _fake_y_session(mixed_pg, cfg, lambda fwd, length=length: struct.pack(">I", length))
+
+
+def test_x_refuses_backward_matrix_of_wrong_shape(mixed_pg):
+    cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
+    for shape in ((3, 1), (0, 3), (1, 2)):  # not (|R|, d_Y) = (1, 3)
+        reply = (lambda fwd, shape=shape:
+                 encode_msg(BackwardMsg(T=np.zeros(shape), S_Y=0.0)))
+        with pytest.raises(ProtocolError):
+            _fake_y_session(mixed_pg, cfg, reply)
+
+
+def test_x_refuses_non_finite_backward_values(mixed_pg):
+    cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
+    for values in ([0.0, math.nan, 0.0, 0.0], [0.0, 0.0, 0.0, -math.inf]):
+        with pytest.raises(DecodeError):
+            _fake_y_session(mixed_pg, cfg, lambda fwd, v=values: _backward_frame(1, 3, v))
+    # the same stand-in with a well-formed reply completes the session
+    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0.0, 0.0, 0.0, 0.0]))
 
 
 def test_two_process_rejects_unknown_role(mixed_pg):
