@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--graph", help="edge-list file")
         src.add_argument("--synthetic", type=_synthetic_spec, metavar="n=N,m=M",
                          help="preferential-attachment graph instead of a file")
-        p.add_argument("--format", choices=["edgelist"], default="edgelist",
-                       help="input format (edge list only)")
         p.add_argument("--partition-seed", type=int, default=0, metavar="S")
         p.add_argument("--x-frac", type=float, default=0.5, metavar="F",
                        help="probability a node joins party X")

@@ -1,9 +1,9 @@
 """Simple undirected graphs, party partitions, ego networks, and exact EBC.
 
 Node labels are opaque strings internalized to dense integer indices in
-sorted-label order. Adjacency is kept as per-node sorted index arrays
-(CSR) plus frozensets for O(1) membership. All structures are immutable
-after construction and safe to share across concurrent readers.
+sorted-label order. Adjacency is kept once, as per-node sorted index
+arrays (CSR). All structures are immutable after construction and safe
+to share across concurrent readers.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class Graph:
     """Simple undirected graph: no self-loops, no duplicate edges."""
 
     __slots__ = ("labels", "n", "edge_count", "load_report",
-                 "_index", "_nbr_sets", "_indptr", "_indices", "__weakref__")
+                 "_index", "_indptr", "_indices", "__weakref__")
 
     def __init__(self, nodes: Iterable[object], edges: Iterable[tuple[object, object]],
                  load_report: LoadReport | None = None):
@@ -75,15 +75,9 @@ class Graph:
         self.edge_count = count
         self.load_report = load_report
         self._index = index
-        self._nbr_sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in nbrs)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, s in enumerate(nbrs):
-            indptr[i + 1] = indptr[i] + len(s)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for i, s in enumerate(nbrs):
-            indices[indptr[i]:indptr[i + 1]] = sorted(s)
-        self._indptr = indptr
-        self._indices = indices
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        self._indptr[1:] = np.fromiter(map(len, nbrs), np.int64, n).cumsum()
+        self._indices = np.array([j for s in nbrs for j in sorted(s)], dtype=np.int64)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[object, object]],
@@ -102,8 +96,6 @@ class Graph:
         g.edge_count = indices.size // 2
         g.load_report = None
         g._index = base._index
-        flat, bounds = indices.tolist(), indptr.tolist()
-        g._nbr_sets = tuple(frozenset(flat[bounds[i]:bounds[i + 1]]) for i in range(base.n))
         g._indptr = indptr
         g._indices = indices
         return g
@@ -118,23 +110,24 @@ class Graph:
         return self.labels[idx]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self._nbr_sets[i]
+        row = _neighbor_array(self, i)
+        k = int(row.searchsorted(j))
+        return bool(k < row.size and row[k] == j)
 
     def neighbors(self, i: int) -> frozenset[int]:
-        return self._nbr_sets[i]
+        return frozenset(_neighbor_array(self, i).tolist())
 
     def degree(self, i: int) -> int:
-        return len(self._nbr_sets[i])
+        return int(self._indptr[i + 1] - self._indptr[i])
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         return self._indptr, self._indices
 
     def edges_iter(self) -> Iterator[tuple[int, int]]:
         """All edges as index pairs (i, j) with i < j."""
-        for i in range(self.n):
-            for j in self._nbr_sets[i]:
-                if j > i:
-                    yield (i, j)
+        owner = np.arange(self.n).repeat(np.diff(self._indptr))
+        upper = owner < self._indices
+        yield from zip(owner[upper].tolist(), self._indices[upper].tolist())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -326,11 +319,14 @@ class EgoContext:
 
 def ego_context(pg: PartitionedGraph | PartyView, a: object) -> EgoContext:
     """Build the ego context for node a, which must belong to party X."""
-    g = pg.graph
-    a_idx = g.index_of(a)
+    return _ego_context_idx(pg, _x_ego_index(pg, a))
+
+
+def _x_ego_index(pg: PartitionedGraph | PartyView, a: object) -> int:
+    a_idx = pg.graph.index_of(a)
     if not pg.is_x(a_idx):
         raise WrongPartyError(f"ego node {a!r} is not in party X")
-    return _ego_context_idx(pg, a_idx)
+    return a_idx
 
 
 def _ego_context_idx(pg: PartitionedGraph | PartyView, a_idx: int) -> EgoContext:

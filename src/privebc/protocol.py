@@ -1,11 +1,13 @@
 """Two-party protocol orchestration and X-side final assembly.
 
-One session is a sequential state machine: forward message (X's set
-release), backward message (Y's noisy counts and partial sum, skipped
-when Y's side of the ego network has fewer than two nodes), then X-side
-assembly of S_X + S_XY + S_Y. Runs either in-process (both party views
-held by one driver) or across two processes over a framed TCP wire;
-given identical seeds both modes produce bit-identical results.
+One session is one sequence, written once for both modes: forward
+message (X's set release), backward message (Y's noisy counts and
+partial sum), then X-side assembly of S_X + S_XY + S_Y. Both parties
+skip the messages their shared knowledge makes empty: both when Y has
+no nodes, the backward one when Y's side of the ego network has fewer
+than two nodes. Runs either in-process (both party views held by one
+driver) or across two processes over a framed TCP wire; given
+identical seeds both modes produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -19,17 +21,16 @@ import numpy as np
 
 from . import _kernels
 from .backward import BackwardMsg, DegenerateEgoError, _reply, _sorted_ids, _y_ego_sorted
-from .dpnum import PrecisionContext, PrivacyParams, context_for
+from .dpnum import PrivacyParams, context_for
 from .forward import ForwardMsg, forward_message_from_context
 from .graphs import (
     EgoContext,
     PartitionedGraph,
     PartyView,
-    WrongPartyError,
     _ego_context_idx,
     _ego_local,
-    _exact_ebc_idx,
     _pair_sum,
+    _x_ego_index,
 )
 
 ALL_MECHS = frozenset({"mech1", "mech2", "mech3"})
@@ -220,11 +221,10 @@ def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
 # ---------------------------------------------------------------------------
 
 def _forward_stage(view_x: PartyView, ectx: EgoContext, config: ProtocolConfig,
-                   ctx: PrecisionContext, rng: np.random.Generator | None,
-                   ledger: BudgetLedger) -> ForwardMsg:
+                   rng: np.random.Generator | None, ledger: BudgetLedger) -> ForwardMsg:
     if "mech1" in config.mech_mask:
         params = PrivacyParams(epsilon=config.epsilon, delta0=1.0)
-        msg = forward_message_from_context(ectx, params, ctx, rng)
+        msg = forward_message_from_context(ectx, params, context_for(config.precision_bits), rng)
         ledger.charge("X", "set-release", config.epsilon)
         return msg
     return ForwardMsg(R=ectx.R_star)
@@ -258,15 +258,18 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, R: frozenset[int],
                 back: BackwardMsg | None, config: ProtocolConfig) -> tuple[EbcAccumulator, int]:
     """X-side completion: S_XY over cross pairs, S_X over X-side pairs.
 
-    Received counts for i outside R* are discarded; counts for i in
-    R* \\ R start from zero. The X-side path increment counts
-    intermediates in R* u {a}; S_X counts intermediates anywhere in
-    N_a u {a}, all through edges X knows.
+    A reply must be the |R| x d_Y matrix. Received counts for i outside
+    R* are discarded; counts for i in R* \\ R start from zero. The
+    X-side path increment counts intermediates in R* u {a}; S_X counts
+    intermediates anywhere in N_a u {a}, all through edges X knows.
     """
     local, m = _ego_local(view_x.graph, ectx.a)
     in_x = view_x._is_x[local]  # R* and a itself
     rs = in_x & (local != ectx.a)
     ys = ~in_x
+    shape = (len(R), int(np.count_nonzero(ys)))
+    if back is not None and back.T.shape != shape:
+        raise ProtocolError(f"backward matrix has shape {back.T.shape}, expected {shape}")
     rows = m[rs]  # R* against all of N_a u {a}
     acc = EbcAccumulator()
     skipped = 0
@@ -297,60 +300,102 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, R: frozenset[int],
     return acc, skipped
 
 
-def _x_ego_index(pg: PartitionedGraph | PartyView, a: object) -> int:
-    a_idx = pg.graph.index_of(a)
-    if not pg.is_x(a_idx):
-        raise WrongPartyError(f"ego node {a!r} is not in party X")
-    return a_idx
+# ---------------------------------------------------------------------------
+# The session: one sequence for both modes
+# ---------------------------------------------------------------------------
+
+def _flow(view: PartitionedGraph | PartyView, y_ego: np.ndarray) -> str:
+    """The session's degenerate marker, which fixes the frames it sends:
+    "no-y-nodes" sends none and spends no budget, "small-y-ego" sends
+    the forward frame only, "" sends both. Each party computes it on its
+    own view, from the node roster and the ego's cross edges, which both
+    hold, so the two always agree."""
+    if view.vy_indices.size == 0:
+        return "no-y-nodes"  # X holds every edge
+    if y_ego.size < 2:
+        return "small-y-ego"  # Y's counts and partial sum are all zero
+    return ""
+
+
+def _held(held: PartitionedGraph | PartyView, party: str) -> PartyView | None:
+    """held's view for `party`; None if held is the other party's view."""
+    if isinstance(held, PartyView):
+        return held if held.party == party else None
+    return held.view_x() if party == "X" else held.view_y()
+
+
+_KIND = {ForwardMsg: "forward", BackwardMsg: "backward"}
+
+
+def _send(sock: socket.socket | None, msg: ForwardMsg | BackwardMsg,
+          log: list[tuple[str, bytes]]) -> None:
+    """Encode msg, send it to the peer (in-process there is none) and record it."""
+    frame = encode_msg(msg)
+    if sock is not None:
+        sock.sendall(frame)
+    log.append((f"sent-{_KIND[type(msg)]}", frame))
+
+
+def _receive(sock: socket.socket, cls: type, max_size: int,
+             log: list[tuple[str, bytes]]) -> ForwardMsg | BackwardMsg:
+    """The peer's next frame, at most max_size bytes: recorded, decoded,
+    and refused unless it holds a `cls` message."""
+    raw = _recv_frame(sock, max_size)
+    log.append((f"received-{_KIND[cls]}", raw))
+    msg = decode_msg(raw)
+    if not isinstance(msg, cls):
+        raise ProtocolError(f"expected a {_KIND[cls]} frame")
+    return msg
+
+
+def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig,
+          rng_x: np.random.Generator | None, rng_y: np.random.Generator | None,
+          sock: socket.socket | None, log: list[tuple[str, bytes]]) -> SessionResult | None:
+    """One session: forward stage, backward stage, X's assembly.
+
+    held is both parties' graph (in-process, no socket) or one party's
+    view (its peer at the other end of sock). A message whose sender is
+    held is built and sent here; any other is received. Returns X's
+    result, or None where X is not held. A party's generator may be None
+    only if none of its mechanisms is randomized.
+    """
+    y_ego = _y_ego_sorted(held, a_idx)
+    degenerate = _flow(held, y_ego)
+    view_x = _held(held, "X")
+    ectx = _ego_context_idx(view_x, a_idx) if view_x is not None else None
+    ledger = BudgetLedger()
+    fwd = back = None
+    if degenerate != "no-y-nodes":
+        if view_x is not None:
+            fwd = _forward_stage(view_x, ectx, config, rng_x, ledger)
+            _send(sock, fwd, log)
+        else:
+            fwd = _receive(sock, ForwardMsg, _forward_frame_size(held.vx_indices.size - 1), log)
+    if degenerate == "":
+        view_y = _held(held, "Y")
+        if view_y is not None:
+            back = _backward_stage(view_y, a_idx, y_ego, fwd.R, config, rng_y, ledger)
+            _send(sock, back, log)
+        else:
+            back = _receive(sock, BackwardMsg, _backward_frame_size(len(fwd.R), y_ego.size), log)
+    if view_x is None:
+        return None
+    R = ectx.R_star if fwd is None else fwd.R
+    acc, skipped = _assemble_x(view_x, ectx, R, back, config)
+    return SessionResult(value=acc.total, parts=acc, skipped_terms=skipped,
+                         degenerate=degenerate, non_private=config.non_private,
+                         budget=ledger, frames=tuple(frame for _, frame in log), r_size=len(R))
 
 
 def run_session(pg: PartitionedGraph, a: object, config: ProtocolConfig,
-                rng: np.random.Generator,
-                ctx: PrecisionContext | None = None) -> SessionResult:
+                rng: np.random.Generator) -> SessionResult:
     """Run one full in-process session between the two party views.
 
     X draws from rng's first spawned child and Y from its second.
     """
     a_idx = _x_ego_index(pg, a)
     rng_x, rng_y = rng.spawn(2)
-    return _session(pg, a_idx, config, rng_x, rng_y, ctx)
-
-
-def _session(pg: PartitionedGraph, a_idx: int, config: ProtocolConfig,
-             rng_x: np.random.Generator | None, rng_y: np.random.Generator | None,
-             ctx: PrecisionContext | None) -> SessionResult:
-    """One in-process session; a party's generator may be None only if
-    none of its mechanisms is randomized."""
-    view_x = pg.view_x()
-    view_y = pg.view_y()
-    if ctx is None:
-        ctx = context_for(config.precision_bits)
-    ledger = BudgetLedger()
-    ectx = _ego_context_idx(view_x, a_idx)
-
-    if pg.vy_indices.size == 0:
-        value = _exact_ebc_idx(view_x.graph, a_idx)  # X holds every edge
-        return SessionResult(value=value, parts=EbcAccumulator(S_X=value),
-                             skipped_terms=0, degenerate="no-y-nodes",
-                             non_private=config.non_private, budget=ledger,
-                             frames=(), r_size=ectx.r_star_sorted.size)
-
-    fwd = _forward_stage(view_x, ectx, config, ctx, rng_x, ledger)
-    frames = [encode_msg(fwd)]
-
-    y_ego = _y_ego_sorted(view_y, a_idx)
-    back: BackwardMsg | None = None
-    degenerate = ""
-    if y_ego.size >= 2:
-        back = _backward_stage(view_y, a_idx, y_ego, fwd.R, config, rng_y, ledger)
-        frames.append(encode_msg(back))
-    else:
-        degenerate = "small-y-ego"
-
-    acc, skipped = _assemble_x(view_x, ectx, fwd.R, back, config)
-    return SessionResult(value=acc.total, parts=acc, skipped_terms=skipped,
-                         degenerate=degenerate, non_private=config.non_private,
-                         budget=ledger, frames=tuple(frames), r_size=len(fwd.R))
+    return _play(pg, a_idx, config, rng_x, rng_y, None, [])
 
 
 def private_ebc(pg: PartitionedGraph, a: object, config: ProtocolConfig,
@@ -368,27 +413,23 @@ def nonprivate_ebc_protocol(pg: PartitionedGraph, a: object) -> float:
     No mechanism draws randomness here, so neither party gets a
     generator.
     """
-    return _session(pg, _x_ego_index(pg, a), _NOISELESS, None, None, None).value
+    return _play(pg, _x_ego_index(pg, a), _NOISELESS, None, None, None, []).value
 
 
 # ---------------------------------------------------------------------------
 # Two-process transport
 # ---------------------------------------------------------------------------
 
-def _send_all(sock: socket.socket, data: bytes) -> None:
-    try:
-        sock.sendall(data)
-    except OSError as exc:
-        raise ConnectionError(f"transport send failed: {exc}") from exc
+# Longest wait, in seconds, for a connection or for the peer's next bytes.
+IO_TIMEOUT_S = 10.0
+
+_HELLO = HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytes:
     buf = bytearray()
     while len(buf) < size:
-        try:
-            chunk = sock.recv(size - len(buf))
-        except OSError as exc:
-            raise ConnectionError(f"transport recv failed: {exc}") from exc
+        chunk = sock.recv(size - len(buf))
         if not chunk:
             raise ConnectionError("peer closed the connection mid-frame")
         buf.extend(chunk)
@@ -405,8 +446,8 @@ def _recv_frame(sock: socket.socket, max_size: int) -> bytes:
     return head + _recv_exact(sock, length)
 
 
-def _handshake(sock: socket.socket, version: int = WIRE_VERSION) -> None:
-    _send_all(sock, HANDSHAKE_MAGIC + struct.pack(">B", version))
+def _handshake(sock: socket.socket) -> None:
+    sock.sendall(_HELLO)
     reply = _recv_exact(sock, 5)
     if reply[:4] != HANDSHAKE_MAGIC:
         raise HandshakeError("peer sent bad magic")
@@ -416,92 +457,56 @@ def _handshake(sock: socket.socket, version: int = WIRE_VERSION) -> None:
 
 def _handshake_accept(sock: socket.socket) -> None:
     hello = _recv_exact(sock, 5)
-    ok = hello[:4] == HANDSHAKE_MAGIC and hello[4] == WIRE_VERSION
-    _send_all(sock, HANDSHAKE_MAGIC + struct.pack(">B", WIRE_VERSION))
-    if not ok:
+    sock.sendall(_HELLO)
+    if hello != _HELLO:
         raise HandshakeError(f"client hello invalid: {hello!r}")
+
+
+def _connect(address: tuple[str, int]) -> socket.socket:
+    """X's connection to Y, retried while Y's listener may still be starting up."""
+    last_err: OSError | None = None
+    for _ in range(200):
+        try:
+            return socket.create_connection(address, timeout=IO_TIMEOUT_S)
+        except OSError as exc:
+            last_err = exc
+            time.sleep(0.05)
+    raise ConnectionError(f"could not reach Y at {address}: {last_err}")
+
+
+def _accept(address: tuple[str, int]) -> socket.socket:
+    """Y's end: the one connection a fresh listener on address accepts."""
+    with socket.create_server(address) as listener:
+        listener.settimeout(IO_TIMEOUT_S)
+        conn, _ = listener.accept()
+    conn.settimeout(IO_TIMEOUT_S)
+    return conn
 
 
 def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: object,
                     config: ProtocolConfig, seed: int,
-                    transcript: list[tuple[str, bytes]] | None = None,
-                    _handshake_version: int = WIRE_VERSION) -> float | None:
+                    transcript: list[tuple[str, bytes]] | None = None) -> float | None:
     """Run one party's half of a session over a framed TCP connection.
 
-    Both sides derive their generator from the shared seed exactly the
-    way the in-process driver does, so results match it bit for bit. X
-    returns the EBC estimate; Y returns None. Each party only ever
-    holds its own view, so the other side's internal edges are absent
-    from its process by construction.
+    role must be the view's party: X connects to address, Y listens on
+    it. Both sides derive their generator from the shared seed exactly
+    the way the in-process driver does, so results match it bit for
+    bit. X returns the EBC estimate; Y returns None. Each party only
+    ever holds its own view, so the other side's internal edges are
+    absent from its process by construction. Y waiting longer than
+    IO_TIMEOUT_S for X to connect, or either side waiting that long for
+    the peer's next bytes, raises ProtocolError.
     """
-    children = np.random.default_rng(seed).spawn(2)
-    a_idx = view.graph.index_of(a)
-    ctx = context_for(config.precision_bits)
-    ledger = BudgetLedger()
-    y_ego = _y_ego_sorted(view, a_idx)  # both parties know the shared edges
-    expect_backward = y_ego.size >= 2
-
-    if role == "X":
-        if not view.is_x(a_idx):
-            raise WrongPartyError(f"ego node {a!r} is not in party X")
-        rng_x = children[0]
-        ectx = _ego_context_idx(view, a_idx)
-        last_err: OSError | None = None
-        sock = None
-        for _ in range(200):  # the Y listener may still be starting up
-            try:
-                sock = socket.create_connection(address, timeout=10.0)
-                break
-            except OSError as exc:
-                last_err = exc
-                time.sleep(0.05)
-        if sock is None:
-            raise ConnectionError(f"could not reach Y at {address}: {last_err}")
-        with sock:
-            _handshake(sock, version=_handshake_version)
-            fwd = _forward_stage(view, ectx, config, ctx, rng_x, ledger)
-            frame = encode_msg(fwd)
-            _send_all(sock, frame)
-            if transcript is not None:
-                transcript.append(("sent-forward", frame))
-            back = None
-            if expect_backward:
-                shape = (len(fwd.R), y_ego.size)
-                raw = _recv_frame(sock, _backward_frame_size(*shape))
-                if transcript is not None:
-                    transcript.append(("received-backward", raw))
-                msg = decode_msg(raw)
-                if not isinstance(msg, BackwardMsg):
-                    raise ProtocolError("expected a backward frame")
-                if msg.T.shape != shape:
-                    raise ProtocolError(f"backward matrix is {msg.T.shape[0]} x {msg.T.shape[1]}, "
-                                        f"expected {shape[0]} x {shape[1]}")
-                back = msg
-        acc, _ = _assemble_x(view, ectx, fwd.R, back, config)
-        return acc.total
-
-    if role == "Y":
-        rng_y = children[1]
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        with listener:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(address)
-            listener.listen(1)
-            conn, _ = listener.accept()
-            with conn:
-                _handshake_accept(conn)
-                raw = _recv_frame(conn, _forward_frame_size(view.vx_indices.size - 1))
-                if transcript is not None:
-                    transcript.append(("received-forward", raw))
-                msg = decode_msg(raw)
-                if not isinstance(msg, ForwardMsg):
-                    raise ProtocolError("expected a forward frame")
-                if expect_backward:
-                    back = _backward_stage(view, a_idx, y_ego, msg.R, config, rng_y, ledger)
-                    frame = encode_msg(back)
-                    _send_all(conn, frame)
-                    if transcript is not None:
-                        transcript.append(("sent-backward", frame))
-        return None
-
-    raise ValueError(f"role must be 'X' or 'Y', got {role!r}")
+    if role != view.party:
+        raise ValueError(f"role must be the view's party {view.party!r}, got {role!r}")
+    a_idx = _x_ego_index(view, a)
+    rng_x, rng_y = np.random.default_rng(seed).spawn(2)
+    open_link, greet = (_connect, _handshake) if role == "X" else (_accept, _handshake_accept)
+    try:
+        with open_link(address) as sock:
+            greet(sock)
+            result = _play(view, a_idx, config, rng_x, rng_y, sock,
+                           transcript if transcript is not None else [])
+    except TimeoutError as exc:
+        raise ProtocolError(f"no word from the peer for {IO_TIMEOUT_S} s") from exc
+    return None if result is None else result.value

@@ -574,17 +574,89 @@ def test_two_process_degenerate_skips_backward():
 
 
 def test_two_process_handshake_version_mismatch(mixed_pg):
+    # a stand-in X says hello with version 99: Y answers with its own
+    # version and then refuses
     cfg = ProtocolConfig(epsilon=0.9)
     address = ("127.0.0.1", _free_port())
     box: list = []
     yt = threading.Thread(target=_run_y,
                           args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
     yt.start()
-    with pytest.raises((ConnectionError, HandshakeError)):
-        run_two_process("X", address, mixed_pg.view_x(), "a", cfg, 1,
-                        _handshake_version=99)
+    with protocol._connect(address) as sock:
+        sock.sendall(HANDSHAKE_MAGIC + bytes([99]))
+        assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
     yt.join(timeout=30)
+    assert not yt.is_alive()
     assert len(box) == 1 and isinstance(box[0], HandshakeError)
+
+
+def test_two_process_no_y_nodes():
+    # with no Y nodes both parties only shake hands: no frame, no budget
+    edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d")]
+    pg = make_pg(edges, x_labels={"a", "b", "c", "d"})
+    cfg = ProtocolConfig(epsilon=0.5)
+    seed = 8
+    want = run_session(pg, "a", cfg, np.random.default_rng(seed))
+    assert want.degenerate == "no-y-nodes"
+    address = ("127.0.0.1", _free_port())
+    tx: list = []
+    ty: list = []
+    box: list = []
+    yt = threading.Thread(target=_run_y,
+                          args=(pg.view_y(), "a", cfg, seed, address, ty, box))
+    yt.start()
+    got = run_two_process("X", address, pg.view_x(), "a", cfg, seed, transcript=tx)
+    yt.join(timeout=30)
+    assert not yt.is_alive() and box == []
+    assert tx == [] and ty == []
+    assert got == want.value  # bit-identical, not just close
+    assert got == pytest.approx(exact_ebc(pg.graph, "a"), abs=1e-12)
+
+
+def test_y_times_out_when_no_peer_connects(mixed_pg, monkeypatch):
+    monkeypatch.setattr(protocol, "IO_TIMEOUT_S", 0.5)
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError):
+        run_two_process("Y", ("127.0.0.1", _free_port()), mixed_pg.view_y(), "a",
+                        ProtocolConfig(epsilon=1.0), 0)
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_silent_peer_times_out_on_either_side(mixed_pg, monkeypatch):
+    monkeypatch.setattr(protocol, "IO_TIMEOUT_S", 0.5)
+    cfg = ProtocolConfig(epsilon=1.0)
+    # Y against an X that connects and sends nothing
+    address = ("127.0.0.1", _free_port())
+    box: list = []
+    yt = threading.Thread(target=_run_y,
+                          args=(mixed_pg.view_y(), "a", cfg, 0, address, None, box))
+    yt.start()
+    with protocol._connect(address):
+        yt.join(timeout=5)
+    assert not yt.is_alive()
+    assert len(box) == 1 and isinstance(box[0], ProtocolError)
+    # X against a Y that accepts and sends nothing
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    done = threading.Event()
+
+    def serve_silently():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                done.wait(5)
+
+    st = threading.Thread(target=serve_silently)
+    st.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(ProtocolError):
+            run_two_process("X", listener.getsockname(), mixed_pg.view_x(), "a", cfg, 0)
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        done.set()
+        st.join(timeout=30)
 
 
 def test_two_process_handshake_rejects_v1_peer(mixed_pg):
@@ -595,13 +667,7 @@ def test_two_process_handshake_rejects_v1_peer(mixed_pg):
     yt = threading.Thread(target=_run_y,
                           args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
     yt.start()
-    for _ in range(200):
-        try:
-            sock = socket.create_connection(address, timeout=10.0)
-            break
-        except OSError:
-            time.sleep(0.05)
-    with sock:
+    with protocol._connect(address) as sock:
         sock.sendall(HANDSHAKE_MAGIC + b"\x01")
         assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
     yt.join(timeout=30)
@@ -629,13 +695,7 @@ def test_two_process_handshake_rejects_v1_peer(mixed_pg):
 def _fake_x(address, payload: bytes) -> bytes:
     """Stands in for X: says hello, sends `payload` raw and returns all
     Y sends after its hello, until Y hangs up (or 10 s pass)."""
-    for _ in range(200):  # Y's listener may still be starting up
-        try:
-            sock = socket.create_connection(address, timeout=10.0)
-            break
-        except OSError:
-            time.sleep(0.05)
-    with sock:
+    with protocol._connect(address) as sock:
         sock.sendall(HANDSHAKE_MAGIC + bytes([WIRE_VERSION]) + payload)
         assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
         rest = b""
