@@ -9,7 +9,7 @@ noised 2-path counts and a noised partial sum, and X assembles the
 estimate. See README.md for the CLI and experiment harness.
 """
 
-from .backward import BackwardMsg, DegenerateEgoError, backward_message, partial_ebc_y, spanning_counts
+from .backward import BackwardMsg, DegenerateEgoError, partial_ebc_y, spanning_counts
 from .dpnum import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -40,7 +40,6 @@ from .graphs import (
     exact_ebc,
     load_edge_list,
     partition_nodes,
-    two_path_count,
 )
 from .protocol import (
     ALL_MECHS,
@@ -85,7 +84,6 @@ __all__ = [
     "StratumDistribution",
     "UnknownNodeError",
     "WrongPartyError",
-    "backward_message",
     "decode_msg",
     "ego_context",
     "encode_msg",
@@ -106,6 +104,5 @@ __all__ = [
     "sample_neg_exp1",
     "spanning_counts",
     "stratum_distribution",
-    "two_path_count",
     "__version__",
 ]

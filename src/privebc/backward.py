@@ -6,8 +6,9 @@ i in R and j in its side of the ego network, a Laplace-noised count of
 partial EBC sum over non-adjacent pairs inside its side of the ego
 network. Each half runs with budget eps/2; sensitivities are 2|R| for
 the count vector and |N_a n V_Y| - 1 for the partial sum, so the noise
-scales are 2*delta1/eps and 2*delta2/eps. Noisy values are released
-raw (possibly negative); any clamping is X-side post-processing.
+scales are 2*(2|R|)/eps and 2*(|N_a n V_Y| - 1)/eps. Noisy values are
+released raw (possibly negative); any clamping is X-side
+post-processing.
 """
 
 from __future__ import annotations
@@ -132,12 +133,3 @@ def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int]
     s_y = _partial_sum_core(pg, _sorted_ids(R), y_ego)
     return _noisy_partial_sum(s_y, y_ego, params, rng)
 
-
-def backward_message(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
-                     params: PrivacyParams, rng: np.random.Generator) -> BackwardMsg:
-    """Y's full reply; requires |N_a n V_Y| >= 2 (the caller gates the
-    degenerate cases, where no reply is sent at all)."""
-    y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
-    if y_ego.size < 2:
-        raise DegenerateEgoError("need at least two Y-side ego neighbours")
-    return _reply(pg, y_ego, _sorted_ids(R), params, rng, rng)

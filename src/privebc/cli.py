@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"epsilon list (default {_DEFAULT_EPS[family]})")
         p.add_argument("--trials", type=int, default=1, metavar="T")
         p.add_argument("--clamp", choices=["nonneg", "raw"], default="nonneg")
-        p.add_argument("--precision-bits", type=int, default=300, metavar="B")
         p.add_argument("--parallel", type=_parallel_spec, default=0, metavar="off|N")
         p.add_argument("--seed", type=int, default=0, metavar="S",
                        help="master seed for ego choice and noise")
@@ -141,7 +140,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         trials=args.trials,
         clamp_mode="clamp_nonneg" if args.clamp == "nonneg" else "raw",
         mech_masks=getattr(args, "masks", None) or (ALL_MECHS,),
-        precision_bits=args.precision_bits,
         parallel=args.parallel,
         master_seed=args.seed,
     )

@@ -1,17 +1,16 @@
 """Numeric substrate: extended-precision log arithmetic and noise draws.
 
 The stratum pmf/CDF math spans thousands of orders of magnitude, so it
-runs in log space in mpmath at extended precision (default 300
-significand bits, configurable). Laplace noise and EBC sums use native
-float64. All randomness comes from a caller-supplied numpy Generator;
-the library never reads ambient entropy.
+runs in log space in mpmath, at DEFAULT_CONTEXT's 300 significand bits
+in every session. Laplace noise and EBC sums use native float64. All
+randomness comes from a caller-supplied numpy Generator; the library
+never reads ambient entropy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -38,16 +37,6 @@ class PrecisionContext:
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionContext is immutable")
 
-    def real(self, v):
-        return self.mp.mpf(v)
-
-    @property
-    def neg_inf(self):
-        return self.mp.ninf
-
-    def to_float(self, x) -> float:
-        return float(x)
-
     def __repr__(self) -> str:
         return f"PrecisionContext(bits={self.bits})"
 
@@ -55,27 +44,18 @@ class PrecisionContext:
 DEFAULT_CONTEXT = PrecisionContext()
 
 
-@lru_cache(maxsize=None)
-def context_for(bits: int) -> PrecisionContext:
-    """The shared context at `bits`: DEFAULT_CONTEXT at its precision,
-    else one context per value, built on first use."""
-    return DEFAULT_CONTEXT if bits == DEFAULT_CONTEXT.bits else PrecisionContext(bits)
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget and the sensitivity bounds of the three releases.
+    """Privacy budget and the set release's quality sensitivity.
 
     epsilon is the per-party budget. delta0 bounds the quality-function
-    sensitivity (1 for the set release); delta1 and delta2 bound the
-    count-vector and partial-sum sensitivities and are filled in at call
-    time from |R| and |N_a intersect V_Y|.
+    sensitivity (1 for the set release). The count-vector and
+    partial-sum sensitivities, 2|R| and |N_a intersect V_Y| - 1, follow
+    from each reply's shape and are not parameters.
     """
 
     epsilon: float
     delta0: float = 1.0
-    delta1: float | None = None
-    delta2: float | None = None
 
     def __post_init__(self):
         if not self.epsilon > 0:

@@ -72,7 +72,6 @@ class ExperimentConfig:
     trials: int = 1
     clamp_mode: str = "clamp_nonneg"
     mech_masks: tuple[frozenset[str], ...] = (ALL_MECHS,)
-    precision_bits: int = 300
     parallel: int = 0  # 0 = off
     master_seed: int = 0
 
@@ -234,16 +233,18 @@ def select_egos(pg: PartitionedGraph, config: ExperimentConfig) -> tuple[list[in
 
 _SHARED: dict = {}
 
+_Task = tuple[int, int, int, int]  # (mask, eps, ego position, trial) indices
+_Outcome = tuple[float, float, int, str]  # (private, elapsed_ms, skipped, degenerate)
 
-def _run_single(task: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], float, float, int, str]:
-    """One protocol run; returns (task, private, elapsed_ms, skipped, degenerate)."""
+
+def _run_single(task: _Task) -> _Outcome:
+    """One protocol run, timed around the session alone."""
     mask_idx, eps_idx, ego_pos, trial = task
     pg: PartitionedGraph = _SHARED["pg"]
     cfg: ExperimentConfig = _SHARED["config"]
     ego_idx = _SHARED["egos"][ego_pos]
     label = pg.graph.label_of(ego_idx)
     pconfig = ProtocolConfig(epsilon=cfg.epsilons[eps_idx],
-                             precision_bits=cfg.precision_bits,
                              clamp_mode=cfg.clamp_mode,
                              mech_mask=cfg.mech_masks[mask_idx])
     seed = np.random.SeedSequence([cfg.master_seed, ego_pos, eps_idx, trial, mask_idx])
@@ -251,11 +252,12 @@ def _run_single(task: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, i
     t0 = time.perf_counter()
     result = run_session(pg, label, pconfig, rng)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
-    return task, result.value, elapsed_ms, result.skipped_terms, result.degenerate
+    return result.value, elapsed_ms, result.skipped_terms, result.degenerate
 
 
 def _run_tasks(config: ExperimentConfig, pg: PartitionedGraph,
-               egos: list[int]) -> dict[tuple[int, int, int, int], tuple[float, float, int, str]]:
+               egos: list[int]) -> list[tuple[_Task, _Outcome]]:
+    """Every task, nested mask > eps > ego > trial, with its outcome."""
     tasks = [(mi, ei, ep, tr)
              for mi in range(len(config.mech_masks))
              for ei in range(len(config.epsilons))
@@ -274,7 +276,7 @@ def _run_tasks(config: ExperimentConfig, pg: PartitionedGraph,
             results = [_run_single(t) for t in tasks]
     finally:
         _SHARED.clear()
-    return {task: rest for task, *rest in results}  # type: ignore[misc]
+    return list(zip(tasks, results))
 
 
 def _collect(config: ExperimentConfig) -> tuple[list[ResultRow], list[str], PartitionedGraph]:
@@ -283,28 +285,20 @@ def _collect(config: ExperimentConfig) -> tuple[list[ResultRow], list[str], Part
     egos, warnings = select_egos(pg, config)
     if not egos:
         raise ConfigError("no usable ego nodes after selection")
-    true_map = {idx: _exact_ebc(pg.graph, pg.graph.label_of(idx)) for idx in egos}
-    outcomes = _run_tasks(config, pg, egos)
+    labels = [pg.graph.label_of(idx) for idx in egos]
+    trues = [_exact_ebc(pg.graph, label) for label in labels]
 
     rows: list[ResultRow] = []
     degenerates: dict[str, str] = {}
-    name = config.dataset_name
-    for mi, mask in enumerate(config.mech_masks):
-        for ei, eps in enumerate(config.epsilons):
-            for ep, ego_idx in enumerate(egos):
-                label = pg.graph.label_of(ego_idx)
-                true = true_map[ego_idx]
-                for tr in range(config.trials):
-                    private, elapsed, skipped, degen = outcomes[(mi, ei, ep, tr)]
-                    if degen:
-                        degenerates[label] = degen
-                    rows.append(ResultRow(
-                        dataset=name, ego_id=label,
-                        ego_degree=pg.graph.degree(ego_idx), epsilon=eps,
-                        trial=tr, mech_mask=mask_name(mask), true_ebc=true,
-                        private_ebc=private,
-                        relative_error=relative_error(true, private),
-                        elapsed_ms=elapsed, skipped_terms=skipped))
+    for (mi, ei, ep, tr), (private, elapsed, skipped, degen) in _run_tasks(config, pg, egos):
+        if degen:
+            degenerates[labels[ep]] = degen
+        rows.append(ResultRow(
+            dataset=config.dataset_name, ego_id=labels[ep],
+            ego_degree=pg.graph.degree(egos[ep]), epsilon=config.epsilons[ei],
+            trial=tr, mech_mask=mask_name(config.mech_masks[mi]), true_ebc=trues[ep],
+            private_ebc=private, relative_error=relative_error(trues[ep], private),
+            elapsed_ms=elapsed, skipped_terms=skipped))
 
     rows.extend(summarize_rows(rows))
     comments = warnings + [f"degenerate: ego {label!r} path {path}"
@@ -358,8 +352,7 @@ def _metadata(config: ExperimentConfig, pg: PartitionedGraph, family: str) -> li
         f"edge-classes: X={classes['X']} Y={classes['Y']} XY={classes['XY']}",
         f"ego-selection: {selection}  master-seed: {config.master_seed}",
         f"epsilons: {','.join(repr(e) for e in config.epsilons)}  trials: {config.trials}",
-        f"clamp: {config.clamp_mode}  precision-bits: {config.precision_bits}  "
-        f"parallel: {config.parallel if config.parallel else 'off'}",
+        f"clamp: {config.clamp_mode}  parallel: {config.parallel if config.parallel else 'off'}",
         f"masks: {','.join(mask_name(m) for m in config.mech_masks)}",
         "note: rows with true_ebc=0 carry empty relative_error and are excluded from averages",
     ]

@@ -19,14 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .dpnum import (
-    DEFAULT_CONTEXT,
-    PrecisionContext,
-    PrivacyParams,
-    context_for,
-    log_add,
-    sample_neg_exp1,
-)
+from .dpnum import DEFAULT_CONTEXT, PrecisionContext, PrivacyParams, log_add, sample_neg_exp1
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 
@@ -62,9 +55,9 @@ class ForwardMsg:
 
 
 @lru_cache(maxsize=8)
-def _log_int_table(n: int, bits: int) -> tuple:
+def _log_int_table(n: int, ctx: PrecisionContext) -> tuple:
     """log(1), ..., log(n) at extended precision; pure constants."""
-    mp = context_for(bits).mp
+    mp = ctx.mp
     return tuple(mp.log(mp.mpf(i)) for i in range(1, n + 1))
 
 
@@ -83,22 +76,21 @@ def stratum_distribution(n: int, params: PrivacyParams,
     """Exact stratum pmf for |X^-| = n at the context's precision.
 
     The eight most recently used distributions are kept, keyed by
-    (n, epsilon, delta0, bits), so repeated releases at one size
+    (n, epsilon, delta0, ctx), so repeated releases at one size
     compute the pmf once. The key holds nothing of the graph.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _stratum_distribution(n, float(params.epsilon), float(params.delta0), ctx.bits)
+    return _stratum_distribution(n, float(params.epsilon), float(params.delta0), ctx)
 
 
 @lru_cache(maxsize=8)
 def _stratum_distribution(n: int, epsilon: float, delta0: float,
-                          bits: int) -> StratumDistribution:
-    ctx = context_for(bits)
+                          ctx: PrecisionContext) -> StratumDistribution:
     mp = ctx.mp
     t = mp.fdiv(mp.mpf(epsilon), mp.mpf(2.0 * delta0))
     norm = mp.fmul(mp.mpf(n), mp.log1p(mp.exp(t)))
-    logs = _log_int_table(n, bits)
+    logs = _log_int_table(n, ctx)
     pmf = [mp.fsub(mp.mpf(0), norm)]
     log_choose = mp.mpf(0)
     acc_t = mp.mpf(0)

@@ -192,9 +192,6 @@ class _PartyInfoMixin:
     graph: Graph
     _is_x: np.ndarray  # bool per dense index
 
-    def party_of(self, label: object) -> str:
-        return PARTY_X if self._is_x[self.graph.index_of(label)] else PARTY_Y
-
     def is_x(self, idx: int) -> bool:
         return bool(self._is_x[idx])
 
@@ -343,19 +340,6 @@ def _neighbor_array(g: Graph, i: int) -> np.ndarray:
     return indices[indptr[i]:indptr[i + 1]]
 
 
-def two_path_count(g: Graph, mids: Iterable[object], i: object, j: object) -> int:
-    """Number of 2-paths i-k-j whose intermediate k lies in mids."""
-    ii, jj = g.index_of(i), g.index_of(j)
-    if ii == jj:
-        raise ValueError("endpoints must differ")
-    mid_idx = {g.index_of(m) for m in mids}
-    return _two_path_count_idx(g, mid_idx, ii, jj)
-
-
-def _two_path_count_idx(g: Graph, mids: set[int] | frozenset[int], i: int, j: int) -> int:
-    return len(g.neighbors(i) & g.neighbors(j) & mids)
-
-
 def _ego_local(g: Graph, a_idx: int) -> tuple[np.ndarray, np.ndarray]:
     """N_a plus a as a sorted index array, and the float 0/1 adjacency
     of the subgraph g induces on it."""
@@ -383,10 +367,6 @@ def exact_ebc(g: Graph, a: object) -> float:
     through a itself.
     """
     a_idx = g.index_of(a)
-    return _exact_ebc_idx(g, a_idx)
-
-
-def _exact_ebc_idx(g: Graph, a_idx: int) -> float:
     if g.degree(a_idx) < 2:
         return 0.0
     local, m = _ego_local(g, a_idx)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .backward import BackwardMsg, DegenerateEgoError, _reply, _sorted_ids, _y_ego_sorted
-from .dpnum import PrivacyParams, context_for
+from .dpnum import DEFAULT_CONTEXT, PrivacyParams
 from .forward import ForwardMsg, forward_message_from_context
 from .graphs import (
     EgoContext,
@@ -69,7 +69,6 @@ class ProtocolConfig:
     """
 
     epsilon: float
-    precision_bits: int = 300
     clamp_mode: str = "clamp_nonneg"
     mech_mask: frozenset[str] = ALL_MECHS
 
@@ -224,7 +223,7 @@ def _forward_stage(view_x: PartyView, ectx: EgoContext, config: ProtocolConfig,
                    rng: np.random.Generator | None, ledger: BudgetLedger) -> ForwardMsg:
     if "mech1" in config.mech_mask:
         params = PrivacyParams(epsilon=config.epsilon, delta0=1.0)
-        msg = forward_message_from_context(ectx, params, context_for(config.precision_bits), rng)
+        msg = forward_message_from_context(ectx, params, DEFAULT_CONTEXT, rng)
         ledger.charge("X", "set-release", config.epsilon)
         return msg
     return ForwardMsg(R=ectx.R_star)
@@ -463,14 +462,20 @@ def _handshake_accept(sock: socket.socket) -> None:
 
 
 def _connect(address: tuple[str, int]) -> socket.socket:
-    """X's connection to Y, retried while Y's listener may still be starting up."""
+    """X's connection to Y, retried on any error (Y's listener may still
+    be starting up) until IO_TIMEOUT_S after the first attempt; no
+    attempt outlasts that deadline."""
+    deadline = time.monotonic() + IO_TIMEOUT_S
     last_err: OSError | None = None
-    for _ in range(200):
+    while (left := deadline - time.monotonic()) > 0:
         try:
-            return socket.create_connection(address, timeout=IO_TIMEOUT_S)
+            sock = socket.create_connection(address, timeout=left)
         except OSError as exc:
             last_err = exc
-            time.sleep(0.05)
+            time.sleep(max(min(0.05, deadline - time.monotonic()), 0.0))
+        else:
+            sock.settimeout(IO_TIMEOUT_S)
+            return sock
     raise ConnectionError(f"could not reach Y at {address}: {last_err}")
 
 
@@ -495,7 +500,8 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
     ever holds its own view, so the other side's internal edges are
     absent from its process by construction. Y waiting longer than
     IO_TIMEOUT_S for X to connect, or either side waiting that long for
-    the peer's next bytes, raises ProtocolError.
+    the peer's next bytes, raises ProtocolError; X that has not
+    connected within IO_TIMEOUT_S raises ConnectionError.
     """
     if role != view.party:
         raise ValueError(f"role must be the view's party {view.party!r}, got {role!r}")

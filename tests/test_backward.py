@@ -8,7 +8,7 @@ from privebc import (
     BackwardMsg,
     DegenerateEgoError,
     PrivacyParams,
-    backward_message,
+    ProtocolConfig,
     oracle,
     partial_ebc_y,
     spanning_counts,
@@ -20,10 +20,19 @@ from privebc.backward import (
     _spanning_core_matrix,
     _y_ego_sorted,
 )
+from privebc.protocol import BudgetLedger, _backward_stage
 
 from .conftest import make_pg, random_graph, random_partition
 
 BIG_EPS = PrivacyParams(epsilon=1e9)
+
+
+def _y_reply(pg, a, R, epsilon, rng):
+    """Y's full reply to R through the session's backward stage."""
+    a_idx = pg.graph.index_of(a)
+    view_y = pg.view_y()
+    return _backward_stage(view_y, a_idx, _y_ego_sorted(view_y, a_idx), R,
+                           ProtocolConfig(epsilon=epsilon), rng, BudgetLedger())
 
 
 def _bridge_pg():
@@ -151,7 +160,7 @@ def test_degenerate_gates():
         with pytest.raises(DegenerateEgoError):
             partial_ebc_y(pg, "a", frozenset(), BIG_EPS, np.random.default_rng(0))
         with pytest.raises(DegenerateEgoError):
-            backward_message(pg, "a", frozenset(), BIG_EPS, np.random.default_rng(0))
+            _y_reply(pg, "a", frozenset(), BIG_EPS.epsilon, np.random.default_rng(0))
 
 
 def test_backward_message_key_set_and_high_budget(mixed_pg):
@@ -159,7 +168,7 @@ def test_backward_message_key_set_and_high_budget(mixed_pg):
     a_idx = g.index_of("a")
     y_ego = _y_ego_sorted(mixed_pg, a_idx)
     xm = frozenset(v for v in g.neighbors(a_idx) if mixed_pg.is_x(v))
-    msg = backward_message(mixed_pg, "a", xm, BIG_EPS, np.random.default_rng(3))
+    msg = _y_reply(mixed_pg, "a", xm, BIG_EPS.epsilon, np.random.default_rng(3))
     assert isinstance(msg, BackwardMsg)
     assert msg.T.shape == (len(xm), y_ego.size)
     r_sorted = np.array(sorted(xm), dtype=np.int64)
@@ -260,7 +269,6 @@ def test_density_ratio_bounded_by_budget():
     assert np.array_equal(y_ego, _y_ego_sorted(pg2, a_idx))
 
     eps = 1.3
-    params = PrivacyParams(epsilon=eps)
     scale_t = 2.0 * (2.0 * len(r)) / eps
     scale_s = 2.0 * (y_ego.size - 1) / eps
     c1 = _spanning_core_matrix(pg1, r_sorted, y_ego).ravel()
@@ -270,7 +278,7 @@ def test_density_ratio_bounded_by_budget():
 
     rng = np.random.default_rng(8)
     for _ in range(200):
-        msg = backward_message(pg1, "a", r, params, rng)
+        msg = _y_reply(pg1, "a", r, eps, rng)
         t = msg.T.ravel()
         ratio_t = (np.abs(t - c2).sum() - np.abs(t - c1).sum()) / scale_t
         ratio_s = (abs(msg.S_Y - s2) - abs(msg.S_Y - s1)) / scale_s

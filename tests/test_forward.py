@@ -113,7 +113,7 @@ def test_subset_law_pointwise():
         law = oracle.enumerate_exp_pmf(elems, [], eps)
         d = stratum_distribution(n, PrivacyParams(epsilon=eps))
         for i in range(n + 1):
-            per_set = math.exp(DEFAULT_CONTEXT.to_float(d.log_pmf[i])) / math.comb(n, i)
+            per_set = math.exp(float(d.log_pmf[i])) / math.comb(n, i)
             # with R* empty, quality i means |S| = n - i
             member = frozenset(range(n - i))
             assert per_set == pytest.approx(law.mass_of(member), rel=1e-9)
@@ -123,8 +123,8 @@ def test_subset_law_pointwise():
 
 def _point_mass_dist(n: int, k: int) -> StratumDistribution:
     ctx = DEFAULT_CONTEXT
-    logs = [ctx.neg_inf] * (n + 1)
-    logs[k] = ctx.real(0.0)
+    logs = [ctx.mp.ninf] * (n + 1)
+    logs[k] = ctx.mp.mpf(0.0)
     return StratumDistribution(n=n, t=0.0, log_pmf=tuple(logs), ctx=ctx)
 
 
@@ -167,7 +167,7 @@ def _scan_reference(dist: StratumDistribution, rng: np.random.Generator) -> int:
     over 1..n returns I-1 the first time c >= psi holds at loop entry,
     and n if the scan completes."""
     ctx = dist.ctx
-    psi = ctx.real(sample_neg_exp1(rng))
+    psi = ctx.mp.mpf(sample_neg_exp1(rng))
     c = dist.log_pmf[0]
     for i in range(1, dist.n + 1):
         if c >= psi:

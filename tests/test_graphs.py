@@ -16,8 +16,8 @@ from privebc import (
     exact_ebc,
     load_edge_list,
     partition_nodes,
-    two_path_count,
 )
+from privebc.graphs import _ego_local
 from privebc.oracle import ebc_dense_reference, two_path_reference
 
 from .conftest import make_pg, random_graph
@@ -177,23 +177,24 @@ def test_ego_x_minus_sorted_matches_set():
 
 
 # ---------------------------------------------------------------------------
-# two_path_count
+# 2-path counts: the oracle's, which the session's counts are checked
+# against, and the session's own through the ego's dense block
 # ---------------------------------------------------------------------------
 
 def test_two_path_empty_mids():
     g = Graph.from_edges([("i", "k"), ("k", "j")])
-    assert two_path_count(g, [], "i", "j") == 0
+    assert two_path_reference(g, [], "i", "j") == 0
 
 
 def test_two_path_single_path():
     g = Graph.from_edges([("i", "k"), ("k", "j")])
-    assert two_path_count(g, ["k"], "i", "j") == 1
+    assert two_path_reference(g, ["k"], "i", "j") == 1
 
 
 def test_two_path_same_endpoint_rejected():
     g = Graph.from_edges([("i", "k")])
     with pytest.raises(ValueError):
-        two_path_count(g, ["k"], "i", "i")
+        two_path_reference(g, ["k"], "i", "i")
 
 
 def test_two_path_matches_matrix_square():
@@ -212,19 +213,34 @@ def test_two_path_matches_matrix_square():
                 sel[g.index_of(m)] = 1
             sq = adj @ np.diag(sel) @ adj
             for i, j in itertools.permutations(range(5), 2):
-                got = two_path_count(g, mids, labels[i], labels[j])
+                got = two_path_reference(g, mids, labels[i], labels[j])
                 assert got == int(sq[i, j])
 
 
 def test_two_path_at_least_one_through_ego():
+    # every count exact_ebc divides by is at least the path through a
     rng = np.random.default_rng(6)
     for _ in range(30):
         g = random_graph(rng, 8, 0.35)
-        for a in g.labels:
-            nbrs = [g.label_of(v) for v in g.neighbors(g.index_of(a))]
-            mids = nbrs + [a]
-            for i, j in itertools.combinations(nbrs, 2):
-                assert two_path_count(g, mids, i, j) >= 1
+        for a_idx in range(g.n):
+            local, m = _ego_local(g, a_idx)
+            nbrs = local != a_idx
+            paths = m[nbrs] @ m[:, nbrs]
+            assert np.all(paths[~np.eye(paths.shape[0], dtype=bool)] >= 1)
+
+
+def test_two_path_reference_agrees_with_production():
+    # the ego block's square counts 2-paths through N_a u {a}
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        g = random_graph(rng, 7, 0.4)
+        for a_idx in range(g.n):
+            local, m = _ego_local(g, a_idx)
+            paths = m @ m
+            mids = [g.label_of(int(v)) for v in local]
+            for (p, i), (q, j) in itertools.combinations(enumerate(local.tolist()), 2):
+                want = two_path_reference(g, mids, g.label_of(i), g.label_of(j))
+                assert paths[p, q] == want
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +297,6 @@ def test_ebc_relabel_invariance():
                    [(relabel[g.labels[i]], relabel[g.labels[j]]) for i, j in g.edges_iter()])
         for a in g.labels:
             assert abs(exact_ebc(g, a) - exact_ebc(g2, relabel[a])) < 1e-12
-
-
-def test_two_path_reference_agrees_with_production():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        g = random_graph(rng, 7, 0.4)
-        labels = list(g.labels)
-        mids = labels[:4]
-        for i, j in itertools.combinations(labels, 2):
-            assert two_path_count(g, mids, i, j) == two_path_reference(g, mids, i, j)
 
 
 # ---------------------------------------------------------------------------

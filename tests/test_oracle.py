@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privebc import Graph, PrivacyParams, stratum_distribution, two_path_count
+from privebc import Graph, PrivacyParams, _kernels, stratum_distribution
 from privebc.oracle import (
     ExhaustivePmf,
     OracleSizeError,
@@ -133,14 +133,18 @@ def test_size_guards():
 
 
 def test_two_path_reference_matches_fast_count():
+    # the fast count is the session's: a product of dense 0/1 blocks
     rng = np.random.default_rng(13)
     for seed in range(15):
         g = random_graph(np.random.default_rng(400 + seed), 9, 0.4)
         labels = list(g.labels)
-        mids = [labels[k] for k in rng.choice(9, 4, replace=False)]
+        mid_idx = np.sort(rng.choice(9, 4, replace=False))
+        mids = [labels[k] for k in mid_idx]
+        indptr, indices = g.csr()
         for _ in range(10):
-            i, j = rng.choice(9, 2, replace=False)
-            want = two_path_count(g, mids, labels[int(i)], labels[int(j)])
+            i, j = np.sort(rng.choice(9, 2, replace=False))
+            b = _kernels.bipartite_dense(indptr, indices, np.array([i, j]), mid_idx)
+            want = int(b[0].astype(np.int64) @ b[1])
             got = two_path_reference(g, mids, labels[int(i)], labels[int(j)])
             assert got == want
 

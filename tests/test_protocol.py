@@ -622,6 +622,26 @@ def test_y_times_out_when_no_peer_connects(mixed_pg, monkeypatch):
     assert time.monotonic() - t0 < 5.0
 
 
+def test_x_gives_up_connecting_after_the_timeout(mixed_pg, monkeypatch):
+    # an address that drops connection requests: every attempt times out
+    monkeypatch.setattr(protocol, "IO_TIMEOUT_S", 0.5)
+    attempts: list = []
+
+    def dropped(address, timeout=None):
+        attempts.append(timeout)
+        time.sleep(0.2)
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(socket, "create_connection", dropped)
+    t0 = time.monotonic()
+    with pytest.raises(ConnectionError):
+        run_two_process("X", ("127.0.0.1", 9), mixed_pg.view_x(), "a",
+                        ProtocolConfig(epsilon=1.0), 0)
+    assert time.monotonic() - t0 < 2.0
+    assert 1 <= len(attempts) <= 3
+    assert all(0.0 < t <= 0.5 for t in attempts)
+
+
 def test_silent_peer_times_out_on_either_side(mixed_pg, monkeypatch):
     monkeypatch.setattr(protocol, "IO_TIMEOUT_S", 0.5)
     cfg = ProtocolConfig(epsilon=1.0)
