@@ -4,9 +4,9 @@ Two data holders split a graph's nodes; each sees its own internal
 edges plus the shared cross edges. The protocol lets party X estimate
 the egocentric betweenness of one of its nodes with edge differential
 privacy against the other party: X releases a perturbed neighbour set
-via an exact exponential-mechanism sampler, Y answers with Laplace
-noised 2-path counts and a noised partial sum, and X assembles the
-estimate. See README.md for the CLI and experiment harness.
+via an exact exponential-mechanism sampler, Y answers with 2-path
+counts and a partial sum under exact two-sided geometric noise, and X
+assembles the estimate. See README.md for the CLI and experiment harness.
 """
 
 from .backward import BackwardMsg, DegenerateEgoError, partial_ebc_y, spanning_counts
@@ -15,7 +15,6 @@ from .dpnum import (
     PrecisionContext,
     PrivacyParams,
     log_add,
-    sample_laplace,
     sample_neg_exp1,
 )
 from .forward import (
@@ -100,7 +99,6 @@ __all__ = [
     "quality",
     "run_session",
     "run_two_process",
-    "sample_laplace",
     "sample_neg_exp1",
     "spanning_counts",
     "stratum_distribution",

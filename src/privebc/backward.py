@@ -1,14 +1,17 @@
 """Party Y's private reply: noisy spanning-path counts and partial sum.
 
 Given the set R received from X, Y releases (1) for every pair of
-i in R and j in its side of the ego network, a Laplace-noised count of
-2-paths i-k-j with intermediate k on Y's side, and (2) a Laplace-noised
-partial EBC sum over non-adjacent pairs inside its side of the ego
-network. Each half runs with budget eps/2; sensitivities are 2|R| for
-the count vector and |N_a n V_Y| - 1 for the partial sum, so the noise
-scales are 2*(2|R|)/eps and 2*(|N_a n V_Y| - 1)/eps. Noisy values are
-released raw (possibly negative); any clamping is X-side
-post-processing.
+i in R and j in its side of the ego network, a noisy count of 2-paths
+i-k-j with intermediate k on Y's side, and (2) a noisy partial EBC sum
+over non-adjacent pairs inside its side of the ego network. Both use
+the two-sided geometric mechanism, sampled exactly (dpnum), so the
+reply holds integers only. Each half runs with budget eps/2: the counts
+have sensitivity 2|R| and get scale 4|R|/eps; the partial sum, of
+sensitivity |N_a n V_Y| - 1 = d_Y - 1, is first rounded to the 2^-20
+grid, which moves it by at most half a grid step, and is noised in grid
+units at sensitivity (d_Y - 1) * 2^20 + 1, scale twice that over eps.
+Every scale is rounded up, never down. Noisy values are released raw
+(possibly negative); any clamping is X-side post-processing.
 """
 
 from __future__ import annotations
@@ -18,19 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dpnum import PrivacyParams, sample_laplace
+from .dpnum import PrivacyParams, geometric_scale, two_sided_geometric
 from .graphs import PartitionedGraph, PartyView, _neighbor_array, _pair_sum
 
 
 @dataclass(frozen=True, eq=False)
 class BackwardMsg:
-    """Y's reply. T is the |R| x d_Y matrix of noisy counts: row r holds
-    the r-th node of R and column c the c-th node of N_a n V_Y, both in
-    ascending index order, so the ids themselves are never sent. S_Y is
-    the noisy partial sum."""
+    """Y's reply. T is the |R| x d_Y integer matrix of noisy counts: row
+    r holds the r-th node of R and column c the c-th node of N_a n V_Y,
+    both in ascending index order, so the ids themselves are never sent.
+    S_Y is the noisy partial sum, a multiple of 2^-SUM_GRID_BITS (a
+    noiseless one is exact)."""
 
     T: np.ndarray
     S_Y: float
+
+
+SUM_GRID_BITS = 20  # S_Y is released in units of 2^-20
 
 
 class DegenerateEgoError(ValueError):
@@ -74,23 +81,28 @@ def _partial_sum_core(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
     return _partial_sum_from_blocks(*_core_blocks(pg, r_sorted, y_ego))
 
 
-def _noisy_counts(core: np.ndarray, params: PrivacyParams,
-                  rng: np.random.Generator | None) -> np.ndarray:
-    """The |R| x d_Y count matrix; with rng None (or nothing to noise)
-    the counts are exact. Noise is one Laplace draw of scale
-    2*(2|R|)/eps per entry, drawn in row-major order."""
-    if rng is None or core.size == 0:
-        return core
-    scale = 2.0 * (2.0 * core.shape[0]) / params.epsilon
-    return core + rng.laplace(0.0, scale, core.shape)
-
-
-def _noisy_partial_sum(s_y: float, y_ego: np.ndarray, params: PrivacyParams,
-                       rng: np.random.Generator | None) -> float:
-    """s_y plus Laplace noise at sensitivity |y_ego| - 1 (none if rng is None)."""
-    if rng is not None:
-        s_y += sample_laplace(2.0 * float(y_ego.size - 1) / params.epsilon, rng)
-    return s_y
+def _release(core: np.ndarray, s_y: float, params: PrivacyParams,
+             rng: np.random.Generator | None, noisy_t: bool, noisy_s: bool) -> BackwardMsg:
+    """Y's reply from its noiseless counts `core` (|R| x d_Y) and partial
+    sum `s_y`. One draw noises every value flagged noisy: the counts in
+    row-major order, then S_Y's grid count. A value left noiseless is
+    exact: the counts as integers, S_Y as the float it is."""
+    t = core.astype(np.int64)
+    rows, d_y = t.shape
+    n_t = t.size if noisy_t else 0
+    scale = np.empty(n_t + noisy_s)
+    if n_t:
+        scale[:n_t] = geometric_scale(4 * rows, params.epsilon)
+    if noisy_s:
+        scale[-1] = geometric_scale(2 * (((d_y - 1) << SUM_GRID_BITS) + 1), params.epsilon)
+    if scale.size:
+        z = two_sided_geometric(scale, rng)
+        if n_t:
+            t += z[:n_t].reshape(t.shape)
+        if noisy_s:
+            grid = round(s_y * 2.0**SUM_GRID_BITS) + int(z[-1])
+            s_y = grid * 2.0**-SUM_GRID_BITS
+    return BackwardMsg(T=t, S_Y=s_y)
 
 
 def _sorted_ids(R: frozenset[int]) -> np.ndarray:
@@ -98,14 +110,11 @@ def _sorted_ids(R: frozenset[int]) -> np.ndarray:
 
 
 def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, r_sorted: np.ndarray,
-           params: PrivacyParams, rng_t: np.random.Generator | None,
-           rng_s: np.random.Generator | None) -> BackwardMsg:
-    """Y's reply from one pair of blocks: the count matrix (noised from
-    rng_t) and then the partial sum (noised from rng_s)."""
+           params: PrivacyParams, rng: np.random.Generator | None,
+           noisy_t: bool, noisy_s: bool) -> BackwardMsg:
+    """Y's reply from one pair of blocks, noised from rng as flagged."""
     b, m1 = _core_blocks(pg, r_sorted, y_ego)
-    t = _noisy_counts(b @ m1, params, rng_t)
-    s_y = _noisy_partial_sum(_partial_sum_from_blocks(b, m1), y_ego, params, rng_s)
-    return BackwardMsg(T=t, S_Y=s_y)
+    return _release(b @ m1, _partial_sum_from_blocks(b, m1), params, rng, noisy_t, noisy_s)
 
 
 def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
@@ -115,21 +124,22 @@ def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[in
     R, columns in ascending order of N_a n V_Y).
 
     All pairs are released, adjacent ones included; filtering happens
-    on X's side. Fresh Laplace noise of scale 2*(2|R|)/eps per entry,
-    drawn in row-major order. Empty R yields a 0 x d_Y matrix with no
-    noise drawn.
+    on X's side. Fresh two-sided geometric noise of scale 4|R|/eps
+    (rounded up) per entry, drawn in row-major order. Empty R yields a
+    0 x d_Y matrix with no noise drawn.
     """
     y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
     core = _spanning_core_matrix(pg, _sorted_ids(R), y_ego)
-    return _noisy_counts(core, params, rng)
+    return _release(core, 0.0, params, rng, True, False).T
 
 
 def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
                   params: PrivacyParams, rng: np.random.Generator) -> float:
-    """Noisy partial EBC sum over Y's side of the ego network."""
+    """Noisy partial EBC sum over Y's side of the ego network, on the
+    2^-20 grid."""
     y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
     if y_ego.size < 2:
         raise DegenerateEgoError("need at least two Y-side ego neighbours")
     s_y = _partial_sum_core(pg, _sorted_ids(R), y_ego)
-    return _noisy_partial_sum(s_y, y_ego, params, rng)
+    return _release(np.zeros((0, y_ego.size)), s_y, params, rng, False, True).S_Y
 

@@ -1,44 +1,45 @@
-"""Numeric substrate: extended-precision log arithmetic and noise draws.
+"""Numeric substrate: extended-precision log arithmetic and exact noise.
 
 The stratum pmf/CDF math spans thousands of orders of magnitude, so it
 runs in log space in mpmath, at DEFAULT_CONTEXT's 300 significand bits
-in every session. Laplace noise and EBC sums use native float64. All
-randomness comes from a caller-supplied numpy Generator; the library
-never reads ambient entropy.
+in every session. Y's noise is the two-sided geometric mechanism
+(Ghosh, Roughgarden and Sundararajan, STOC 2009), sampled exactly: every
+released value is an integer whose law is exactly P(z) ~ exp(-|z|/scale)
+at a scale rounded up, never down, so no floating-point artefact of the
+sampler reaches the output (Mironov, CCS 2012). All randomness comes
+from a caller-supplied numpy Generator; the library never reads ambient
+entropy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import mpmath
 import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import to_int
 
 
 class PrecisionContext:
-    """Immutable handle on mpmath arithmetic at `bits` significand bits.
+    """Immutable handle on mpmath arithmetic at 300 significand bits, the
+    precision the samplers were validated at. `mp` is the mpmath context
+    the extended-precision math calls directly."""
 
-    bits must be at least 53 (native double significand); the default
-    300 matches the precision the samplers were validated at. `mp` is
-    the mpmath context the extended-precision math calls directly.
-    """
+    __slots__ = ("mp",)
 
-    __slots__ = ("bits", "mp")
-
-    def __init__(self, bits: int = 300):
-        if bits < 53:
-            raise ValueError("precision must be at least 53 bits")
+    def __init__(self):
         mp = mpmath.MPContext()
-        mp.prec = int(bits)
-        object.__setattr__(self, "bits", int(bits))
+        mp.prec = 300
         object.__setattr__(self, "mp", mp)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionContext is immutable")
 
     def __repr__(self) -> str:
-        return f"PrecisionContext(bits={self.bits})"
+        return f"PrecisionContext({self.mp.prec} bits)"
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -86,17 +87,99 @@ def log_add(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
     return mp.fadd(hi, mp.log1p(mp.exp(mp.fsub(lo, hi))))
 
 
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One draw from a zero-mean Laplace: numpy's inverse-CDF sampler,
-    which reads one uniform per draw and redraws a zero one."""
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    return float(rng.laplace(0.0, scale))
-
-
 def sample_neg_exp1(rng: np.random.Generator) -> float:
     """One draw of -Exp(1), i.e. log(U) for U uniform on (0, 1)."""
     u = rng.random()
     while u == 0.0:
         u = rng.random()
     return math.log(u)
+
+
+# ---------------------------------------------------------------------------
+# Two-sided geometric noise
+# ---------------------------------------------------------------------------
+
+# The largest scale the sampler accepts; its draws stay far inside int64.
+MAX_SCALE = 2.0**52
+_CELL = 2.0**-53  # U's first 53 bits pick a cell of this width
+# np.log is taken to be within 2^-44 relative of ln (256 ulp; numpy and
+# libm promise a few); widening each float image by 2^-43 covers that and
+# the correctly rounded operations after it.
+_WIDEN = 2.0**-43
+_GROW = (1.0 + _WIDEN) / (1.0 - _WIDEN)
+
+
+def geometric_scale(numerator: int, epsilon: float) -> float:
+    """numerator / epsilon as a double, rounded up, never down: a larger
+    scale only adds privacy. Raises ValueError beyond MAX_SCALE."""
+    scale = numerator / epsilon
+    if not 0.0 < scale <= MAX_SCALE:
+        raise ValueError(f"noise scale {numerator}/{epsilon} outside (0, {MAX_SCALE:g}]")
+    p, q = scale.as_integer_ratio()
+    pe, qe = float(epsilon).as_integer_ratio()
+    if p * pe < numerator * q * qe:  # scale * epsilon < numerator, exactly
+        scale = math.nextafter(scale, math.inf)
+    return scale
+
+
+def two_sided_geometric(scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One exact draw of G1 - G2 per entry of `scale`, as int64.
+
+    G1 and G2 are independent with P(G = g) = (1 - q) q^g, q =
+    exp(-1/scale), so P(G1 - G2 = z) = (1 - q)/(1 + q) q^|z|. Each G is
+    floor(-scale ln U) for U uniform on (0, 1). One rng.random call
+    reads the first 53 bits of every U, two per entry in entry order, so
+    drawing n entries and then m equals drawing n + m at once. Float64
+    decides G wherever U's cell maps, widened by the bound on np.log's
+    error, onto an interval that holds no integer; the rest (about one
+    draw in 4 * 10^10 at scale 100, and always the zero cell) go to
+    `resolve_cell`, which reads further bits of U from the generator.
+    """
+    u = rng.random(2 * scale.size)  # G1, G2 of entry i read u[2i], u[2i + 1]
+    c = np.repeat(scale * -(1.0 - _WIDEN), 2)
+    lo = u + _CELL
+    np.log(lo, out=lo)  # ln of the cell's upper end
+    lo *= c  # the image's lower end, shrunk
+    # cell k's image is at most scale / k wide; the zero cell's is unbounded
+    c *= _CELL
+    with np.errstate(divide="ignore"):
+        np.divide(c, u, out=c)
+    hi = np.subtract(lo, c, out=c)
+    hi *= _GROW  # the image's upper end, grown
+    np.floor(lo, out=lo)
+    np.floor(hi, out=hi)
+    # a decided G is below 2^53, so the float difference is exact
+    z = (lo[0::2] - lo[1::2]).astype(np.int64)
+    open_cells = lo != hi
+    if open_cells.any():
+        words = iter(rng.bit_generator.random_raw, None)
+        for i in np.unique(np.flatnonzero(open_cells) // 2).tolist():
+            g1, g2 = (resolve_cell(float(scale[i]), int(u[k] * 2.0**53), words)
+                      if open_cells[k] else int(lo[k]) for k in (2 * i, 2 * i + 1))
+            z[i] = g1 - g2
+    return z
+
+
+def resolve_cell(scale: float, cell: int, words: Iterator[int]) -> int:
+    """floor(-scale ln U), exactly, for U uniform on the 53-bit cell
+    [cell, cell + 1] * 2^-53.
+
+    While the image of U's known interval holds an integer, the next
+    64-bit word of `words` narrows that interval 2^64-fold. Each test
+    runs in interval arithmetic (mpmath.iv) at 64 bits beyond the
+    interval's own, so a decision is never a rounding artefact. The
+    zero cell, whose image is unbounded, always reads further words.
+    """
+    iv = MPIntervalContext()  # this call's own, so its precision is ours to set
+    num, bits = cell, 53
+    while True:
+        if num:
+            iv.prec = bits + 64
+            step = iv.mpf(2) ** -bits
+            lo = -iv.mpf(scale) * iv.log((num + 1) * step)
+            hi = -iv.mpf(scale) * iv.log(num * step)
+            g = to_int(lo._mpi_[0], "f")  # floor of the lower end
+            if hi.b <= g + 1:
+                return g
+        num = (num << 64) | next(words)
+        bits += 64

@@ -47,11 +47,22 @@ class StratumDistribution:
         return np.array([float(mp.exp(p)) for p in self.log_pmf])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardMsg:
-    """The set release: R, a subset of X^- as dense node indices."""
+    """The set release: R as membership bits over X^- = V_X minus the
+    ego, in ascending index order, which is all the wire carries.
 
-    R: frozenset[int]
+    x_minus is X^- itself, which the sender's message holds; a decoded
+    frame has none, and its receiver reads the bits against its own X^-.
+    """
+
+    member: np.ndarray
+    x_minus: np.ndarray | None = None
+
+    @property
+    def R(self) -> frozenset[int]:
+        """R as dense node indices (the sender's message only)."""
+        return frozenset(self.x_minus[self.member].tolist())
 
 
 @lru_cache(maxsize=8)
@@ -153,17 +164,29 @@ def pick_and_flip(X_minus: Iterable[int] | np.ndarray, R_star: Iterable[int] | n
         arr = X_minus
     else:
         arr = np.array(sorted(X_minus), dtype=np.int64)
-    n = arr.size
-    if not 0 <= I <= n:
-        raise ValueError(f"stratum index {I} out of range 0..{n}")
     if not isinstance(R_star, np.ndarray):
         R_star = np.fromiter(R_star, dtype=np.int64)
-    member = np.zeros(n, dtype=bool)
-    if R_star.size:
-        at = arr.searchsorted(R_star)
-        if at.max() >= n or not np.array_equal(arr[at], R_star):
+    member = _membership(arr, R_star)
+    _flip(member, I, rng)
+    return frozenset(arr[member].tolist())
+
+
+def _membership(x_minus: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """The membership bits over sorted x_minus of its sorted subset."""
+    member = np.zeros(x_minus.size, dtype=bool)
+    if subset.size:
+        at = x_minus.searchsorted(subset)
+        if at.max() >= x_minus.size or not np.array_equal(x_minus[at], subset):
             raise ValueError("R_star must be a subset of X_minus")
         member[at] = True
+    return member
+
+
+def _flip(member: np.ndarray, I: int, rng: np.random.Generator) -> None:
+    """Toggle |X^-| - I distinct uniform positions of member in place."""
+    n = member.size
+    if not 0 <= I <= n:
+        raise ValueError(f"stratum index {I} out of range 0..{n}")
     k = n - I
     offsets = rng.integers(0, np.arange(n, n - k, -1, dtype=np.int64))
     # shuffle positions into X^-; the tail picks the same nodes as
@@ -171,7 +194,6 @@ def pick_and_flip(X_minus: Iterable[int] | np.ndarray, R_star: Iterable[int] | n
     picks = np.arange(n, dtype=np.int64)
     _kernels.partial_shuffle(picks, offsets.astype(np.int64))
     member[picks[n - k:]] ^= True
-    return frozenset(arr[member].tolist())
 
 
 def forward_message(pg: PartitionedGraph | PartyView, a: object, params: PrivacyParams,
@@ -190,6 +212,6 @@ def forward_message_from_context(ectx: EgoContext, params: PrivacyParams,
     if params.delta0 != 1.0:
         raise ValueError("the set release runs with quality sensitivity 1")
     dist = stratum_distribution(ectx.x_minus_sorted.size, params, ctx)
-    idx = inverse_transform_sample(dist, rng)
-    r = pick_and_flip(ectx.x_minus_sorted, ectx.r_star_sorted, idx, rng)
-    return ForwardMsg(R=r)
+    member = _membership(ectx.x_minus_sorted, ectx.r_star_sorted)
+    _flip(member, inverse_transform_sample(dist, rng), rng)
+    return ForwardMsg(member=member, x_minus=ectx.x_minus_sorted)

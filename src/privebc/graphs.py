@@ -328,10 +328,15 @@ def _x_ego_index(pg: PartitionedGraph | PartyView, a: object) -> int:
 
 def _ego_context_idx(pg: PartitionedGraph | PartyView, a_idx: int) -> EgoContext:
     nbrs = _neighbor_array(pg.graph, a_idx)
+    return EgoContext(a=a_idx, N_a=pg.graph.neighbors(a_idx), r_star_sorted=nbrs[pg._is_x[nbrs]],
+                      x_minus_sorted=_x_minus(pg, a_idx))
+
+
+def _x_minus(pg: PartitionedGraph | PartyView, a_idx: int) -> np.ndarray:
+    """X^- = V_X minus {a} as a sorted index array; both parties know it."""
     vx = pg.vx_indices
     pos = int(vx.searchsorted(a_idx))
-    return EgoContext(a=a_idx, N_a=pg.graph.neighbors(a_idx), r_star_sorted=nbrs[pg._is_x[nbrs]],
-                      x_minus_sorted=np.concatenate((vx[:pos], vx[pos + 1:])))
+    return np.concatenate((vx[:pos], vx[pos + 1:]))
 
 
 def _neighbor_array(g: Graph, i: int) -> np.ndarray:

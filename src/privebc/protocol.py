@@ -6,12 +6,14 @@ partial sum), then X-side assembly of S_X + S_XY + S_Y. Both parties
 skip the messages their shared knowledge makes empty: both when Y has
 no nodes, the backward one when Y's side of the ego network has fewer
 than two nodes. Runs either in-process (both party views held by one
-driver) or across two processes over a framed TCP wire; given
-identical seeds both modes produce bit-identical results.
+driver) or across two processes over a framed TCP wire; handed the
+generators the in-process driver spawns, both modes produce
+bit-identical results.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import time
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .backward import BackwardMsg, DegenerateEgoError, _reply, _sorted_ids, _y_ego_sorted
+from .backward import SUM_GRID_BITS, BackwardMsg, DegenerateEgoError, _reply, _y_ego_sorted
 from .dpnum import DEFAULT_CONTEXT, PrivacyParams
-from .forward import ForwardMsg, forward_message_from_context
+from .forward import ForwardMsg, _membership, forward_message_from_context
 from .graphs import (
     EgoContext,
     PartitionedGraph,
@@ -31,6 +33,7 @@ from .graphs import (
     _ego_local,
     _pair_sum,
     _x_ego_index,
+    _x_minus,
 )
 
 ALL_MECHS = frozenset({"mech1", "mech2", "mech3"})
@@ -128,47 +131,75 @@ class SessionResult:
 
 
 # ---------------------------------------------------------------------------
-# Wire format v2
+# Wire format v3
 # ---------------------------------------------------------------------------
 # frame   = u32 length | u8 version | u8 type | payload   (big-endian)
 # length counts every byte after the length field itself.
-# type 1 (forward):  u32 count | count * u64 node index, strictly ascending
-# type 2 (backward): u32 rows | u32 cols | rows * cols * f64, row-major |
-#                    f64 S_Y; every value finite
-# The backward matrix's rows and columns are the ascending ids of R and of
-# the ego's Y-side neighbours, which both parties know, so none are sent.
+# type 1 (forward):  u32 n | ceil(n / 8) bytes: R's membership bits over
+#                    X^- in ascending index order, most significant bit
+#                    first; padding bits zero
+# type 2 (backward): u32 rows | u32 cols | u8 width code |
+#                    rows * cols integers of that width, row-major |
+#                    S_Y as an i8 count of 2^-20 units
+# Width codes 1, 2, 4 and 8 give the matrix as >i1, >i2, >i4 or >i8, the
+# narrowest that holds its values, so a frame's length depends on the
+# released values only. Code bit 0x80 marks a noiseless (non-private) S_Y
+# off the grid, which then travels as its exact f8 and must be finite.
+# Both parties know X^-, and the backward matrix's rows and columns are
+# the ascending ids of R and of the ego's Y-side neighbours, so no id is
+# ever sent.
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 TYPE_FORWARD = 1
 TYPE_BACKWARD = 2
 HANDSHAKE_MAGIC = b"PEBC"
 
-_FWD_ENTRY = np.dtype(">u8")
-_BWD_VALUE = np.dtype(">f8")
+_EXACT_SUM = 0x80
+_WIDTHS = (1, 2, 4, 8)
+_GRID = 2.0**SUM_GRID_BITS
 
 
-def _forward_frame_size(count: int) -> int:
-    return 10 + 8 * count
+def _forward_frame_size(n: int) -> int:
+    return 10 + (n + 7) // 8
 
 
 def _backward_frame_size(rows: int, cols: int) -> int:
-    return 22 + 8 * rows * cols
+    return 23 + 8 * rows * cols
+
+
+def _width(t: np.ndarray) -> int:
+    """Bytes per entry of the narrowest signed integer type holding t."""
+    if t.size:
+        big = max(int(t.max()), -1 - int(t.min()))
+        for w in _WIDTHS:
+            if big < 1 << (8 * w - 1):
+                return w
+    return 1
 
 
 def encode_msg(msg: ForwardMsg | BackwardMsg) -> bytes:
     """Serialize one message as a single wire frame."""
     if isinstance(msg, ForwardMsg):
-        body = np.array(sorted(msg.R), dtype=_FWD_ENTRY)
-        dims, trailer, mtype = body.shape, b"", TYPE_FORWARD
-    elif isinstance(msg, BackwardMsg):
-        body = np.ascontiguousarray(msg.T, dtype=_BWD_VALUE)
-        if body.ndim != 2:
-            raise ValueError(f"T must be a matrix, got {body.ndim} dimensions")
-        dims, trailer, mtype = body.shape, struct.pack(">d", msg.S_Y), TYPE_BACKWARD
-    else:
+        bits = np.packbits(msg.member).tobytes()
+        head = struct.pack(">IBBI", 6 + len(bits), WIRE_VERSION, TYPE_FORWARD, msg.member.size)
+        return head + bits
+    if not isinstance(msg, BackwardMsg):
         raise TypeError(f"cannot encode {type(msg).__name__}")
-    length = 2 + 4 * len(dims) + body.nbytes + len(trailer)
-    head = struct.pack(f">IBB{len(dims)}I", length, WIRE_VERSION, mtype, *dims)
+    t = np.asarray(msg.T)
+    if t.ndim != 2:
+        raise ValueError(f"T must be a matrix, got {t.ndim} dimensions")
+    if t.dtype.kind != "i":
+        raise ValueError(f"T must hold signed integers, got {t.dtype}")
+    code = _width(t)
+    grid = msg.S_Y * _GRID
+    if grid.is_integer() and abs(grid) < 2.0**63:
+        trailer = struct.pack(">q", int(grid))
+    else:
+        code |= _EXACT_SUM
+        trailer = struct.pack(">d", msg.S_Y)
+    body = t.astype(f">i{code & ~_EXACT_SUM}")
+    head = struct.pack(">IBBIIB", 11 + body.nbytes + len(trailer), WIRE_VERSION,
+                       TYPE_BACKWARD, *t.shape, code)
     # one join copies the body once, however large the frame
     return b"".join((head, body, trailer))
 
@@ -190,28 +221,34 @@ def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
     if mtype == TYPE_FORWARD:
         if len(payload) < 4:
             raise DecodeError(6, "truncated count field")
-        (count,) = struct.unpack_from(">I", payload, 0)
-        if len(payload) != 4 + 8 * count:
-            raise DecodeError(10, f"forward payload needs {4 + 8 * count} bytes, got {len(payload)}")
-        nodes = np.frombuffer(payload, dtype=_FWD_ENTRY, count=count, offset=4)
-        if count > 1 and not np.all(nodes[1:] > nodes[:-1]):
-            bad = int(np.flatnonzero(nodes[1:] <= nodes[:-1])[0]) + 1
-            raise DecodeError(10 + 8 * bad, "node indices not strictly ascending")
-        return ForwardMsg(R=frozenset(int(v) for v in nodes))
+        (n,) = struct.unpack_from(">I", payload, 0)
+        size = (n + 7) // 8
+        if len(payload) != 4 + size:
+            raise DecodeError(10, f"{n} membership bits need {size} bytes, got {len(payload) - 4}")
+        bits = np.frombuffer(payload, dtype=np.uint8, offset=4)
+        if n % 8 and bits[-1] & (0xFF >> n % 8):
+            raise DecodeError(9 + size, "padding bit set")
+        return ForwardMsg(member=np.unpackbits(bits, count=n).view(bool))
     if mtype == TYPE_BACKWARD:
-        if len(payload) < 8:
+        if len(payload) < 9:
             raise DecodeError(6, "truncated shape field")
-        rows, cols = struct.unpack_from(">II", payload, 0)
-        need = 16 + 8 * rows * cols
+        rows, cols, code = struct.unpack_from(">IIB", payload, 0)
+        width = code & ~_EXACT_SUM
+        if width not in _WIDTHS:
+            raise DecodeError(14, f"unknown width code {code:#x}")
+        need = 17 + rows * cols * width
         if len(payload) != need:
-            raise DecodeError(14, f"{rows} x {cols} backward payload needs {need} bytes, "
-                                  f"got {len(payload)}")
-        values = np.frombuffer(payload, dtype=_BWD_VALUE, offset=8)  # the matrix, then S_Y
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise DecodeError(14 + 8 * int(bad[0]), "value is not finite")
-        t = values[:-1].astype(np.float64).reshape(rows, cols)
-        return BackwardMsg(T=t, S_Y=float(values[-1]))
+            raise DecodeError(15, f"{rows} x {cols} matrix of width {width} needs a "
+                                  f"{need}-byte payload, got {len(payload)}")
+        t = np.frombuffer(payload, dtype=f">i{width}", count=rows * cols, offset=9)
+        t = t.astype(np.int64).reshape(rows, cols)
+        if code & _EXACT_SUM:
+            (s_y,) = struct.unpack_from(">d", payload, need - 8)
+            if not math.isfinite(s_y):
+                raise DecodeError(6 + need - 8, "S_Y is not finite")
+        else:
+            s_y = struct.unpack_from(">q", payload, need - 8)[0] / _GRID
+        return BackwardMsg(T=t, S_Y=s_y)
     raise DecodeError(5, f"unknown message type {mtype}")
 
 
@@ -226,26 +263,27 @@ def _forward_stage(view_x: PartyView, ectx: EgoContext, config: ProtocolConfig,
         msg = forward_message_from_context(ectx, params, DEFAULT_CONTEXT, rng)
         ledger.charge("X", "set-release", config.epsilon)
         return msg
-    return ForwardMsg(R=ectx.R_star)
+    return ForwardMsg(member=_membership(ectx.x_minus_sorted, ectx.r_star_sorted),
+                      x_minus=ectx.x_minus_sorted)
 
 
-def _backward_stage(view_y: PartyView, a_idx: int, y_ego: np.ndarray, R: frozenset[int],
+def _backward_stage(view_y: PartyView, a_idx: int, y_ego: np.ndarray, fwd: ForwardMsg,
                     config: ProtocolConfig, rng: np.random.Generator | None,
                     ledger: BudgetLedger) -> BackwardMsg:
-    """Y's reply to R, which must be a subset of X^- = V_X minus {a}:
-    any other id would make the counts depend on edges the noise's
-    sensitivity bound does not cover."""
+    """Y's reply to the forward message, whose bits Y reads against its
+    own X^- = V_X minus {a}: a bitmap cannot name any other id, so the
+    counts depend only on edges the noise's sensitivity bound covers.
+    Bits over any other number of nodes are refused, at the forward
+    frame's count field."""
     if y_ego.size < 2:
         raise DegenerateEgoError("backward stage invoked on a gated case")
-    if R and not 0 <= min(R) <= max(R) < view_y.graph.n:
-        raise ProtocolError("forward set holds an id outside the graph")
-    r_sorted = _sorted_ids(R)
-    if a_idx in R or not view_y._is_x[r_sorted].all():
-        raise ProtocolError("forward set is not a subset of X^-")
+    x_minus = _x_minus(view_y, a_idx)
+    if fwd.member.size != x_minus.size:
+        raise DecodeError(6, f"forward bits cover {fwd.member.size} nodes, X^- has {x_minus.size}")
     noisy_t = "mech2" in config.mech_mask
     noisy_sy = "mech3" in config.mech_mask
-    back = _reply(view_y, y_ego, r_sorted, PrivacyParams(epsilon=config.epsilon),
-                  rng if noisy_t else None, rng if noisy_sy else None)
+    back = _reply(view_y, y_ego, x_minus[fwd.member], PrivacyParams(epsilon=config.epsilon),
+                  rng, noisy_t, noisy_sy)
     if noisy_t:
         ledger.charge("Y", "count-vector", config.epsilon / 2.0)
     if noisy_sy:
@@ -253,11 +291,12 @@ def _backward_stage(view_y: PartyView, a_idx: int, y_ego: np.ndarray, R: frozens
     return back
 
 
-def _assemble_x(view_x: PartyView, ectx: EgoContext, R: frozenset[int],
+def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
                 back: BackwardMsg | None, config: ProtocolConfig) -> tuple[EbcAccumulator, int]:
     """X-side completion: S_XY over cross pairs, S_X over X-side pairs.
 
-    A reply must be the |R| x d_Y matrix. Received counts for i outside
+    r_sorted is R in ascending order. A reply must be the |R| x d_Y
+    matrix. Received counts for i outside
     R* are discarded; counts for i in R* \\ R start from zero. The
     X-side path increment counts intermediates in R* u {a}; S_X counts
     intermediates anywhere in N_a u {a}, all through edges X knows.
@@ -266,7 +305,7 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, R: frozenset[int],
     in_x = view_x._is_x[local]  # R* and a itself
     rs = in_x & (local != ectx.a)
     ys = ~in_x
-    shape = (len(R), int(np.count_nonzero(ys)))
+    shape = (r_sorted.size, int(np.count_nonzero(ys)))
     if back is not None and back.T.shape != shape:
         raise ProtocolError(f"backward matrix has shape {back.T.shape}, expected {shape}")
     rows = m[rs]  # R* against all of N_a u {a}
@@ -277,9 +316,9 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, R: frozenset[int],
         # X-side 2-path counts through R* u {a}: rows R*, cols Y-side ego
         k_x = rows[:, in_x] @ m[in_x][:, ys]
         t_recv = np.zeros(k_x.shape, dtype=np.float64)
-        if back is not None and R:
+        if back is not None and r_sorted.size:
             # back.T's rows are R in ascending order; take those of R n R*
-            hit, pos = _kernels._locate(_sorted_ids(R), local[rs])
+            hit, pos = _kernels._locate(r_sorted, local[rs])
             t_recv[hit] = back.T[pos]
         if config.clamp_mode == "clamp_nonneg":
             np.maximum(t_recv, 0.0, out=t_recv)
@@ -373,24 +412,28 @@ def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig
     if degenerate == "":
         view_y = _held(held, "Y")
         if view_y is not None:
-            back = _backward_stage(view_y, a_idx, y_ego, fwd.R, config, rng_y, ledger)
+            back = _backward_stage(view_y, a_idx, y_ego, fwd, config, rng_y, ledger)
             _send(sock, back, log)
         else:
-            back = _receive(sock, BackwardMsg, _backward_frame_size(len(fwd.R), y_ego.size), log)
+            rows = int(np.count_nonzero(fwd.member))
+            back = _receive(sock, BackwardMsg, _backward_frame_size(rows, y_ego.size), log)
     if view_x is None:
         return None
-    R = ectx.R_star if fwd is None else fwd.R
-    acc, skipped = _assemble_x(view_x, ectx, R, back, config)
+    r_sorted = ectx.r_star_sorted if fwd is None else ectx.x_minus_sorted[fwd.member]
+    acc, skipped = _assemble_x(view_x, ectx, r_sorted, back, config)
     return SessionResult(value=acc.total, parts=acc, skipped_terms=skipped,
                          degenerate=degenerate, non_private=config.non_private,
-                         budget=ledger, frames=tuple(frame for _, frame in log), r_size=len(R))
+                         budget=ledger, frames=tuple(frame for _, frame in log),
+                         r_size=r_sorted.size)
 
 
 def run_session(pg: PartitionedGraph, a: object, config: ProtocolConfig,
                 rng: np.random.Generator) -> SessionResult:
     """Run one full in-process session between the two party views.
 
-    X draws from rng's first spawned child and Y from its second.
+    X draws from rng's first spawned child and Y from its second;
+    handing those children to the two halves of run_two_process replays
+    the session bit for bit.
     """
     a_idx = _x_ego_index(pg, a)
     rng_x, rng_y = rng.spawn(2)
@@ -489,13 +532,16 @@ def _accept(address: tuple[str, int]) -> socket.socket:
 
 
 def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: object,
-                    config: ProtocolConfig, seed: int,
+                    config: ProtocolConfig, seed: int | np.random.Generator,
                     transcript: list[tuple[str, bytes]] | None = None) -> float | None:
     """Run one party's half of a session over a framed TCP connection.
 
     role must be the view's party: X connects to address, Y listens on
-    it. Both sides derive their generator from the shared seed exactly
-    the way the in-process driver does, so results match it bit for
+    it. seed is this party's own, an int or a Generator that only this
+    role holds, and np.random.default_rng(seed) is the one generator the
+    half builds: the peer's noise never derives from it, so X cannot
+    regenerate and subtract Y's. Handing each role the child that
+    run_session spawns for it replays an in-process session bit for
     bit. X returns the EBC estimate; Y returns None. Each party only
     ever holds its own view, so the other side's internal edges are
     absent from its process by construction. Y waiting longer than
@@ -506,7 +552,8 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
     if role != view.party:
         raise ValueError(f"role must be the view's party {view.party!r}, got {role!r}")
     a_idx = _x_ego_index(view, a)
-    rng_x, rng_y = np.random.default_rng(seed).spawn(2)
+    rng = np.random.default_rng(seed)
+    rng_x, rng_y = (rng, None) if role == "X" else (None, rng)
     open_link, greet = (_connect, _handshake) if role == "X" else (_accept, _handshake_accept)
     try:
         with open_link(address) as sock:

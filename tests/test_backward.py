@@ -14,12 +14,15 @@ from privebc import (
     spanning_counts,
 )
 from privebc.backward import (
-    _noisy_counts,
-    _noisy_partial_sum,
+    SUM_GRID_BITS,
     _partial_sum_core,
+    _release,
     _spanning_core_matrix,
     _y_ego_sorted,
 )
+from privebc.dpnum import geometric_scale
+from privebc.forward import ForwardMsg, _membership
+from privebc.graphs import _x_minus
 from privebc.protocol import BudgetLedger, _backward_stage
 
 from .conftest import make_pg, random_graph, random_partition
@@ -31,8 +34,20 @@ def _y_reply(pg, a, R, epsilon, rng):
     """Y's full reply to R through the session's backward stage."""
     a_idx = pg.graph.index_of(a)
     view_y = pg.view_y()
-    return _backward_stage(view_y, a_idx, _y_ego_sorted(view_y, a_idx), R,
+    fwd = ForwardMsg(member=_membership(_x_minus(view_y, a_idx), np.array(sorted(R), dtype=np.int64)))
+    return _backward_stage(view_y, a_idx, _y_ego_sorted(view_y, a_idx), fwd,
                            ProtocolConfig(epsilon=epsilon), rng, BudgetLedger())
+
+
+def _pmf(z, scale):
+    """The two-sided geometric pmf (1 - q)/(1 + q) q^|z|, q = e^(-1/scale)."""
+    q = math.exp(-1.0 / scale)
+    return (1.0 - q) / (1.0 + q) * q ** abs(z)
+
+
+def _std(scale):
+    q = math.exp(-1.0 / scale)
+    return math.sqrt(2.0 * q) / (1.0 - q)
 
 
 def _bridge_pg():
@@ -181,7 +196,7 @@ def test_backward_message_key_set_and_high_budget(mixed_pg):
 
 
 def test_noise_scale_of_count_vector():
-    # |R|=2 at eps=1: scale 2*(2*2)/1 = 8, std sqrt(2)*8
+    # |R|=2 at eps=1: scale 2*(2*2)/1 = 8, std sqrt(2q)/(1-q) at q = e^(-1/8)
     edges = [("a", "x1"), ("a", "x2"), ("a", "y1"), ("a", "y2")]
     pg = make_pg(edges, x_labels={"a", "x1", "x2"})
     g = pg.graph
@@ -193,21 +208,25 @@ def test_noise_scale_of_count_vector():
         t = spanning_counts(pg, "a", r, params, rng)
         samples.extend(t.ravel())  # cores are all zero here
     arr = np.array(samples)
-    assert arr.size == 10_000
+    assert arr.size == 10_000 and arr.dtype == np.int64
     assert abs(arr.mean()) < 0.5
-    assert arr.std() == pytest.approx(math.sqrt(2.0) * 8.0, rel=0.05)
+    assert arr.std() == pytest.approx(_std(8.0), rel=0.05)
 
 
 def test_noise_scale_of_partial_sum():
-    # d_Y=3 at eps=1: scale 2*(3-1)/1 = 4, std sqrt(2)*4
+    # d_Y=3 at eps=1: 2^-20 grid units at scale 2*(2*2^20 + 1)/1, about 4
+    # in value units
     edges = [("a", "y1"), ("a", "y2"), ("a", "y3")]
     pg = make_pg(edges, x_labels={"a"})
     params = PrivacyParams(epsilon=1.0)
     rng = np.random.default_rng(5)
     draws = np.array([partial_ebc_y(pg, "a", frozenset(), params, rng)
                       for _ in range(10_000)])
+    grid = draws * 2.0**SUM_GRID_BITS
+    assert np.array_equal(grid, np.round(grid))  # every release on the grid
     assert draws.mean() == pytest.approx(3.0, abs=0.3)  # core: three 1/1 pairs
-    assert draws.std() == pytest.approx(math.sqrt(2.0) * 4.0, rel=0.05)
+    scale = 2.0 * (2 * 2**SUM_GRID_BITS + 1)
+    assert draws.std() == pytest.approx(_std(scale) * 2.0**-SUM_GRID_BITS, rel=0.05)
 
 
 def _toggle_y_edge(edges, u, v):
@@ -269,19 +288,23 @@ def test_density_ratio_bounded_by_budget():
     assert np.array_equal(y_ego, _y_ego_sorted(pg2, a_idx))
 
     eps = 1.3
-    scale_t = 2.0 * (2.0 * len(r)) / eps
-    scale_s = 2.0 * (y_ego.size - 1) / eps
+    scale_t = geometric_scale(4 * len(r), eps)
+    scale_s = geometric_scale(2 * ((y_ego.size - 1) * 2**SUM_GRID_BITS + 1), eps)
     c1 = _spanning_core_matrix(pg1, r_sorted, y_ego).ravel()
     c2 = _spanning_core_matrix(pg2, r_sorted, y_ego).ravel()
-    s1 = _partial_sum_core(pg1, r_sorted, y_ego)
-    s2 = _partial_sum_core(pg2, r_sorted, y_ego)
+    g1 = round(_partial_sum_core(pg1, r_sorted, y_ego) * 2**SUM_GRID_BITS)
+    g2 = round(_partial_sum_core(pg2, r_sorted, y_ego) * 2**SUM_GRID_BITS)
 
     rng = np.random.default_rng(8)
     for _ in range(200):
         msg = _y_reply(pg1, "a", r, eps, rng)
         t = msg.T.ravel()
-        ratio_t = (np.abs(t - c2).sum() - np.abs(t - c1).sum()) / scale_t
-        ratio_s = (abs(msg.S_Y - s2) - abs(msg.S_Y - s1)) / scale_s
+        grid = round(msg.S_Y * 2**SUM_GRID_BITS)
+        assert grid == msg.S_Y * 2**SUM_GRID_BITS
+        # log pmf ratios of the release under the two graphs
+        ratio_t = sum(math.log(_pmf(v - a, scale_t) / _pmf(v - b, scale_t))
+                      for v, a, b in zip(t.tolist(), c1.tolist(), c2.tolist()))
+        ratio_s = math.log(_pmf(grid - g1, scale_s) / _pmf(grid - g2, scale_s))
         assert ratio_t <= eps / 2 + 1e-9
         assert ratio_s <= eps / 2 + 1e-9
         assert ratio_t + ratio_s <= eps + 1e-9
@@ -299,9 +322,8 @@ def test_noiseless_flags_bypass_sampling():
     r_sorted = np.array(sorted(r), dtype=np.int64)
     core = _spanning_core_matrix(pg, r_sorted, y_ego)
     s_core = _partial_sum_core(pg, r_sorted, y_ego)
-    # a None generator is the noiseless route
-    t = _noisy_counts(core, params, None)
-    s = _noisy_partial_sum(s_core, y_ego, params, None)
+    # flags off is the noiseless route: the generator is never read
+    msg = _release(core, s_core, params, rng, False, False)
     assert rng.bit_generator.state == before
-    assert t[0, 0] == core[0, 0]
-    assert s == _partial_sum_core(pg, r_sorted, y_ego)
+    assert msg.T[0, 0] == core[0, 0] and msg.T.dtype == np.int64
+    assert msg.S_Y == _partial_sum_core(pg, r_sorted, y_ego)

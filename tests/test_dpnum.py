@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,28 +16,28 @@ from privebc import (
     forward,
     log_add,
     run_session,
-    sample_laplace,
     sample_neg_exp1,
     stratum_distribution,
 )
-from privebc.backward import _noisy_counts
+from privebc.dpnum import MAX_SCALE, geometric_scale, resolve_cell, two_sided_geometric
 
 
 # ---------------------------------------------------------------------------
 # PrecisionContext / PrivacyParams
 # ---------------------------------------------------------------------------
 
-def test_context_defaults_and_floor():
-    assert DEFAULT_CONTEXT.bits == 300
-    with pytest.raises(ValueError):
-        PrecisionContext(52)
-    PrecisionContext(53)  # the floor itself is allowed
+def test_default_context_precision():
+    # one precision for every session: the context takes no setting
+    assert DEFAULT_CONTEXT.mp.prec == 300
+    assert PrecisionContext().mp.prec == 300
+    with pytest.raises(TypeError):
+        PrecisionContext(53)
 
 
 def test_context_immutable():
-    ctx = PrecisionContext(64)
+    ctx = PrecisionContext()
     with pytest.raises(AttributeError):
-        ctx.bits = 128
+        ctx.mp = None
 
 
 def test_no_context_is_built_after_import(monkeypatch, mixed_pg):
@@ -94,8 +95,8 @@ def test_log_add_exact_small_case():
 def test_log_add_matches_extended_precision_oracle():
     ctx = DEFAULT_CONTEXT
     rng = np.random.default_rng(0)
-    tol = mpmath.mpf(2) ** (-(ctx.bits - 10))  # 2 ulp plus decimal round-trip slack
-    with mpmath.workprec(ctx.bits + 100):
+    tol = mpmath.mpf(2) ** (-(ctx.mp.prec - 10))  # 2 ulp plus decimal round-trip slack
+    with mpmath.workprec(ctx.mp.prec + 100):
         for _ in range(1000):
             x, y = rng.uniform(-700, 700, size=2)
             got = _to_mpf(ctx, log_add(x, y, ctx))
@@ -118,8 +119,8 @@ def test_log_add_commutative_and_monotone():
 def test_log_add_associative_within_ulp():
     ctx = DEFAULT_CONTEXT
     rng = np.random.default_rng(2)
-    with mpmath.workprec(ctx.bits + 100):
-        tol = mpmath.mpf(2) ** (-(ctx.bits - 12))
+    with mpmath.workprec(ctx.mp.prec + 100):
+        tol = mpmath.mpf(2) ** (-(ctx.mp.prec - 12))
         for _ in range(100):
             x, y, z = rng.uniform(-100, 100, size=3)
             left = _to_mpf(ctx, log_add(log_add(x, y, ctx), ctx.mp.mpf(z), ctx))
@@ -128,56 +129,108 @@ def test_log_add_associative_within_ulp():
 
 
 # ---------------------------------------------------------------------------
-# sample_laplace
+# two-sided geometric (discrete Laplace) noise
 # ---------------------------------------------------------------------------
 
+def _pmf(z, scale):
+    """The two-sided geometric pmf (1 - q)/(1 + q) q^|z|, q = e^(-1/scale)."""
+    q = math.exp(-1.0 / scale)
+    return (1.0 - q) / (1.0 + q) * np.power(q, np.abs(z))
+
+
+def _variance(scale):
+    q = math.exp(-1.0 / scale)
+    return 2.0 * q / (1.0 - q) ** 2
+
+
 def test_laplace_rejects_bad_scale():
-    rng = np.random.default_rng(0)
-    for bad in (0.0, -1.0):
+    # scales come from geometric_scale, which refuses any outside (0, MAX_SCALE]
+    for numerator, eps in ((0, 1.0), (4, math.inf), (1 << 60, 1.0), (4, 5e-324)):
         with pytest.raises(ValueError):
-            sample_laplace(bad, rng)
+            geometric_scale(numerator, eps)
+    assert geometric_scale(1 << 52, 1.0) == MAX_SCALE
+
+
+def test_laplace_scale_rounds_up():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        numerator = int(rng.integers(1, 10**6))
+        eps = float(rng.uniform(1e-3, 10.0))
+        scale = geometric_scale(numerator, eps)
+        # never below numerator / eps, and at most one ulp above it
+        assert Fraction(scale) * Fraction(eps) >= numerator
+        assert Fraction(math.nextafter(scale, 0.0)) * Fraction(eps) < numerator
+    assert geometric_scale(4, 0.5) == 8.0  # exact quotients stay exact
 
 
 def test_laplace_moments_and_median():
     rng = np.random.default_rng(4)
-    draws = np.array([sample_laplace(1.0, rng) for _ in range(10**6)])
+    draws = two_sided_geometric(np.full(10**6, 1.0), rng)
+    assert draws.dtype == np.int64
     assert abs(draws.mean()) < 0.01
-    assert abs(np.mean(np.abs(draws) <= math.log(2)) - 0.5) < 0.01
+    # P(Z = 0) = (1 - q)/(1 + q), and the law is symmetric
+    assert np.mean(draws == 0) == pytest.approx(_pmf(0, 1.0), abs=0.002)
+    assert np.mean(draws > 0) == pytest.approx(np.mean(draws < 0), abs=0.002)
 
 
 def test_laplace_variance_scale_two():
     rng = np.random.default_rng(5)
-    draws = np.array([sample_laplace(2.0, rng) for _ in range(10**6)])
-    assert draws.var() == pytest.approx(8.0, abs=0.1)
+    draws = two_sided_geometric(np.full(10**6, 2.0), rng)
+    assert draws.var() == pytest.approx(_variance(2.0), rel=0.01)
 
 
 def test_laplace_ks_against_closed_form():
+    # Kolmogorov-Smirnov distance to the closed-form CDF, against the DKW
+    # bound at p = 1e-3: F(z) = q^-z / (1 + q) below 0, 1 - q^(z+1) / (1 + q) from 0
+    n, scale = 10**6, 1.5
     rng = np.random.default_rng(6)
-    draws = np.array([sample_laplace(1.5, rng) for _ in range(10**6)])
-    res = stats.kstest(draws, stats.laplace(scale=1.5).cdf)
+    draws = np.sort(two_sided_geometric(np.full(n, scale), rng))
+    q = math.exp(-1.0 / scale)
+    z = np.arange(draws[0], draws[-1] + 1)
+    cdf = np.where(z < 0, np.power(q, -z) / (1.0 + q), 1.0 - np.power(q, z + 1) / (1.0 + q))
+    empirical = np.searchsorted(draws, z, side="right") / n
+    assert np.abs(empirical - cdf).max() < math.sqrt(math.log(2 / 1e-3) / (2 * n))
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0, 240.0])
+def test_laplace_chi_square_against_pmf(scale):
+    rng = np.random.default_rng(6)
+    draws = two_sided_geometric(np.full(10**5, scale), rng)
+    # bins: every z whose expected count is at least 5, plus both tails
+    zmax = 0
+    while 10**5 * _pmf(zmax + 1, scale) >= 5:
+        zmax += 1
+    edges = np.arange(-zmax, zmax + 1)
+    observed = np.array([np.count_nonzero(draws < -zmax)]
+                        + [np.count_nonzero(draws == z) for z in edges]
+                        + [np.count_nonzero(draws > zmax)])
+    inner = _pmf(edges, scale)
+    tail = (1.0 - inner.sum()) / 2.0
+    expected = 10**5 * np.concatenate(([tail], inner, [tail]))
+    if tail * 10**5 < 5:  # merge thin tails into their neighbours
+        observed = np.concatenate(([observed[:2].sum()], observed[2:-2], [observed[-2:].sum()]))
+        expected = np.concatenate(([expected[:2].sum()], expected[2:-2], [expected[-2:].sum()]))
+    res = stats.chisquare(observed, expected)
     assert res.pvalue > 1e-3
 
 
 def test_laplace_reproducible():
-    a = [sample_laplace(1.0, np.random.default_rng(7)) for _ in range(50)]
-    b = [sample_laplace(1.0, np.random.default_rng(7)) for _ in range(50)]
-    assert a == b
+    scale = np.linspace(0.5, 500.0, 50)
+    a = two_sided_geometric(scale, np.random.default_rng(7))
+    b = two_sided_geometric(scale, np.random.default_rng(7))
+    assert a.tolist() == b.tolist()
 
-
-# ---------------------------------------------------------------------------
-# sample_neg_exp1
-# ---------------------------------------------------------------------------
 
 def test_laplace_array_matches_scalar_draws():
-    # the count matrix's noise is the row-major run of scalar draws
+    # n entries and then m entries read the stream that n + m do at once
     for seed in range(20):
-        for scale, shape in ((0.5, (1, 0)), (1.0, (1, 1)), (3.0, (17, 1)), (4096.0, (50, 50))):
+        for n, m in ((0, 1), (1, 1), (17, 1), (2500, 1)):
+            scale = np.random.default_rng(100 + seed).uniform(0.5, 4096.0, n + m)
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            params = PrivacyParams(epsilon=4.0 * shape[0] / scale)
-            got = _noisy_counts(np.zeros(shape), params, a)
-            want = np.array([sample_laplace(scale, b) for _ in range(shape[0] * shape[1])],
-                            dtype=np.float64).reshape(shape)
-            assert got.tobytes() == want.tobytes()
+            whole = two_sided_geometric(scale, a)
+            parts = np.concatenate((two_sided_geometric(scale[:n], b),
+                                    two_sided_geometric(scale[n:], b)))
+            assert whole.tolist() == parts.tolist()
             assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -198,16 +251,80 @@ def _zero_uniform_at(seed: int, k: int) -> np.random.Generator:
 
 
 def test_laplace_array_skips_zero_uniforms_like_scalar():
+    # U's zero cell is never decided in float: its image is unbounded, so
+    # the sampler reads U's further bits from the generator's next words
     u = _zero_uniform_at(11, 1).random(6)
     assert u[1] == 0.0 and u[[0, 2, 3, 4, 5]].all()
-    a, b = _zero_uniform_at(11, 1), _zero_uniform_at(11, 1)
-    got = _noisy_counts(np.zeros((2, 2)), PrivacyParams(epsilon=4.0), a)  # scale 2
-    want = [sample_laplace(2.0, b) for _ in range(4)]
-    assert got.ravel().tolist() == want
-    assert np.all(np.isfinite(want))
-    assert a.bit_generator.state == b.bit_generator.state
-    # both skipped the zero: the next uniform is the stream's sixth
-    assert a.random() == u[5]
+    scale = np.array([2.0, 2.0, 2.0])
+    got = two_sided_geometric(scale, _zero_uniform_at(11, 1))
+    rng = _zero_uniform_at(11, 1)
+    cells = rng.random((3, 2))
+    words = iter(rng.bit_generator.random_raw, None)
+    g1 = resolve_cell(2.0, 0, words)  # the entry-0 G2 cell is the zero one
+    assert g1 >= 73  # floor(-2 ln U) with U below 2^-53
+    g = np.floor(-2.0 * np.log(cells + 2.0**-53))
+    assert got[0] == int(g[0, 0]) - g1
+    assert got[1:].tolist() == (g[1:, 0] - g[1:, 1]).astype(int).tolist()
+
+
+def _floor_image(scale, num, bits):
+    """floor(-scale ln U) at U = (num + 1/2) 2^-bits, at 2000 bits."""
+    with mpmath.workprec(2000):
+        u = (mpmath.mpf(num) + mpmath.mpf(0.5)) * mpmath.mpf(2) ** -bits
+        return int(mpmath.floor(-mpmath.mpf(scale) * mpmath.log(u)))
+
+
+def test_resolve_cell_reads_words_only_when_the_cell_is_open():
+    rng = np.random.default_rng(12)
+    for scale in (0.5, 3.0, 240.0, 97160.0):
+        for cell in rng.integers(1, 2**53, 50).tolist():
+            words = iter([])  # a decided cell reads nothing
+            try:
+                got = resolve_cell(scale, cell, words)
+            except StopIteration:
+                continue  # an open cell: covered below
+            assert got == _floor_image(scale, cell, 53)
+
+
+def test_resolve_cell_forced_ambiguous_cell():
+    # the cell holding U = e^(-g/scale) maps onto an interval around g:
+    # U's next bits decide between g - 1 and g
+    for scale, g in ((3.0, 5), (0.5, 1), (240.0, 1000), (97160.0, 12345)):
+        with mpmath.workprec(200):
+            cell = int(mpmath.floor(mpmath.exp(-mpmath.mpf(g) / scale) * 2**53))
+        with pytest.raises(StopIteration):
+            resolve_cell(scale, cell, iter([]))
+        for word in (0, 1 << 63, 2**64 - 1, 0x5DEECE66D):
+            got = resolve_cell(scale, cell, iter([word, 0, 0, 0]))
+            assert got in (g - 1, g)
+            assert got == _floor_image(scale, (cell << 64) | word, 117)
+        assert resolve_cell(scale, cell, iter([0])) == g
+        assert resolve_cell(scale, cell, iter([2**64 - 1])) == g - 1
+
+
+def test_resolve_cell_zero_cell():
+    # U in [0, 2^-53]: zero words keep U's interval at 0, a set bit decides
+    assert resolve_cell(3.0, 0, iter([1 << 63])) == _floor_image(3.0, 1 << 63, 117) == 112
+    assert resolve_cell(3.0, 0, iter([0, 0, 1 << 63])) == 378
+    assert resolve_cell(3.0, 0, iter([0, 0, 1 << 63])) == _floor_image(3.0, 1 << 63, 245)
+    # the top cell: U in [1 - 2^-53, 1] gives G = 0 at any scale below 2^52
+    assert resolve_cell(1e6, 2**53 - 1, iter([])) == 0
+
+
+def test_float_log_within_the_assumed_bound():
+    # the float decision assumes np.log within 2^-44 relative of ln
+    rng = np.random.default_rng(13)
+    cells = np.concatenate((rng.integers(1, 2**53, 2000), np.arange(1, 200),
+                            2**53 - np.arange(1, 200), 2**np.arange(0, 53)))
+    u = cells.astype(np.float64) * 2.0**-53 + 2.0**-53
+    got = np.log(u)
+    with mpmath.workprec(200):
+        for x, lg in zip(u.tolist(), got.tolist()):
+            want = mpmath.log(mpmath.mpf(x))
+            if want == 0:
+                assert lg == 0.0
+            else:
+                assert abs((mpmath.mpf(lg) - want) / want) <= mpmath.mpf(2) ** -44
 
 
 def test_neg_exp1_support():

@@ -34,7 +34,9 @@ from privebc import (
     run_two_process,
 )
 from privebc import protocol
-from privebc.backward import _spanning_core_matrix, _y_ego_sorted
+from privebc.backward import _partial_sum_core, _spanning_core_matrix, _y_ego_sorted
+from privebc.dpnum import geometric_scale, two_sided_geometric
+from privebc.graphs import _x_minus
 from privebc.protocol import HANDSHAKE_MAGIC, WIRE_VERSION, BudgetLedger, _assemble_x
 
 from .conftest import make_pg, random_graph, random_partition
@@ -174,7 +176,7 @@ def test_session_result_fields(mixed_pg):
     assert isinstance(res, SessionResult)
     assert isinstance(res.parts, EbcAccumulator)
     assert res.value == pytest.approx(res.parts.total)
-    assert res.r_size == len(decode_msg(res.frames[0]).R)
+    assert res.r_size == int(decode_msg(res.frames[0]).member.sum())
     assert isinstance(decode_msg(res.frames[1]), BackwardMsg)
 
 
@@ -210,26 +212,26 @@ def _assembly_fixture():
 def test_clamp_mode_restores_denominators():
     view_x, ectx, x1, y1, y2 = _assembly_fixture()
     assert y1 < y2  # columns in ascending id order
-    back = BackwardMsg(T=np.array([[-5.0, 0.5]]), S_Y=0.25)
-    acc, skipped = _assemble_x(view_x, ectx, frozenset({x1}), back,
+    back = BackwardMsg(T=np.array([[-5, 1]]), S_Y=0.25)
+    acc, skipped = _assemble_x(view_x, ectx, np.array([x1]), back,
                                ProtocolConfig(epsilon=1.0))
     # K_x = 1 for both pairs (the path through a); clamp zeroes the -5
     assert skipped == 0
-    assert acc.S_XY == pytest.approx(1.0 / 1.0 + 1.0 / 1.5)
+    assert acc.S_XY == pytest.approx(1.0 / 1.0 + 1.0 / 2.0)
     assert acc.S_Y == 0.25
     assert acc.S_X == 0.0
 
 
 def test_raw_mode_skips_nonpositive_denominators():
     view_x, ectx, x1, y1, y2 = _assembly_fixture()
-    back = BackwardMsg(T=np.array([[-5.0, 0.5]]), S_Y=0.25)
-    acc, skipped = _assemble_x(view_x, ectx, frozenset({x1}), back,
+    back = BackwardMsg(T=np.array([[-5, 1]]), S_Y=0.25)
+    acc, skipped = _assemble_x(view_x, ectx, np.array([x1]), back,
                                ProtocolConfig(epsilon=1.0, clamp_mode="raw"))
     assert skipped == 1
-    assert acc.S_XY == pytest.approx(1.0 / 1.5)
+    assert acc.S_XY == pytest.approx(1.0 / 2.0)
     # exactly zero denominators are skipped too
-    back0 = BackwardMsg(T=np.array([[-1.0, 0.5]]), S_Y=0.0)
-    _, skipped0 = _assemble_x(view_x, ectx, frozenset({x1}), back0,
+    back0 = BackwardMsg(T=np.array([[-1, 1]]), S_Y=0.0)
+    _, skipped0 = _assemble_x(view_x, ectx, np.array([x1]), back0,
                               ProtocolConfig(epsilon=1.0, clamp_mode="raw"))
     assert skipped0 == 1
 
@@ -239,10 +241,10 @@ def test_counts_for_nodes_outside_r_star_are_discarded(mixed_pg):
     g = view_x.graph
     ectx = ego_context(view_x, "a")
     y_ego = sorted(v for v in ectx.N_a if not view_x.is_x(v))
-    r = frozenset(ectx.R_star) | {g.index_of("f")}  # f is X-side, not in N_a
-    base_t = np.ones((len(r), len(y_ego)))
+    r = np.array(sorted(set(ectx.R_star) | {g.index_of("f")}))  # f is X-side, not in N_a
+    base_t = np.ones((r.size, len(y_ego)), dtype=np.int64)
     tampered = base_t.copy()
-    tampered[sorted(r).index(g.index_of("f"))] = 1e12
+    tampered[r.tolist().index(g.index_of("f"))] = 10**12
     cfg = ProtocolConfig(epsilon=1.0)
     acc1, s1 = _assemble_x(view_x, ectx, r, BackwardMsg(T=base_t, S_Y=0.0), cfg)
     acc2, s2 = _assemble_x(view_x, ectx, r, BackwardMsg(T=tampered, S_Y=0.0), cfg)
@@ -255,9 +257,10 @@ def test_missing_rows_start_from_zero(mixed_pg):
     ectx = ego_context(view_x, "a")
     y_ego = sorted(v for v in ectx.N_a if not view_x.is_x(v))
     cfg = ProtocolConfig(epsilon=1.0)
-    acc_none, _ = _assemble_x(view_x, ectx, frozenset(), None, cfg)
-    empty = BackwardMsg(T=np.zeros((0, len(y_ego))), S_Y=0.0)
-    acc_zero, _ = _assemble_x(view_x, ectx, frozenset(), empty, cfg)
+    no_r = np.array([], dtype=np.int64)
+    acc_none, _ = _assemble_x(view_x, ectx, no_r, None, cfg)
+    empty = BackwardMsg(T=np.zeros((0, len(y_ego)), dtype=np.int64), S_Y=0.0)
+    acc_zero, _ = _assemble_x(view_x, ectx, no_r, empty, cfg)
     assert acc_none.S_XY == acc_zero.S_XY == pytest.approx(
         sum(1.0 for _ in ectx.R_star for _ in y_ego))  # all K_x = 1 here
     assert acc_none.S_X == acc_zero.S_X
@@ -265,63 +268,97 @@ def test_missing_rows_start_from_zero(mixed_pg):
 
 # ------------------------------------------------------------ wire format
 
+def _bits(*flags) -> np.ndarray:
+    return np.array(flags, dtype=bool)
+
+
 def test_forward_frame_bytes_empty():
-    frame = encode_msg(ForwardMsg(R=frozenset()))
-    assert frame == struct.pack(">IBBI", 6, 2, 1, 0)
+    frame = encode_msg(ForwardMsg(member=_bits()))
+    assert frame == struct.pack(">IBBI", 6, 3, 1, 0)
     assert len(frame) == 10
-    assert decode_msg(frame) == ForwardMsg(R=frozenset())
+    assert decode_msg(frame).member.size == 0
 
 
 def test_forward_frame_bytes_single_node():
-    frame = encode_msg(ForwardMsg(R=frozenset({5})))
-    assert frame == struct.pack(">IBBIQ", 14, 2, 1, 1, 5)
-    assert len(frame) == 18
+    # X^- of nine nodes, R its first and its last: bits 1000 0000 1(000 0000)
+    frame = encode_msg(ForwardMsg(member=_bits(1, 0, 0, 0, 0, 0, 0, 0, 1)))
+    assert frame == struct.pack(">IBBIBB", 8, 3, 1, 9, 0x80, 0x80)
+    assert len(frame) == 12
+    assert decode_msg(frame).member.tolist() == [True] + [False] * 7 + [True]
+    # the sender's message resolves its bits against its own X^-
+    msg = ForwardMsg(member=_bits(0, 1, 0), x_minus=np.array([2, 5, 7]))
+    assert msg.R == frozenset({5})
+    assert encode_msg(msg) == struct.pack(">IBBIB", 7, 3, 1, 3, 0x40)
 
 
 def _same_msg(a: BackwardMsg, b: BackwardMsg) -> bool:
-    return (a.T.shape == b.T.shape and a.T.tobytes() == b.T.tobytes()
-            and struct.pack(">d", a.S_Y) == struct.pack(">d", b.S_Y))
+    # by value: the 2^-20 grid has one zero, so -0.0 arrives as 0.0
+    return a.T.shape == b.T.shape and a.T.tolist() == b.T.tolist() and a.S_Y == b.S_Y
 
 
 def test_backward_frame_bytes_three_entries():
-    msg = BackwardMsg(T=np.array([[0.5, -2.0, 4.0]]), S_Y=1.25)
+    # every count fits one byte; S_Y = 1.25 is 1.25 * 2^20 grid units
+    msg = BackwardMsg(T=np.array([[5, -2, 127]]), S_Y=1.25)
     frame = encode_msg(msg)
-    want = struct.pack(">IBBII", 42, 2, 2, 1, 3)
-    want += struct.pack(">ddd", 0.5, -2.0, 4.0)
-    want += struct.pack(">d", 1.25)
+    want = struct.pack(">IBBIIB", 22, 3, 2, 1, 3, 1)
+    want += struct.pack(">bbb", 5, -2, 127)
+    want += struct.pack(">q", 1310720)
     assert frame == want
-    assert len(frame) == 46
+    assert len(frame) == 26
     assert _same_msg(decode_msg(frame), msg)
 
 
 def test_backward_frame_bytes_two_by_two():
-    msg = BackwardMsg(T=np.array([[0.5, -2.0], [4.0, 1e-300]]), S_Y=-0.75)
+    # -129 needs two bytes, so the whole matrix goes as >i2
+    msg = BackwardMsg(T=np.array([[5, -129], [4, 0]]), S_Y=-0.75)
     frame = encode_msg(msg)
     want = bytes.fromhex(
-        "00000032" "02" "02" "00000002" "00000002"
-        "3fe0000000000000" "c000000000000000"
-        "4010000000000000" "01a56e1fc2f8f359"
-        "bfe8000000000000")
+        "0000001b" "03" "02" "00000002" "00000002" "02"
+        "0005" "ff7f" "0004" "0000"
+        "fffffffffff40000")
     assert frame == want
-    assert len(frame) == 54
+    assert len(frame) == 31
     got = decode_msg(frame)
     assert _same_msg(got, msg)
-    assert got.T.dtype == np.float64 and got.T.flags.c_contiguous
+    assert got.T.dtype == np.int64 and got.T.flags.c_contiguous
 
 
 def test_backward_frame_bytes_empty_r():
     # R empty: a 0 x d_Y matrix, so only the shape and S_Y travel
-    msg = BackwardMsg(T=np.zeros((0, 3)), S_Y=2.0)
+    msg = BackwardMsg(T=np.zeros((0, 3), dtype=np.int64), S_Y=2.0)
     frame = encode_msg(msg)
-    assert frame == struct.pack(">IBBIId", 18, 2, 2, 0, 3, 2.0)
-    assert len(frame) == 22
+    assert frame == struct.pack(">IBBIIBq", 19, 3, 2, 0, 3, 1, 2 << 20)
+    assert len(frame) == 23
     got = decode_msg(frame)
     assert got.T.shape == (0, 3) and got.S_Y == 2.0
+
+
+def test_backward_frame_widths_follow_the_largest_magnitude():
+    for big, width in ((127, 1), (-128, 1), (128, 2), (-129, 2), (32767, 2), (32768, 4),
+                       (-(2**31), 4), (2**31, 8), (-(2**63), 8), (2**63 - 1, 8)):
+        msg = BackwardMsg(T=np.array([[0, big]], dtype=np.int64), S_Y=0.0)
+        frame = encode_msg(msg)
+        assert frame[14] == width
+        assert len(frame) == 23 + 2 * width
+        assert _same_msg(decode_msg(frame), msg)
+
+
+def test_backward_frame_exact_noiseless_sum():
+    # a noiseless S_Y off the 2^-20 grid travels as its exact f8, flagged
+    # by bit 0x80 of the width code; one on the grid stays a grid count
+    s_y = 1.0 / 3.0
+    frame = encode_msg(BackwardMsg(T=np.array([[1, 2]]), S_Y=s_y))
+    assert frame[14] == 0x81
+    assert frame[-8:] == struct.pack(">d", s_y)
+    assert decode_msg(frame).S_Y == s_y
+    assert encode_msg(BackwardMsg(T=np.array([[1, 2]]), S_Y=1.5))[14] == 1
 
 
 def test_encode_rejects_non_matrix_counts():
     with pytest.raises(ValueError):
         encode_msg(BackwardMsg(T=np.zeros(4), S_Y=0.0))
+    with pytest.raises(ValueError):  # counts are integers
+        encode_msg(BackwardMsg(T=np.array([[0.5]]), S_Y=0.0))
 
 
 def test_seeded_frames_and_values_are_pinned():
@@ -340,14 +377,14 @@ def test_seeded_frames_and_values_are_pinned():
                 for f in res.frames:
                     h.update(f)
                 h.update(repr(res.value).encode())
-    assert h.hexdigest() == "3cc19a6f00f22c1abb07b06318270b51b113a2d0c9ddcba8b7753a2cbaadcbd4"
+    assert h.hexdigest() == "2b4eb3c9273ab4e3f8468cb88f057f2ca5a05e72b09e19ca0e5c3721e6c102b0"
 
 
 def test_seeded_r_sets_and_noiseless_values_are_pinned():
     # the sessions above, without Y's noise: their R sets, the noiseless
     # counts for each R and the values with noiseless replies. The digest
-    # was computed before the wire format and the Laplace sampler changed,
-    # which moved only the noisy values pinned above.
+    # was computed before wire formats v2 and v3 and both changes of Y's
+    # noise sampler, which moved only the noisy values pinned above.
     rng = np.random.default_rng(31)
     h = hashlib.sha256()
     for n in (12, 30, 60):
@@ -360,7 +397,8 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
             for eps in (0.1, 1.0, 7.0):
                 seed = n + int(a)
                 res = run_session(pg, label, ProtocolConfig(epsilon=eps), np.random.default_rng(seed))
-                r_sorted = sorted(decode_msg(res.frames[0]).R)
+                bits = decode_msg(res.frames[0]).member
+                r_sorted = _x_minus(pg, int(a))[bits].tolist()
                 exact = run_session(pg, label,
                                     ProtocolConfig(epsilon=eps, mech_mask=frozenset({"mech1"})),
                                     np.random.default_rng(seed))
@@ -377,22 +415,27 @@ def test_encode_rejects_unknown_type():
         encode_msg("hello")
 
 
-@given(st.frozensets(st.integers(0, 2**64 - 1), max_size=60))
+@given(st.lists(st.booleans(), max_size=70))
 @settings(max_examples=200, deadline=None)
-def test_forward_roundtrip(r):
-    assert decode_msg(encode_msg(ForwardMsg(R=r))) == ForwardMsg(R=r)
+def test_forward_roundtrip(flags):
+    frame = encode_msg(ForwardMsg(member=np.array(flags, dtype=bool)))
+    assert len(frame) == 10 + (len(flags) + 7) // 8
+    assert decode_msg(frame).member.tolist() == flags
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
-@given(st.integers(0, 8), st.integers(0, 8), st.data(), _FINITE)
+@given(st.integers(0, 8), st.integers(0, 8), st.data(),
+       st.one_of(_FINITE, _INT64.map(lambda g: g * 2.0**-20)))
 @settings(max_examples=200, deadline=None)
 def test_backward_roundtrip(rows, cols, data, s_y):
-    values = data.draw(st.lists(_FINITE, min_size=rows * cols, max_size=rows * cols))
-    msg = BackwardMsg(T=np.array(values, dtype=np.float64).reshape(rows, cols), S_Y=s_y)
+    values = data.draw(st.lists(st.one_of(_INT64, st.integers(-200, 200)),
+                                min_size=rows * cols, max_size=rows * cols))
+    msg = BackwardMsg(T=np.array(values, dtype=np.int64).reshape(rows, cols), S_Y=s_y)
     frame = encode_msg(msg)
-    assert len(frame) == 22 + 8 * rows * cols
+    assert len(frame) == 23 + (frame[14] & 0x7F) * rows * cols
     assert _same_msg(decode_msg(frame), msg)
     assert encode_msg(decode_msg(frame)) == frame
 
@@ -408,21 +451,21 @@ def test_decode_error_truncated_header():
 
 
 def test_decode_error_trailing_garbage():
-    frame = encode_msg(ForwardMsg(R=frozenset({1})))
+    frame = encode_msg(ForwardMsg(member=_bits(0, 1)))
     with pytest.raises(DecodeError) as e:
         decode_msg(frame + b"\x00")
     assert _offset_of(e) == len(frame)
 
 
 def test_decode_error_truncated_body():
-    frame = encode_msg(ForwardMsg(R=frozenset({1})))
+    frame = encode_msg(ForwardMsg(member=_bits(0, 1)))
     with pytest.raises(DecodeError) as e:
         decode_msg(frame[:-1])
     assert _offset_of(e) == len(frame) - 1
 
 
 def test_decode_error_bad_version():
-    frame = bytearray(encode_msg(ForwardMsg(R=frozenset())))
+    frame = bytearray(encode_msg(ForwardMsg(member=_bits())))
     frame[4] = 9
     with pytest.raises(DecodeError) as e:
         decode_msg(bytes(frame))
@@ -430,68 +473,95 @@ def test_decode_error_bad_version():
 
 
 def test_decode_error_bad_type():
-    frame = bytearray(encode_msg(ForwardMsg(R=frozenset())))
+    frame = bytearray(encode_msg(ForwardMsg(member=_bits())))
     frame[5] = 7
     with pytest.raises(DecodeError) as e:
         decode_msg(bytes(frame))
     assert _offset_of(e) == 5
 
 
-def test_decode_error_unsorted_forward():
-    payload = struct.pack(">I", 2) + struct.pack(">QQ", 3, 3)
-    frame = struct.pack(">IBB", 2 + len(payload), 2, 1) + payload
-    with pytest.raises(DecodeError) as e:
-        decode_msg(frame)
-    assert _offset_of(e) == 18
+def test_decode_error_forward_padding_bit_set():
+    # 11 bits in two bytes: the last five bits of byte 11 are padding
+    for pad in (0x01, 0x10):
+        frame = struct.pack(">IBBIBB", 8, 3, 1, 11, 0xFF, 0xE0 | pad)
+        with pytest.raises(DecodeError) as e:
+            decode_msg(frame)
+        assert _offset_of(e) == 11
+    assert decode_msg(struct.pack(">IBBIBB", 8, 3, 1, 11, 0xFF, 0xE0)).member.all()
 
 
-def _backward_frame(rows: int, cols: int, values: list[float]) -> bytes:
-    """A hand-built v2 backward frame; values are the matrix, then S_Y."""
-    payload = struct.pack(">II", rows, cols) + struct.pack(f">{len(values)}d", *values)
-    return struct.pack(">IBB", 2 + len(payload), 2, 2) + payload
+def test_decode_error_forward_bitmap_length():
+    # the bitmap must be exactly ceil(n / 8) bytes
+    for n, nbytes in ((9, 1), (8, 2), (0, 1)):
+        frame = struct.pack(">IBBI", 6 + nbytes, 3, 1, n) + b"\x00" * nbytes
+        with pytest.raises(DecodeError) as e:
+            decode_msg(frame)
+        assert _offset_of(e) == 10
+
+
+def _backward_frame(rows: int, cols: int, values: list[int], s_y: int | float = 0,
+                    code: int = 8) -> bytes:
+    """A hand-built v3 backward frame: `values` as width-`code` integers,
+    then S_Y as an i8 grid count (or as an f8 if code has bit 0x80)."""
+    width = code & 0x7F
+    body = b"".join(v.to_bytes(width, "big", signed=True) for v in values)
+    trailer = struct.pack(">d" if code & 0x80 else ">q", s_y)
+    payload = struct.pack(">IIB", rows, cols, code) + body + trailer
+    return struct.pack(">IBB", 2 + len(payload), 3, 2) + payload
 
 
 def test_decode_error_backward_shape_count_mismatch():
     # 2 x 2 announced, 3 values sent (and the reverse): the payload
-    # disagrees with the shape, reported where the matrix starts
-    for rows, cols, values in ((2, 2, [1.0, 2.0, 3.0, 0.0]), (1, 2, [1.0, 2.0, 3.0, 0.0])):
+    # disagrees with |R| * d_Y * width, reported where the matrix starts
+    for rows, cols, values, code in ((2, 2, [1, 2, 3], 8), (1, 2, [1, 2, 3], 8),
+                                     (2, 2, [1, 2, 3, 4], 4), (1, 3, [1, 2, 3, 4], 1)):
+        frame = _backward_frame(rows, cols, values, code=code)
+        if code != 8:  # announce a wider code than the values were packed at
+            frame = frame[:14] + bytes([code * 2]) + frame[15:]
         with pytest.raises(DecodeError) as e:
-            decode_msg(_backward_frame(rows, cols, values))
+            decode_msg(frame)
+        assert _offset_of(e) == 15
+
+
+def test_decode_error_backward_unknown_width_code():
+    frame = bytearray(_backward_frame(1, 2, [1, 2], code=2))
+    for code in (0, 3, 5, 16, 0x80, 0x83, 0xFF):
+        frame[14] = code
+        with pytest.raises(DecodeError) as e:
+            decode_msg(bytes(frame))
         assert _offset_of(e) == 14
 
 
 def test_decode_error_backward_truncated_and_oversized():
-    frame = encode_msg(BackwardMsg(T=np.ones((2, 3)), S_Y=0.5))
+    frame = encode_msg(BackwardMsg(T=np.full((2, 3), 1000), S_Y=0.5))
     with pytest.raises(DecodeError) as e:  # cut inside the matrix
-        decode_msg(frame[:30])
-    assert _offset_of(e) == 30
+        decode_msg(frame[:20])
+    assert _offset_of(e) == 20
     with pytest.raises(DecodeError) as e:  # trailing bytes after the frame
         decode_msg(frame + b"\x00" * 8)
     assert _offset_of(e) == len(frame)
     with pytest.raises(DecodeError) as e:  # a frame with a value too many
-        decode_msg(_backward_frame(2, 3, [1.0] * 8))
-    assert _offset_of(e) == 14
+        decode_msg(_backward_frame(2, 3, [1] * 7))
+    assert _offset_of(e) == 15
     with pytest.raises(DecodeError) as e:  # no room for the shape field
-        decode_msg(struct.pack(">IBBI", 6, 2, 2, 1))
+        decode_msg(struct.pack(">IBBIB", 7, 3, 2, 1, 0))
     assert _offset_of(e) == 6
     # rows * cols beyond any frame is only a mismatch, never an allocation
     with pytest.raises(DecodeError) as e:
-        decode_msg(_backward_frame(2**32 - 1, 2**32 - 1, [0.0]))
-    assert _offset_of(e) == 14
+        decode_msg(_backward_frame(2**32 - 1, 2**32 - 1, [0]))
+    assert _offset_of(e) == 15
 
 
 def test_decode_error_backward_non_finite():
+    # integers cannot be non-finite; a flagged exact S_Y can
     nan, inf = float("nan"), float("inf")
-    cases = [
-        (1, 3, [0.5, nan, inf, 0.0], 14 + 8),  # first offender in the matrix
-        (2, 2, [0.5, 1.0, -inf, 2.0, 0.0], 14 + 16),
-        (1, 3, [0.5, 1.0, 2.0, inf], 14 + 24),  # S_Y
-        (0, 4, [nan], 14),  # S_Y of an empty R
-    ]
-    for rows, cols, values, offset in cases:
+    for rows, cols, values, s_y in ((1, 3, [5, 6, 7], nan), (2, 2, [0] * 4, -inf),
+                                    (0, 4, [], inf)):
+        frame = _backward_frame(rows, cols, values, s_y, code=0x81)
         with pytest.raises(DecodeError) as e:
-            decode_msg(_backward_frame(rows, cols, values))
-        assert _offset_of(e) == offset
+            decode_msg(frame)
+        assert _offset_of(e) == len(frame) - 8
+    assert decode_msg(_backward_frame(1, 1, [3], 0.1, code=0x81)).S_Y == 0.1
 
 
 # ----------------------------------------------------- two-process runs
@@ -514,18 +584,24 @@ def _run_y(view, a, config, seed, address, transcript=None, box=None):
             raise
 
 
+def _children(seed: int) -> list[np.random.Generator]:
+    """The generators run_session spawns for X and Y from seed."""
+    return np.random.default_rng(seed).spawn(2)
+
+
 def test_two_process_matches_in_process(mixed_pg):
     cfg = ProtocolConfig(epsilon=0.9)
     seed = 123
     want = run_session(mixed_pg, "a", cfg, np.random.default_rng(seed))
 
+    rng_x, rng_y = _children(seed)
     address = ("127.0.0.1", _free_port())
     tx: list = []
     ty: list = []
     yt = threading.Thread(target=_run_y,
-                          args=(mixed_pg.view_y(), "a", cfg, seed, address, ty))
+                          args=(mixed_pg.view_y(), "a", cfg, rng_y, address, ty))
     yt.start()
-    got = run_two_process("X", address, mixed_pg.view_x(), "a", cfg, seed,
+    got = run_two_process("X", address, mixed_pg.view_x(), "a", cfg, rng_x,
                           transcript=tx)
     yt.join(timeout=30)
     assert not yt.is_alive()
@@ -541,13 +617,14 @@ def test_two_process_forked_process(mixed_pg):
     cfg = ProtocolConfig(epsilon=1.1, clamp_mode="raw")
     seed = 321
     want = run_session(mixed_pg, "a", cfg, np.random.default_rng(seed))
+    rng_x, rng_y = _children(seed)
     address = ("127.0.0.1", _free_port())
     mp = multiprocessing.get_context("fork")
     proc = mp.Process(target=run_two_process,
-                      args=("Y", address, mixed_pg.view_y(), "a", cfg, seed))
+                      args=("Y", address, mixed_pg.view_y(), "a", cfg, rng_y))
     proc.start()
     try:
-        got = run_two_process("X", address, mixed_pg.view_x(), "a", cfg, seed)
+        got = run_two_process("X", address, mixed_pg.view_x(), "a", cfg, rng_x)
     finally:
         proc.join(timeout=30)
     assert proc.exitcode == 0
@@ -560,13 +637,14 @@ def test_two_process_degenerate_skips_backward():
     cfg = ProtocolConfig(epsilon=0.5)
     seed = 5
     want = run_session(pg, "a", cfg, np.random.default_rng(seed))
+    rng_x, rng_y = _children(seed)
     address = ("127.0.0.1", _free_port())
     tx: list = []
     ty: list = []
     yt = threading.Thread(target=_run_y,
-                          args=(pg.view_y(), "a", cfg, seed, address, ty))
+                          args=(pg.view_y(), "a", cfg, rng_y, address, ty))
     yt.start()
-    got = run_two_process("X", address, pg.view_x(), "a", cfg, seed, transcript=tx)
+    got = run_two_process("X", address, pg.view_x(), "a", cfg, rng_x, transcript=tx)
     yt.join(timeout=30)
     assert got == want.value
     assert [k for k, _ in tx] == ["sent-forward"]
@@ -598,14 +676,15 @@ def test_two_process_no_y_nodes():
     seed = 8
     want = run_session(pg, "a", cfg, np.random.default_rng(seed))
     assert want.degenerate == "no-y-nodes"
+    rng_x, rng_y = _children(seed)
     address = ("127.0.0.1", _free_port())
     tx: list = []
     ty: list = []
     box: list = []
     yt = threading.Thread(target=_run_y,
-                          args=(pg.view_y(), "a", cfg, seed, address, ty, box))
+                          args=(pg.view_y(), "a", cfg, rng_y, address, ty, box))
     yt.start()
-    got = run_two_process("X", address, pg.view_x(), "a", cfg, seed, transcript=tx)
+    got = run_two_process("X", address, pg.view_x(), "a", cfg, rng_x, transcript=tx)
     yt.join(timeout=30)
     assert not yt.is_alive() and box == []
     assert tx == [] and ty == []
@@ -679,37 +758,95 @@ def test_silent_peer_times_out_on_either_side(mixed_pg, monkeypatch):
         st.join(timeout=30)
 
 
-def test_two_process_handshake_rejects_v1_peer(mixed_pg):
+def _handshake_refuses(pg, version: int) -> None:
+    """Both sides turn away a peer that says hello with `version`."""
     cfg = ProtocolConfig(epsilon=0.9)
-    # Y answers a v1 hello with its own version and then refuses
+    # Y answers the old hello with its own version and then refuses
     address = ("127.0.0.1", _free_port())
     box: list = []
     yt = threading.Thread(target=_run_y,
-                          args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
+                          args=(pg.view_y(), "a", cfg, 1, address, None, box))
     yt.start()
     with protocol._connect(address) as sock:
-        sock.sendall(HANDSHAKE_MAGIC + b"\x01")
+        sock.sendall(HANDSHAKE_MAGIC + bytes([version]))
         assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
     yt.join(timeout=30)
     assert len(box) == 1 and isinstance(box[0], HandshakeError)
-    # X refuses a Y that answers with version 1
+    # X refuses a Y that answers with the old version
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
 
-    def serve_v1():
+    def serve_old():
         with listener:
             conn, _ = listener.accept()
             with conn:
                 conn.recv(5)
-                conn.sendall(HANDSHAKE_MAGIC + b"\x01")
+                conn.sendall(HANDSHAKE_MAGIC + bytes([version]))
                 conn.recv(1)
 
-    st = threading.Thread(target=serve_v1)
+    st = threading.Thread(target=serve_old)
     st.start()
     with pytest.raises(HandshakeError):
-        run_two_process("X", listener.getsockname(), mixed_pg.view_x(), "a", cfg, 1)
+        run_two_process("X", listener.getsockname(), pg.view_x(), "a", cfg, 1)
     st.join(timeout=30)
+
+
+def test_two_process_handshake_rejects_v1_peer(mixed_pg):
+    _handshake_refuses(mixed_pg, 1)
+
+
+def test_two_process_handshake_rejects_v2_peer(mixed_pg):
+    # v2 sent R as ids and Y's reply as floats; a v3 party speaks neither
+    assert WIRE_VERSION == 3
+    _handshake_refuses(mixed_pg, 2)
+
+
+def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
+    # X's half builds exactly one generator, from X's own seed, and never
+    # spawns from it: nothing X holds reproduces Y's noise, so subtracting
+    # a regenerated draw (what a shared seed allowed) recovers nothing
+    cfg = ProtocolConfig(epsilon=0.5)
+    seed_x, seed_y = 7, 9
+    address = ("127.0.0.1", _free_port())
+    mp = multiprocessing.get_context("fork")
+    proc = mp.Process(target=run_two_process,
+                      args=("Y", address, mixed_pg.view_y(), "a", cfg, seed_y))
+    proc.start()
+    built: list = []
+    real_default_rng = np.random.default_rng
+
+    def recording_default_rng(*args, **kwargs):
+        rng = real_default_rng(*args, **kwargs)
+        built.append((args, rng))
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    tx: list = []
+    try:
+        run_two_process("X", address, mixed_pg.view_x(), "a", cfg, seed_x, transcript=tx)
+    finally:
+        monkeypatch.undo()
+        proc.join(timeout=30)
+    assert proc.exitcode == 0
+    assert [args for args, _ in built] == [(seed_x,)]
+    assert built[0][1].bit_generator.seed_seq.n_children_spawned == 0
+
+    # Y's noise, recovered with the whole graph, is none that X can derive
+    g = mixed_pg.graph
+    a_idx = g.index_of("a")
+    x_minus = _x_minus(mixed_pg, a_idx)
+    r_sorted = x_minus[decode_msg(tx[0][1]).member]
+    y_ego = _y_ego_sorted(mixed_pg, a_idx)
+    back = decode_msg(tx[1][1])
+    noise = back.T - _spanning_core_matrix(mixed_pg.view_y(), r_sorted, y_ego).astype(np.int64)
+    scale = np.full(noise.size, geometric_scale(4 * r_sorted.size, cfg.epsilon))
+    for guess in (np.random.default_rng(seed_x), np.random.default_rng(seed_x).spawn(2)[1],
+                  np.random.default_rng(seed_y).spawn(2)[1]):
+        assert two_sided_geometric(scale, guess).tolist() != noise.ravel().tolist()
+    # Y's own generator does reproduce it: the release is Y's draw alone
+    mine = two_sided_geometric(scale, np.random.default_rng(seed_y))
+    assert mine.tolist() == noise.ravel().tolist()
 
 
 def _fake_x(address, payload: bytes) -> bytes:
@@ -756,50 +893,63 @@ def _fake_y_session(pg, cfg, reply) -> None:
     assert not box
 
 
-def _bad_forward_sets(pg):
-    g = pg.graph
-    return [frozenset({g.n}), frozenset({2**64 - 1}), frozenset({g.index_of("b")}),
-            frozenset({g.index_of("a")}), frozenset({g.index_of("e"), g.index_of("c")})]
+def _bad_forward_bits(pg):
+    """Forward bits over anything but X^- = {e, f, g} (bad), and one
+    well-formed set over it for contrast."""
+    x_minus = _x_minus(pg, pg.graph.index_of("a"))
+    assert x_minus.size == 3
+    return [_bits(), _bits(1, 1), _bits(0, 0, 0, 1), _bits(*[1] * 11)]
 
 
 def test_y_refuses_forward_set_outside_x_minus(mixed_pg):
-    # an id >= n, a Y node or the ego in R would make Y's counts depend on
-    # edges the 2|R| sensitivity bound does not cover
+    # Y reads the bits against its own X^-, so they cannot name the ego,
+    # a Y node or an id >= n; bits over any other number of nodes would
+    # leave that reading undefined, and are refused at the count field
     view_y = mixed_pg.view_y()
     a_idx = mixed_pg.graph.index_of("a")
     y_ego = _y_ego_sorted(view_y, a_idx)
     cfg = ProtocolConfig(epsilon=1.0)
-    for r in _bad_forward_sets(mixed_pg):
+    for bits in _bad_forward_bits(mixed_pg):
         ledger = BudgetLedger()
-        with pytest.raises(ProtocolError):
-            protocol._backward_stage(view_y, a_idx, y_ego, r, cfg, np.random.default_rng(0), ledger)
+        with pytest.raises(DecodeError) as e:
+            protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=bits), cfg,
+                                     np.random.default_rng(0), ledger)
+        assert _offset_of(e) == 6
         assert ledger.events == []
     g = mixed_pg.graph
-    x_minus = frozenset({g.index_of("e"), g.index_of("f"), g.index_of("g")})
-    back = protocol._backward_stage(view_y, a_idx, y_ego, x_minus, cfg,
+    back = protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=_bits(1, 0, 1)), cfg,
                                     np.random.default_rng(0), BudgetLedger())
-    assert back.T.shape == (3, y_ego.size)
+    assert back.T.shape == (2, y_ego.size)
+    # the rows are e and g, the ascending ids of X^-'s first and last node
+    core = _spanning_core_matrix(view_y, np.array([g.index_of("e"), g.index_of("g")]), y_ego)
+    noiseless = protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=_bits(1, 0, 1)),
+                                         ProtocolConfig(epsilon=1.0, mech_mask=frozenset()),
+                                         None, BudgetLedger())
+    assert noiseless.T.tolist() == core.tolist()
 
 
 def test_y_refuses_forward_set_outside_x_minus_over_tcp(mixed_pg):
+    # n != |V_X| - 1 on Y's side, and a bitmap with a padding bit set
     cfg = ProtocolConfig(epsilon=1.0)
-    for r in _bad_forward_sets(mixed_pg):
+    frames = [(encode_msg(ForwardMsg(member=bits)), 6) for bits in _bad_forward_bits(mixed_pg)[:3]]
+    frames.append((struct.pack(">IBBIB", 7, 3, 1, 3, 0b10110000), 10))
+    for frame, offset in frames:
         address = ("127.0.0.1", _free_port())
         box: list = []
         yt = threading.Thread(target=_run_y,
                               args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
         yt.start()
-        payload = struct.pack(f">IBBI{len(r)}Q", 6 + 8 * len(r), 2, 1, len(r), *sorted(r))
-        assert _fake_x(address, payload) == b""  # no backward frame
+        assert _fake_x(address, frame) == b""  # no backward frame
         yt.join(timeout=30)
-        assert len(box) == 1 and isinstance(box[0], ProtocolError)
+        assert len(box) == 1 and isinstance(box[0], DecodeError)
+        assert box[0].offset == offset
 
 
 def test_y_refuses_oversized_frame_before_reading_it(mixed_pg):
-    # Y's bound is the forward frame for R = X^-, 10 + 8 * 3 = 34 bytes
-    # here: a length field of 31 is one byte over
+    # Y's bound is the forward frame over |X^-| = 3 nodes, 10 + 1 = 11
+    # bytes here: a length field of 8 is one byte over
     cfg = ProtocolConfig(epsilon=1.0)
-    for length in (0xFFFFFFFF, 31):
+    for length in (0xFFFFFFFF, 8):
         address = ("127.0.0.1", _free_port())
         box: list = []
         yt = threading.Thread(target=_run_y,
@@ -812,10 +962,10 @@ def test_y_refuses_oversized_frame_before_reading_it(mixed_pg):
 
 
 def test_x_refuses_oversized_frame_before_reading_it(mixed_pg):
-    # R = R* = {e} without mech1: X's bound is the 1 x 3 frame, 46 bytes,
-    # so a length field of 43 is one byte over
+    # R = R* = {e} without mech1: X's bound is the 1 x 3 frame at width 8,
+    # 23 + 24 = 47 bytes, so a length field of 44 is one byte over
     cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
-    for length in (0xFFFFFFFF, 43):
+    for length in (0xFFFFFFFF, 44):
         with pytest.raises(ProtocolError):
             _fake_y_session(mixed_pg, cfg, lambda fwd, length=length: struct.pack(">I", length))
 
@@ -824,18 +974,20 @@ def test_x_refuses_backward_matrix_of_wrong_shape(mixed_pg):
     cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
     for shape in ((3, 1), (0, 3), (1, 2)):  # not (|R|, d_Y) = (1, 3)
         reply = (lambda fwd, shape=shape:
-                 encode_msg(BackwardMsg(T=np.zeros(shape), S_Y=0.0)))
+                 encode_msg(BackwardMsg(T=np.zeros(shape, dtype=np.int64), S_Y=0.0)))
         with pytest.raises(ProtocolError):
             _fake_y_session(mixed_pg, cfg, reply)
 
 
 def test_x_refuses_non_finite_backward_values(mixed_pg):
     cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
-    for values in ([0.0, math.nan, 0.0, 0.0], [0.0, 0.0, 0.0, -math.inf]):
+    for s_y in (math.nan, -math.inf):
         with pytest.raises(DecodeError):
-            _fake_y_session(mixed_pg, cfg, lambda fwd, v=values: _backward_frame(1, 3, v))
+            _fake_y_session(mixed_pg, cfg,
+                            lambda fwd, v=s_y: _backward_frame(1, 3, [0, 0, 0], v, code=0x81))
     # the same stand-in with a well-formed reply completes the session
-    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0.0, 0.0, 0.0, 0.0]))
+    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0, 0, 0], 0.5, code=0x81))
+    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0, 0, 0], 7))
 
 
 def test_two_process_rejects_unknown_role(mixed_pg):
