@@ -107,6 +107,7 @@ _CELL = 2.0**-53  # U's first 53 bits pick a cell of this width
 # the correctly rounded operations after it.
 _WIDEN = 2.0**-43
 _GROW = (1.0 + _WIDEN) / (1.0 - _WIDEN)
+_SLICE = 1 << 15  # uniforms per slice of the sampler's arithmetic (even)
 
 
 def geometric_scale(numerator: int, epsilon: float) -> float:
@@ -128,35 +129,45 @@ def two_sided_geometric(scale: np.ndarray, rng: np.random.Generator) -> np.ndarr
     G1 and G2 are independent with P(G = g) = (1 - q) q^g, q =
     exp(-1/scale), so P(G1 - G2 = z) = (1 - q)/(1 + q) q^|z|. Each G is
     floor(-scale ln U) for U uniform on (0, 1). One rng.random call
-    reads the first 53 bits of every U, two per entry in entry order, so
-    drawing n entries and then m equals drawing n + m at once. Float64
-    decides G wherever U's cell maps, widened by the bound on np.log's
-    error, onto an interval that holds no integer; the rest (about one
-    draw in 4 * 10^10 at scale 100, and always the zero cell) go to
-    `resolve_cell`, which reads further bits of U from the generator.
+    reads the first 53 bits of every U, two per entry in entry order.
+    Float64 decides G wherever U's cell maps, widened by the bound on
+    np.log's error, onto an interval that holds no integer; the rest
+    (about one draw in 4 * 10^10 at scale 100, and always the zero cell)
+    go to `resolve_cell`, which reads further bits of U from the
+    generator's next words, in entry order, after all the uniforms.
+    Drawing n entries and then m therefore equals drawing n + m at once
+    only if none of the first n has an open cell: the words such a cell
+    reads shift the second draw. The arithmetic runs in slices of
+    _SLICE uniforms, which stay in cache however long the reply.
     """
     u = rng.random(2 * scale.size)  # G1, G2 of entry i read u[2i], u[2i + 1]
-    c = np.repeat(scale * -(1.0 - _WIDEN), 2)
-    lo = u + _CELL
-    np.log(lo, out=lo)  # ln of the cell's upper end
-    lo *= c  # the image's lower end, shrunk
-    # cell k's image is at most scale / k wide; the zero cell's is unbounded
-    c *= _CELL
-    with np.errstate(divide="ignore"):
-        np.divide(c, u, out=c)
-    hi = np.subtract(lo, c, out=c)
-    hi *= _GROW  # the image's upper end, grown
-    np.floor(lo, out=lo)
-    np.floor(hi, out=hi)
-    # a decided G is below 2^53, so the float difference is exact
-    z = (lo[0::2] - lo[1::2]).astype(np.int64)
-    open_cells = lo != hi
-    if open_cells.any():
-        words = iter(rng.bit_generator.random_raw, None)
-        for i in np.unique(np.flatnonzero(open_cells) // 2).tolist():
-            g1, g2 = (resolve_cell(float(scale[i]), int(u[k] * 2.0**53), words)
-                      if open_cells[k] else int(lo[k]) for k in (2 * i, 2 * i + 1))
-            z[i] = g1 - g2
+    z = np.empty(scale.size, dtype=np.int64)
+    words = None
+    for start in range(0, u.size, _SLICE):
+        cells = u[start:start + _SLICE]
+        first = start // 2
+        c = np.repeat(scale[first:first + _SLICE // 2] * -(1.0 - _WIDEN), 2)
+        lo = cells + _CELL
+        np.log(lo, out=lo)  # ln of the cell's upper end
+        lo *= c  # the image's lower end, shrunk
+        # cell k's image is at most scale / k wide; the zero cell's is unbounded
+        c *= _CELL
+        with np.errstate(divide="ignore"):
+            np.divide(c, cells, out=c)
+        hi = np.subtract(lo, c, out=c)
+        hi *= _GROW  # the image's upper end, grown
+        np.floor(lo, out=lo)
+        np.floor(hi, out=hi)
+        # a decided G is below 2^53, so the float difference is exact
+        z[first:first + lo.size // 2] = lo[0::2] - lo[1::2]
+        open_cells = lo != hi
+        if open_cells.any():
+            if words is None:
+                words = iter(rng.bit_generator.random_raw, None)
+            for i in np.unique(np.flatnonzero(open_cells) // 2).tolist():
+                g1, g2 = (resolve_cell(float(scale[first + i]), int(cells[k] * 2.0**53), words)
+                          if open_cells[k] else int(lo[k]) for k in (2 * i, 2 * i + 1))
+                z[first + i] = g1 - g2
     return z
 
 

@@ -61,7 +61,10 @@ class ForwardMsg:
 
     @property
     def R(self) -> frozenset[int]:
-        """R as dense node indices (the sender's message only)."""
+        """R as dense node indices; only the sender's message has them."""
+        if self.x_minus is None:
+            raise ValueError("a decoded forward message holds R's bits only; "
+                             "read them against the receiver's X^-")
         return frozenset(self.x_minus[self.member].tolist())
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .backward import SUM_GRID_BITS, BackwardMsg, DegenerateEgoError, _reply, _y_ego_sorted
+from .backward import BackwardMsg, DegenerateEgoError, _reply, _y_ego_sorted
 from .dpnum import DEFAULT_CONTEXT, PrivacyParams
 from .forward import ForwardMsg, _membership, forward_message_from_context
 from .graphs import (
@@ -140,11 +140,12 @@ class SessionResult:
 #                    first; padding bits zero
 # type 2 (backward): u32 rows | u32 cols | u8 width code |
 #                    rows * cols integers of that width, row-major |
-#                    S_Y as an i8 count of 2^-20 units
+#                    S_Y as an f8
 # Width codes 1, 2, 4 and 8 give the matrix as >i1, >i2, >i4 or >i8, the
 # narrowest that holds its values, so a frame's length depends on the
-# released values only. Code bit 0x80 marks a noiseless (non-private) S_Y
-# off the grid, which then travels as its exact f8 and must be finite.
+# released values only. A noisy S_Y is its grid count times 2^-20,
+# which an f8 holds exactly for any count below 2^53 in magnitude; a
+# noiseless S_Y travels as the float it is. S_Y must be finite.
 # Both parties know X^-, and the backward matrix's rows and columns are
 # the ascending ids of R and of the ego's Y-side neighbours, so no id is
 # ever sent.
@@ -154,9 +155,7 @@ TYPE_FORWARD = 1
 TYPE_BACKWARD = 2
 HANDSHAKE_MAGIC = b"PEBC"
 
-_EXACT_SUM = 0x80
 _WIDTHS = (1, 2, 4, 8)
-_GRID = 2.0**SUM_GRID_BITS
 
 
 def _forward_frame_size(n: int) -> int:
@@ -190,18 +189,11 @@ def encode_msg(msg: ForwardMsg | BackwardMsg) -> bytes:
         raise ValueError(f"T must be a matrix, got {t.ndim} dimensions")
     if t.dtype.kind != "i":
         raise ValueError(f"T must hold signed integers, got {t.dtype}")
-    code = _width(t)
-    grid = msg.S_Y * _GRID
-    if grid.is_integer() and abs(grid) < 2.0**63:
-        trailer = struct.pack(">q", int(grid))
-    else:
-        code |= _EXACT_SUM
-        trailer = struct.pack(">d", msg.S_Y)
-    body = t.astype(f">i{code & ~_EXACT_SUM}")
-    head = struct.pack(">IBBIIB", 11 + body.nbytes + len(trailer), WIRE_VERSION,
-                       TYPE_BACKWARD, *t.shape, code)
+    width = _width(t)
+    body = t.astype(f">i{width}")
+    head = struct.pack(">IBBIIB", 19 + body.nbytes, WIRE_VERSION, TYPE_BACKWARD, *t.shape, width)
     # one join copies the body once, however large the frame
-    return b"".join((head, body, trailer))
+    return b"".join((head, body, struct.pack(">d", msg.S_Y)))
 
 
 def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
@@ -232,22 +224,18 @@ def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
     if mtype == TYPE_BACKWARD:
         if len(payload) < 9:
             raise DecodeError(6, "truncated shape field")
-        rows, cols, code = struct.unpack_from(">IIB", payload, 0)
-        width = code & ~_EXACT_SUM
+        rows, cols, width = struct.unpack_from(">IIB", payload, 0)
         if width not in _WIDTHS:
-            raise DecodeError(14, f"unknown width code {code:#x}")
+            raise DecodeError(14, f"unknown width code {width:#x}")
         need = 17 + rows * cols * width
         if len(payload) != need:
             raise DecodeError(15, f"{rows} x {cols} matrix of width {width} needs a "
                                   f"{need}-byte payload, got {len(payload)}")
         t = np.frombuffer(payload, dtype=f">i{width}", count=rows * cols, offset=9)
         t = t.astype(np.int64).reshape(rows, cols)
-        if code & _EXACT_SUM:
-            (s_y,) = struct.unpack_from(">d", payload, need - 8)
-            if not math.isfinite(s_y):
-                raise DecodeError(6 + need - 8, "S_Y is not finite")
-        else:
-            s_y = struct.unpack_from(">q", payload, need - 8)[0] / _GRID
+        (s_y,) = struct.unpack_from(">d", payload, need - 8)
+        if not math.isfinite(s_y):
+            raise DecodeError(6 + need - 8, "S_Y is not finite")
         return BackwardMsg(T=t, S_Y=s_y)
     raise DecodeError(5, f"unknown message type {mtype}")
 
@@ -273,13 +261,12 @@ def _backward_stage(view_y: PartyView, a_idx: int, y_ego: np.ndarray, fwd: Forwa
     """Y's reply to the forward message, whose bits Y reads against its
     own X^- = V_X minus {a}: a bitmap cannot name any other id, so the
     counts depend only on edges the noise's sensitivity bound covers.
-    Bits over any other number of nodes are refused, at the forward
-    frame's count field."""
+    Bits over any other number of nodes are refused."""
     if y_ego.size < 2:
         raise DegenerateEgoError("backward stage invoked on a gated case")
     x_minus = _x_minus(view_y, a_idx)
     if fwd.member.size != x_minus.size:
-        raise DecodeError(6, f"forward bits cover {fwd.member.size} nodes, X^- has {x_minus.size}")
+        raise ProtocolError(f"forward bits cover {fwd.member.size} nodes, X^- has {x_minus.size}")
     noisy_t = "mech2" in config.mech_mask
     noisy_sy = "mech3" in config.mech_mask
     back = _reply(view_y, y_ego, x_minus[fwd.member], PrivacyParams(epsilon=config.epsilon),
@@ -408,7 +395,10 @@ def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig
             fwd = _forward_stage(view_x, ectx, config, rng_x, ledger)
             _send(sock, fwd, log)
         else:
-            fwd = _receive(sock, ForwardMsg, _forward_frame_size(held.vx_indices.size - 1), log)
+            n = held.vx_indices.size - 1  # |X^-|
+            fwd = _receive(sock, ForwardMsg, _forward_frame_size(n), log)
+            if fwd.member.size != n:
+                raise DecodeError(6, f"forward bits cover {fwd.member.size} nodes, X^- has {n}")
     if degenerate == "":
         view_y = _held(held, "Y")
         if view_y is not None:
@@ -537,14 +527,16 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
     """Run one party's half of a session over a framed TCP connection.
 
     role must be the view's party: X connects to address, Y listens on
-    it. seed is this party's own, an int or a Generator that only this
-    role holds, and np.random.default_rng(seed) is the one generator the
-    half builds: the peer's noise never derives from it, so X cannot
-    regenerate and subtract Y's. Handing each role the child that
-    run_session spawns for it replays an in-process session bit for
-    bit. X returns the EBC estimate; Y returns None. Each party only
-    ever holds its own view, so the other side's internal edges are
-    absent from its process by construction. Y waiting longer than
+    it. seed is this party's own: a Generator, used as it is, or an int,
+    from which the half builds only its role's child, the generator that
+    run_session(..., np.random.default_rng(seed)) spawns for it (X the
+    first, Y the second). The half builds no other generator, so X
+    given a seed of its own cannot regenerate and subtract Y's noise.
+    Handing both halves run_session's int seed, or each role its spawned
+    child, replays an in-process session bit for bit. X returns the EBC
+    estimate; Y returns None. Each party only ever holds its own view,
+    so the other side's internal edges are absent from its process by
+    construction. Y waiting longer than
     IO_TIMEOUT_S for X to connect, or either side waiting that long for
     the peer's next bytes, raises ProtocolError; X that has not
     connected within IO_TIMEOUT_S raises ConnectionError.
@@ -552,6 +544,8 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
     if role != view.party:
         raise ValueError(f"role must be the view's party {view.party!r}, got {role!r}")
     a_idx = _x_ego_index(view, a)
+    if not isinstance(seed, np.random.Generator):
+        seed = np.random.SeedSequence(seed, spawn_key=(0 if role == "X" else 1,))
     rng = np.random.default_rng(seed)
     rng_x, rng_y = (rng, None) if role == "X" else (None, rng)
     open_link, greet = (_connect, _handshake) if role == "X" else (_accept, _handshake_accept)

@@ -19,7 +19,7 @@ from privebc import (
     sample_neg_exp1,
     stratum_distribution,
 )
-from privebc.dpnum import MAX_SCALE, geometric_scale, resolve_cell, two_sided_geometric
+from privebc.dpnum import _SLICE, MAX_SCALE, geometric_scale, resolve_cell, two_sided_geometric
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,8 @@ def test_laplace_reproducible():
 
 
 def test_laplace_array_matches_scalar_draws():
-    # n entries and then m entries read the stream that n + m do at once
+    # n entries and then m entries read the stream that n + m do at once,
+    # while no cell among the first n is open
     for seed in range(20):
         for n, m in ((0, 1), (1, 1), (17, 1), (2500, 1)):
             scale = np.random.default_rng(100 + seed).uniform(0.5, 4096.0, n + m)
@@ -232,6 +233,19 @@ def test_laplace_array_matches_scalar_draws():
                                     two_sided_geometric(scale[n:], b)))
             assert whole.tolist() == parts.tolist()
             assert a.bit_generator.state == b.bit_generator.state
+    # an open cell reads further words right after its own batch's
+    # uniforms, so a split draw then shifts the second batch: entry 0's
+    # G2 reads U's zero cell here
+    scale = np.full(5, 2.0)
+    whole = two_sided_geometric(scale, _zero_uniform_at(11, 1))
+    b = _zero_uniform_at(11, 1)
+    first, second = two_sided_geometric(scale[:3], b), two_sided_geometric(scale[3:], b)
+    c = _zero_uniform_at(11, 1)
+    c.random(6)
+    resolve_cell(2.0, 0, iter(c.bit_generator.random_raw, None))
+    assert second.tolist() == two_sided_geometric(scale[3:], c).tolist()
+    assert first[1:].tolist() == whole[1:3].tolist()
+    assert first[0] != whole[0] and second.tolist() != whole[3:].tolist()
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -265,6 +279,21 @@ def test_laplace_array_skips_zero_uniforms_like_scalar():
     g = np.floor(-2.0 * np.log(cells + 2.0**-53))
     assert got[0] == int(g[0, 0]) - g1
     assert got[1:].tolist() == (g[1:, 0] - g[1:, 1]).astype(int).tolist()
+
+
+def test_laplace_open_cell_in_a_later_slice():
+    # the arithmetic runs slice by slice; a zero cell in the second slice
+    # still reads its words after all of the reply's uniforms
+    n = _SLICE  # two slices of uniforms
+    k = _SLICE + 3  # entry k // 2's G2
+    scale = 2.0 + np.arange(n) % 7
+    got = two_sided_geometric(scale, _zero_uniform_at(11, k))
+    rng = _zero_uniform_at(11, k)
+    cells = rng.random((n, 2))
+    assert cells[k // 2, 1] == 0.0
+    g = np.floor(-scale[:, None] * np.log(cells + 2.0**-53)).astype(np.int64)
+    g[k // 2, 1] = resolve_cell(scale[k // 2], 0, iter(rng.bit_generator.random_raw, None))
+    assert got.tolist() == (g[:, 0] - g[:, 1]).tolist()
 
 
 def _floor_image(scale, num, bits):

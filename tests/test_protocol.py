@@ -285,6 +285,8 @@ def test_forward_frame_bytes_single_node():
     assert frame == struct.pack(">IBBIBB", 8, 3, 1, 9, 0x80, 0x80)
     assert len(frame) == 12
     assert decode_msg(frame).member.tolist() == [True] + [False] * 7 + [True]
+    with pytest.raises(ValueError):  # only the sender knows which ids the bits name
+        decode_msg(frame).R
     # the sender's message resolves its bits against its own X^-
     msg = ForwardMsg(member=_bits(0, 1, 0), x_minus=np.array([2, 5, 7]))
     assert msg.R == frozenset({5})
@@ -292,17 +294,18 @@ def test_forward_frame_bytes_single_node():
 
 
 def _same_msg(a: BackwardMsg, b: BackwardMsg) -> bool:
-    # by value: the 2^-20 grid has one zero, so -0.0 arrives as 0.0
-    return a.T.shape == b.T.shape and a.T.tolist() == b.T.tolist() and a.S_Y == b.S_Y
+    # S_Y bit for bit, so -0.0 must arrive as -0.0
+    return (a.T.shape == b.T.shape and a.T.tolist() == b.T.tolist()
+            and struct.pack(">d", a.S_Y) == struct.pack(">d", b.S_Y))
 
 
 def test_backward_frame_bytes_three_entries():
-    # every count fits one byte; S_Y = 1.25 is 1.25 * 2^20 grid units
+    # every count fits one byte; S_Y follows as an f8
     msg = BackwardMsg(T=np.array([[5, -2, 127]]), S_Y=1.25)
     frame = encode_msg(msg)
     want = struct.pack(">IBBIIB", 22, 3, 2, 1, 3, 1)
     want += struct.pack(">bbb", 5, -2, 127)
-    want += struct.pack(">q", 1310720)
+    want += struct.pack(">d", 1.25)
     assert frame == want
     assert len(frame) == 26
     assert _same_msg(decode_msg(frame), msg)
@@ -315,7 +318,7 @@ def test_backward_frame_bytes_two_by_two():
     want = bytes.fromhex(
         "0000001b" "03" "02" "00000002" "00000002" "02"
         "0005" "ff7f" "0004" "0000"
-        "fffffffffff40000")
+        "bfe8000000000000")
     assert frame == want
     assert len(frame) == 31
     got = decode_msg(frame)
@@ -327,7 +330,7 @@ def test_backward_frame_bytes_empty_r():
     # R empty: a 0 x d_Y matrix, so only the shape and S_Y travel
     msg = BackwardMsg(T=np.zeros((0, 3), dtype=np.int64), S_Y=2.0)
     frame = encode_msg(msg)
-    assert frame == struct.pack(">IBBIIBq", 19, 3, 2, 0, 3, 1, 2 << 20)
+    assert frame == struct.pack(">IBBIIBd", 19, 3, 2, 0, 3, 1, 2.0)
     assert len(frame) == 23
     got = decode_msg(frame)
     assert got.T.shape == (0, 3) and got.S_Y == 2.0
@@ -341,17 +344,6 @@ def test_backward_frame_widths_follow_the_largest_magnitude():
         assert frame[14] == width
         assert len(frame) == 23 + 2 * width
         assert _same_msg(decode_msg(frame), msg)
-
-
-def test_backward_frame_exact_noiseless_sum():
-    # a noiseless S_Y off the 2^-20 grid travels as its exact f8, flagged
-    # by bit 0x80 of the width code; one on the grid stays a grid count
-    s_y = 1.0 / 3.0
-    frame = encode_msg(BackwardMsg(T=np.array([[1, 2]]), S_Y=s_y))
-    assert frame[14] == 0x81
-    assert frame[-8:] == struct.pack(">d", s_y)
-    assert decode_msg(frame).S_Y == s_y
-    assert encode_msg(BackwardMsg(T=np.array([[1, 2]]), S_Y=1.5))[14] == 1
 
 
 def test_encode_rejects_non_matrix_counts():
@@ -377,7 +369,7 @@ def test_seeded_frames_and_values_are_pinned():
                 for f in res.frames:
                     h.update(f)
                 h.update(repr(res.value).encode())
-    assert h.hexdigest() == "2b4eb3c9273ab4e3f8468cb88f057f2ca5a05e72b09e19ca0e5c3721e6c102b0"
+    assert h.hexdigest() == "5c45a245f4f1d1ee4129059eb57d9a7eea0902994614b1fb7c06ebe60849450f"
 
 
 def test_seeded_r_sets_and_noiseless_values_are_pinned():
@@ -435,7 +427,7 @@ def test_backward_roundtrip(rows, cols, data, s_y):
                                 min_size=rows * cols, max_size=rows * cols))
     msg = BackwardMsg(T=np.array(values, dtype=np.int64).reshape(rows, cols), S_Y=s_y)
     frame = encode_msg(msg)
-    assert len(frame) == 23 + (frame[14] & 0x7F) * rows * cols
+    assert len(frame) == 23 + frame[14] * rows * cols
     assert _same_msg(decode_msg(frame), msg)
     assert encode_msg(decode_msg(frame)) == frame
 
@@ -499,14 +491,12 @@ def test_decode_error_forward_bitmap_length():
         assert _offset_of(e) == 10
 
 
-def _backward_frame(rows: int, cols: int, values: list[int], s_y: int | float = 0,
+def _backward_frame(rows: int, cols: int, values: list[int], s_y: float = 0.0,
                     code: int = 8) -> bytes:
     """A hand-built v3 backward frame: `values` as width-`code` integers,
-    then S_Y as an i8 grid count (or as an f8 if code has bit 0x80)."""
-    width = code & 0x7F
-    body = b"".join(v.to_bytes(width, "big", signed=True) for v in values)
-    trailer = struct.pack(">d" if code & 0x80 else ">q", s_y)
-    payload = struct.pack(">IIB", rows, cols, code) + body + trailer
+    then S_Y as an f8."""
+    body = b"".join(v.to_bytes(code, "big", signed=True) for v in values)
+    payload = struct.pack(">IIB", rows, cols, code) + body + struct.pack(">d", s_y)
     return struct.pack(">IBB", 2 + len(payload), 3, 2) + payload
 
 
@@ -525,7 +515,7 @@ def test_decode_error_backward_shape_count_mismatch():
 
 def test_decode_error_backward_unknown_width_code():
     frame = bytearray(_backward_frame(1, 2, [1, 2], code=2))
-    for code in (0, 3, 5, 16, 0x80, 0x83, 0xFF):
+    for code in (0, 3, 5, 16, 0x81, 0x88, 0xFF):
         frame[14] = code
         with pytest.raises(DecodeError) as e:
             decode_msg(bytes(frame))
@@ -553,15 +543,15 @@ def test_decode_error_backward_truncated_and_oversized():
 
 
 def test_decode_error_backward_non_finite():
-    # integers cannot be non-finite; a flagged exact S_Y can
+    # integer counts cannot be non-finite; the f8 S_Y can
     nan, inf = float("nan"), float("inf")
     for rows, cols, values, s_y in ((1, 3, [5, 6, 7], nan), (2, 2, [0] * 4, -inf),
                                     (0, 4, [], inf)):
-        frame = _backward_frame(rows, cols, values, s_y, code=0x81)
+        frame = _backward_frame(rows, cols, values, s_y, code=1)
         with pytest.raises(DecodeError) as e:
             decode_msg(frame)
         assert _offset_of(e) == len(frame) - 8
-    assert decode_msg(_backward_frame(1, 1, [3], 0.1, code=0x81)).S_Y == 0.1
+    assert decode_msg(_backward_frame(1, 1, [3], 0.1, code=1)).S_Y == 0.1
 
 
 # ----------------------------------------------------- two-process runs
@@ -594,23 +584,25 @@ def test_two_process_matches_in_process(mixed_pg):
     seed = 123
     want = run_session(mixed_pg, "a", cfg, np.random.default_rng(seed))
 
-    rng_x, rng_y = _children(seed)
-    address = ("127.0.0.1", _free_port())
-    tx: list = []
-    ty: list = []
-    yt = threading.Thread(target=_run_y,
-                          args=(mixed_pg.view_y(), "a", cfg, rng_y, address, ty))
-    yt.start()
-    got = run_two_process("X", address, mixed_pg.view_x(), "a", cfg, rng_x,
-                          transcript=tx)
-    yt.join(timeout=30)
-    assert not yt.is_alive()
+    # each role handed run_session's child for it, or both the int seed,
+    # from which each half builds that same child
+    for rng_x, rng_y in (_children(seed), (seed, seed)):
+        address = ("127.0.0.1", _free_port())
+        tx: list = []
+        ty: list = []
+        yt = threading.Thread(target=_run_y,
+                              args=(mixed_pg.view_y(), "a", cfg, rng_y, address, ty))
+        yt.start()
+        got = run_two_process("X", address, mixed_pg.view_x(), "a", cfg, rng_x,
+                              transcript=tx)
+        yt.join(timeout=30)
+        assert not yt.is_alive()
 
-    assert got == want.value  # bit-identical, not just close
-    assert [k for k, _ in tx] == ["sent-forward", "received-backward"]
-    assert [k for k, _ in ty] == ["received-forward", "sent-backward"]
-    assert tx[0][1] == ty[0][1] == want.frames[0]
-    assert tx[1][1] == ty[1][1] == want.frames[1]
+        assert got == want.value  # bit-identical, not just close
+        assert [k for k, _ in tx] == ["sent-forward", "received-backward"]
+        assert [k for k, _ in ty] == ["received-forward", "sent-backward"]
+        assert tx[0][1] == ty[0][1] == want.frames[0]
+        assert tx[1][1] == ty[1][1] == want.frames[1]
 
 
 def test_two_process_forked_process(mixed_pg):
@@ -803,11 +795,12 @@ def test_two_process_handshake_rejects_v2_peer(mixed_pg):
 
 
 def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
-    # X's half builds exactly one generator, from X's own seed, and never
-    # spawns from it: nothing X holds reproduces Y's noise, so subtracting
-    # a regenerated draw (what a shared seed allowed) recovers nothing
+    # X's half builds exactly one generator, X's child of X's own seed,
+    # and never spawns from it: nothing X holds reproduces Y's noise, so
+    # subtracting a regenerated draw (what a shared seed allowed)
+    # recovers nothing
     cfg = ProtocolConfig(epsilon=0.5)
-    seed_x, seed_y = 7, 9
+    seed_x, seed_y = 8, 9  # X's child of 8 releases two of X^-'s three nodes
     address = ("127.0.0.1", _free_port())
     mp = multiprocessing.get_context("fork")
     proc = mp.Process(target=run_two_process,
@@ -829,23 +822,25 @@ def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
         monkeypatch.undo()
         proc.join(timeout=30)
     assert proc.exitcode == 0
-    assert [args for args, _ in built] == [(seed_x,)]
-    assert built[0][1].bit_generator.seed_seq.n_children_spawned == 0
+    assert len(built) == 1
+    seq = built[0][1].bit_generator.seed_seq
+    assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (seed_x, (0,), 0)
 
     # Y's noise, recovered with the whole graph, is none that X can derive
     g = mixed_pg.graph
     a_idx = g.index_of("a")
     x_minus = _x_minus(mixed_pg, a_idx)
     r_sorted = x_minus[decode_msg(tx[0][1]).member]
+    assert r_sorted.size == 2  # so Y's reply holds count noise
     y_ego = _y_ego_sorted(mixed_pg, a_idx)
     back = decode_msg(tx[1][1])
     noise = back.T - _spanning_core_matrix(mixed_pg.view_y(), r_sorted, y_ego).astype(np.int64)
     scale = np.full(noise.size, geometric_scale(4 * r_sorted.size, cfg.epsilon))
-    for guess in (np.random.default_rng(seed_x), np.random.default_rng(seed_x).spawn(2)[1],
-                  np.random.default_rng(seed_y).spawn(2)[1]):
+    for guess in (np.random.default_rng(seed_x), *_children(seed_x), np.random.default_rng(seed_y),
+                  _children(seed_y)[0]):
         assert two_sided_geometric(scale, guess).tolist() != noise.ravel().tolist()
     # Y's own generator does reproduce it: the release is Y's draw alone
-    mine = two_sided_geometric(scale, np.random.default_rng(seed_y))
+    mine = two_sided_geometric(scale, _children(seed_y)[1])
     assert mine.tolist() == noise.ravel().tolist()
 
 
@@ -904,17 +899,17 @@ def _bad_forward_bits(pg):
 def test_y_refuses_forward_set_outside_x_minus(mixed_pg):
     # Y reads the bits against its own X^-, so they cannot name the ego,
     # a Y node or an id >= n; bits over any other number of nodes would
-    # leave that reading undefined, and are refused at the count field
+    # leave that reading undefined, and are refused (from a frame, at its
+    # count field: see the test over TCP)
     view_y = mixed_pg.view_y()
     a_idx = mixed_pg.graph.index_of("a")
     y_ego = _y_ego_sorted(view_y, a_idx)
     cfg = ProtocolConfig(epsilon=1.0)
     for bits in _bad_forward_bits(mixed_pg):
         ledger = BudgetLedger()
-        with pytest.raises(DecodeError) as e:
+        with pytest.raises(ProtocolError):
             protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=bits), cfg,
                                      np.random.default_rng(0), ledger)
-        assert _offset_of(e) == 6
         assert ledger.events == []
     g = mixed_pg.graph
     back = protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=_bits(1, 0, 1)), cfg,
@@ -984,10 +979,9 @@ def test_x_refuses_non_finite_backward_values(mixed_pg):
     for s_y in (math.nan, -math.inf):
         with pytest.raises(DecodeError):
             _fake_y_session(mixed_pg, cfg,
-                            lambda fwd, v=s_y: _backward_frame(1, 3, [0, 0, 0], v, code=0x81))
+                            lambda fwd, v=s_y: _backward_frame(1, 3, [0, 0, 0], v))
     # the same stand-in with a well-formed reply completes the session
-    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0, 0, 0], 0.5, code=0x81))
-    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0, 0, 0], 7))
+    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0, 0, 0], 0.5))
 
 
 def test_two_process_rejects_unknown_role(mixed_pg):
