@@ -146,7 +146,10 @@ def two_sided_geometric(scale: np.ndarray, rng: np.random.Generator) -> np.ndarr
     for start in range(0, u.size, _SLICE):
         cells = u[start:start + _SLICE]
         first = start // 2
-        c = np.repeat(scale[first:first + _SLICE // 2] * -(1.0 - _WIDEN), 2)
+        zs = z[first:first + cells.size // 2]
+        c = np.empty(cells.size)  # each entry's scale, once per uniform
+        np.multiply(scale[first:first + zs.size], -(1.0 - _WIDEN), out=c[0::2])
+        c[1::2] = c[0::2]
         lo = cells + _CELL
         np.log(lo, out=lo)  # ln of the cell's upper end
         lo *= c  # the image's lower end, shrunk
@@ -159,7 +162,7 @@ def two_sided_geometric(scale: np.ndarray, rng: np.random.Generator) -> np.ndarr
         np.floor(lo, out=lo)
         np.floor(hi, out=hi)
         # a decided G is below 2^53, so the float difference is exact
-        z[first:first + lo.size // 2] = lo[0::2] - lo[1::2]
+        np.subtract(lo[0::2], lo[1::2], out=zs, casting="unsafe")
         open_cells = lo != hi
         if open_cells.any():
             if words is None:
@@ -167,7 +170,7 @@ def two_sided_geometric(scale: np.ndarray, rng: np.random.Generator) -> np.ndarr
             for i in np.unique(np.flatnonzero(open_cells) // 2).tolist():
                 g1, g2 = (resolve_cell(float(scale[first + i]), int(cells[k] * 2.0**53), words)
                           if open_cells[k] else int(lo[k]) for k in (2 * i, 2 * i + 1))
-                z[first + i] = g1 - g2
+                zs[i] = g1 - g2
     return z
 
 

@@ -266,34 +266,19 @@ def _zero_uniform_at(seed: int, k: int) -> np.random.Generator:
 
 def test_laplace_array_skips_zero_uniforms_like_scalar():
     # U's zero cell is never decided in float: its image is unbounded, so
-    # the sampler reads U's further bits from the generator's next words
-    u = _zero_uniform_at(11, 1).random(6)
-    assert u[1] == 0.0 and u[[0, 2, 3, 4, 5]].all()
-    scale = np.array([2.0, 2.0, 2.0])
-    got = two_sided_geometric(scale, _zero_uniform_at(11, 1))
-    rng = _zero_uniform_at(11, 1)
-    cells = rng.random((3, 2))
-    words = iter(rng.bit_generator.random_raw, None)
-    g1 = resolve_cell(2.0, 0, words)  # the entry-0 G2 cell is the zero one
-    assert g1 >= 73  # floor(-2 ln U) with U below 2^-53
-    g = np.floor(-2.0 * np.log(cells + 2.0**-53))
-    assert got[0] == int(g[0, 0]) - g1
-    assert got[1:].tolist() == (g[1:, 0] - g[1:, 1]).astype(int).tolist()
-
-
-def test_laplace_open_cell_in_a_later_slice():
-    # the arithmetic runs slice by slice; a zero cell in the second slice
-    # still reads its words after all of the reply's uniforms
-    n = _SLICE  # two slices of uniforms
-    k = _SLICE + 3  # entry k // 2's G2
-    scale = 2.0 + np.arange(n) % 7
-    got = two_sided_geometric(scale, _zero_uniform_at(11, k))
-    rng = _zero_uniform_at(11, k)
-    cells = rng.random((n, 2))
-    assert cells[k // 2, 1] == 0.0
-    g = np.floor(-scale[:, None] * np.log(cells + 2.0**-53)).astype(np.int64)
-    g[k // 2, 1] = resolve_cell(scale[k // 2], 0, iter(rng.bit_generator.random_raw, None))
-    assert got.tolist() == (g[:, 0] - g[:, 1]).tolist()
+    # the sampler reads U's further bits from the generator's next words,
+    # after all of the reply's uniforms, also when the cell falls in a
+    # later slice of the sampler's arithmetic
+    for n, k in ((3, 1), (_SLICE, _SLICE + 3)):  # uniform k is entry k // 2's G2
+        scale = 2.0 + np.arange(n) % 7
+        got = two_sided_geometric(scale, _zero_uniform_at(11, k))
+        rng = _zero_uniform_at(11, k)
+        cells = rng.random((n, 2))
+        assert cells[k // 2, 1] == 0.0 and np.count_nonzero(cells) == 2 * n - 1
+        g = np.floor(-scale[:, None] * np.log(cells + 2.0**-53)).astype(np.int64)
+        g[k // 2, 1] = resolve_cell(scale[k // 2], 0, iter(rng.bit_generator.random_raw, None))
+        assert g[k // 2, 1] >= scale[k // 2] * 53 * math.log(2)  # U below 2^-53
+        assert got.tolist() == (g[:, 0] - g[:, 1]).tolist()
 
 
 def _floor_image(scale, num, bits):
