@@ -4,25 +4,17 @@ Two data holders split a graph's nodes; each sees its own internal
 edges plus the shared cross edges. The protocol lets party X estimate
 the egocentric betweenness of one of its nodes with edge differential
 privacy against the other party: X releases a perturbed neighbour set
-via an exact exponential-mechanism sampler, Y answers with 2-path
+via a two-stage exponential-mechanism sampler, Y answers with 2-path
 counts and a partial sum under exact two-sided geometric noise, and X
 assembles the estimate. See README.md for the CLI and experiment harness.
 """
 
 from .backward import BackwardMsg, DegenerateEgoError, partial_ebc_y, spanning_counts
-from .dpnum import (
-    DEFAULT_CONTEXT,
-    PrecisionContext,
-    PrivacyParams,
-    log_add,
-    sample_neg_exp1,
-)
+from .dpnum import DEFAULT_CONTEXT, PrecisionContext, PrivacyParams
 from .forward import (
     ForwardMsg,
     StratumDistribution,
     forward_message,
-    inverse_transform_sample,
-    pick_and_flip,
     quality,
     stratum_distribution,
 )
@@ -88,18 +80,14 @@ __all__ = [
     "encode_msg",
     "exact_ebc",
     "forward_message",
-    "inverse_transform_sample",
     "load_edge_list",
-    "log_add",
     "nonprivate_ebc_protocol",
     "partial_ebc_y",
     "partition_nodes",
-    "pick_and_flip",
     "private_ebc",
     "quality",
     "run_session",
     "run_two_process",
-    "sample_neg_exp1",
     "spanning_counts",
     "stratum_distribution",
     "__version__",

@@ -1,7 +1,7 @@
 """Hot array kernels in numpy: dense blocks of a CSR adjacency and a
 partial shuffle.
 
-The two dense kernels are loop-free. None of the kernels consume
+The dense-block kernel is loop-free. None of the kernels consume
 randomness: the caller draws the shuffle offsets, so the kernels never
 touch a seeded stream.
 """
@@ -12,7 +12,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# induced_dense: dense 0/1 adjacency of the subgraph induced on `nodes`
+# bipartite_dense: 0/1 membership matrix rows x cols, and its square case
 # ---------------------------------------------------------------------------
 
 def _gather(indptr: np.ndarray, indices: np.ndarray,
@@ -35,23 +35,6 @@ def _locate(sorted_nodes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
     return hit, pos[hit]
 
 
-def induced_dense(indptr: np.ndarray, indices: np.ndarray,
-                  nodes: np.ndarray) -> np.ndarray:
-    """Dense adjacency (uint8) of the subgraph induced on sorted `nodes`;
-    rows and columns follow that order."""
-    m = nodes.size
-    out = np.zeros((m, m), dtype=np.uint8)
-    if m:
-        owner, neigh = _gather(indptr, indices, nodes)
-        hit, pos = _locate(nodes, neigh)
-        out[owner[hit], pos] = 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bipartite_dense: 0/1 membership matrix rows x cols
-# ---------------------------------------------------------------------------
-
 def bipartite_dense(indptr: np.ndarray, indices: np.ndarray,
                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Edge-membership matrix between sorted `rows` and node list `cols`."""
@@ -61,6 +44,14 @@ def bipartite_dense(indptr: np.ndarray, indices: np.ndarray,
         hit, pos = _locate(rows, neigh)
         out[pos, owner[hit]] = 1
     return out
+
+
+def induced_dense(indptr: np.ndarray, indices: np.ndarray,
+                  nodes: np.ndarray) -> np.ndarray:
+    """Dense adjacency (uint8) of the subgraph induced on sorted `nodes`;
+    rows and columns follow that order. The adjacency is symmetric, so
+    this is the membership matrix of `nodes` against themselves."""
+    return bipartite_dense(indptr, indices, nodes, nodes)
 
 
 # ---------------------------------------------------------------------------

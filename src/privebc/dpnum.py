@@ -59,8 +59,8 @@ class PrivacyParams:
     delta0: float = 1.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.delta0 > 0:
             raise ValueError("delta0 must be positive")
 

@@ -86,8 +86,8 @@ class ExperimentConfig:
             raise ConfigError("stratified selection needs ego_count")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not self.epsilons or any(not e > 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be positive")
+        if not self.epsilons or any(not 0 < e < math.inf for e in self.epsilons):
+            raise ConfigError("epsilons must be positive and finite")
         if self.clamp_mode not in CLAMP_MODES:
             raise ConfigError(f"clamp_mode must be one of {CLAMP_MODES}")
         if not self.mech_masks:

@@ -1,12 +1,14 @@
 """Party X's private release of its side of the ego network.
 
 The exponential mechanism over all subsets R of X^- (= V_X minus the
-ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled exactly
-in two stages: first the quality stratum index I (whose law reduces to
+ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled in two
+stages: first the quality stratum index I (whose law reduces to
 Binomial(|X^-|, sigma(t)) with t = eps/(2 delta)), then a uniform
 member of that stratum via pick-and-flip. Stage one runs in log space
-in mpmath at extended precision; stage two is a partial Fisher-Yates
-over X^-.
+in mpmath at extended precision but draws from one 53-bit uniform, so
+it is exact only to that grid (see inverse_transform_sample); stage two
+is an exact partial Fisher-Yates over X^-. Per-node randomized response
+(ROADMAP item 3) would make the release exact outright.
 """
 
 from __future__ import annotations
@@ -129,6 +131,12 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
     extends the prefix exactly as far as the scan would have gone.
     log_add never decreases its first argument, so bisection and scan
     return the same index.
+
+    The draw is exact only to the grid of its uniform: psi is log(U)
+    for one 53-bit double U, so psi >= -53 ln 2 ~ -36.7. A stratum whose
+    log-CDF lies below that is never drawn (I = 0 at |X^-| = 100 and
+    eps = 1 has log-probability -97.4), and each stratum's mass is
+    rounded to the 2^-53 grid of U.
     """
     psi = dist.ctx.mp.mpf(sample_neg_exp1(rng))
     cdf = dist._log_cdf

@@ -133,12 +133,15 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def load_edge_list(source: str | Path | TextIO | bytes,
-                   comment_prefixes: tuple[str, ...] = ("#", "%")) -> Graph:
+# Lines of an edge list that start with one of these are comments.
+COMMENT_PREFIXES = ("#", "%")
+
+
+def load_edge_list(source: str | Path | TextIO | bytes) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines starting with a comment prefix are skipped; data lines need at
-    least two tokens (extra columns such as weights are ignored).
+    Lines starting with a COMMENT_PREFIXES entry are skipped; data lines
+    need at least two tokens (extra columns such as weights are ignored).
     Self-loops and duplicate edges are dropped and counted in the
     returned graph's ``load_report``.
     """
@@ -156,7 +159,7 @@ def load_edge_list(source: str | Path | TextIO | bytes,
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith(comment_prefixes):
+            if line.startswith(COMMENT_PREFIXES):
                 comments += 1
                 continue
             toks = line.split()
@@ -290,28 +293,18 @@ def partition_nodes(g: Graph, seed: int, x_fraction: float) -> PartitionedGraph:
 class EgoContext:
     """Ego node a plus the derived node sets, all as dense indices.
 
-    N_a is a's full neighbourhood. r_star_sorted is R* = N_a intersected
-    with V_X and x_minus_sorted is X^- = V_X minus {a}, both as sorted
-    arrays for the samplers; R_star and X_minus give them as sets.
+    r_star_sorted is R* = N_a intersected with V_X and x_minus_sorted is
+    X^- = V_X minus {a}, both as sorted arrays for the samplers; R_star
+    gives R* as a set.
     """
 
     a: int
-    N_a: frozenset[int]
     r_star_sorted: np.ndarray
     x_minus_sorted: np.ndarray
-
-    def __post_init__(self):
-        # structural sanity; cheap relative to construction
-        if self.a in self.N_a:
-            raise ValueError("ego node cannot neighbour itself")
 
     @cached_property
     def R_star(self) -> frozenset[int]:
         return frozenset(self.r_star_sorted.tolist())
-
-    @property
-    def X_minus(self) -> frozenset[int]:
-        return frozenset(self.x_minus_sorted.tolist())
 
 
 def ego_context(pg: PartitionedGraph | PartyView, a: object) -> EgoContext:
@@ -328,7 +321,7 @@ def _x_ego_index(pg: PartitionedGraph | PartyView, a: object) -> int:
 
 def _ego_context_idx(pg: PartitionedGraph | PartyView, a_idx: int) -> EgoContext:
     nbrs = _neighbor_array(pg.graph, a_idx)
-    return EgoContext(a=a_idx, N_a=pg.graph.neighbors(a_idx), r_star_sorted=nbrs[pg._is_x[nbrs]],
+    return EgoContext(a=a_idx, r_star_sorted=nbrs[pg._is_x[nbrs]],
                       x_minus_sorted=_x_minus(pg, a_idx))
 
 

@@ -76,8 +76,8 @@ class ProtocolConfig:
     mech_mask: frozenset[str] = ALL_MECHS
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.clamp_mode not in CLAMP_MODES:
             raise ValueError(f"clamp_mode must be one of {CLAMP_MODES}")
         mask = frozenset(self.mech_mask)
@@ -310,12 +310,11 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
         if config.clamp_mode == "clamp_nonneg":
             np.maximum(t_recv, 0.0, out=t_recv)
         denom = t_recv + k_x
+        # one rule for both modes: clamped counts leave every open pair
+        # usable, since k_x counts the path through a (denom >= 1)
         open_pairs = rows[:, ys] == 0
-        if config.clamp_mode == "raw":
-            usable = open_pairs & (denom > 0.0)
-            skipped = int(np.count_nonzero(open_pairs & ~usable))
-        else:
-            usable = open_pairs
+        usable = open_pairs & (denom > 0.0)
+        skipped = int(np.count_nonzero(open_pairs & ~usable))
         acc.S_XY = float((1.0 / denom[usable]).sum())
 
     if rows.shape[0] >= 2:
@@ -479,19 +478,14 @@ def _recv_frame(sock: socket.socket, max_size: int) -> bytes:
 
 
 def _handshake(sock: socket.socket) -> None:
+    """Either role's greeting: send this side's hello, then check the
+    peer's."""
     sock.sendall(_HELLO)
-    reply = _recv_exact(sock, 5)
-    if reply[:4] != HANDSHAKE_MAGIC:
-        raise HandshakeError("peer sent bad magic")
-    if reply[4] != WIRE_VERSION:
-        raise HandshakeError(f"peer speaks version {reply[4]}, expected {WIRE_VERSION}")
-
-
-def _handshake_accept(sock: socket.socket) -> None:
     hello = _recv_exact(sock, 5)
-    sock.sendall(_HELLO)
-    if hello != _HELLO:
-        raise HandshakeError(f"client hello invalid: {hello!r}")
+    if hello[:4] != HANDSHAKE_MAGIC:
+        raise HandshakeError("peer sent bad magic")
+    if hello[4] != WIRE_VERSION:
+        raise HandshakeError(f"peer speaks version {hello[4]}, expected {WIRE_VERSION}")
 
 
 def _connect(address: tuple[str, int]) -> socket.socket:
@@ -548,10 +542,10 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
         seed = np.random.SeedSequence(seed, spawn_key=(0 if role == "X" else 1,))
     rng = np.random.default_rng(seed)
     rng_x, rng_y = (rng, None) if role == "X" else (None, rng)
-    open_link, greet = (_connect, _handshake) if role == "X" else (_accept, _handshake_accept)
+    open_link = _connect if role == "X" else _accept
     try:
         with open_link(address) as sock:
-            greet(sock)
+            _handshake(sock)
             result = _play(view, a_idx, config, rng_x, rng_y, sock,
                            transcript if transcript is not None else [])
     except TimeoutError as exc:

@@ -14,12 +14,18 @@ from privebc import (
     PrivacyParams,
     ProtocolConfig,
     forward,
-    log_add,
     run_session,
-    sample_neg_exp1,
     stratum_distribution,
 )
-from privebc.dpnum import _SLICE, MAX_SCALE, geometric_scale, resolve_cell, two_sided_geometric
+from privebc.dpnum import (
+    _SLICE,
+    MAX_SCALE,
+    geometric_scale,
+    log_add,
+    resolve_cell,
+    sample_neg_exp1,
+    two_sided_geometric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +74,12 @@ def test_privacy_params_validation():
         PrivacyParams(epsilon=0.0)
     with pytest.raises(ValueError):
         PrivacyParams(epsilon=1.0, delta0=0.0)
+
+
+def test_privacy_params_reject_non_finite_epsilon():
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PrivacyParams(epsilon=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,14 @@ def test_cli_timing_parallel_conflict(capsys):
     assert rc == 2
 
 
+def test_cli_infinite_epsilon_is_config_error(capsys):
+    # refused as configuration before any session runs, not a traceback
+    rc = cli.main(["sweep", "--synthetic", "n=30,m=2", "--egos", "1", "--eps", "inf"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
 def test_cli_isolate_masks(capsys):
     rc = cli.main(["isolate", "--synthetic", "n=40,m=2", "--egos", "2",
                    "--masks", "none,all", "--eps", "1"])

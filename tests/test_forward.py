@@ -12,15 +12,12 @@ from privebc import (
     PrivacyParams,
     StratumDistribution,
     forward_message,
-    inverse_transform_sample,
-    log_add,
-    pick_and_flip,
     quality,
-    sample_neg_exp1,
     stratum_distribution,
 )
 from privebc import ego_context, oracle
-from privebc.forward import forward_message_from_context
+from privebc.dpnum import log_add, sample_neg_exp1
+from privebc.forward import forward_message_from_context, inverse_transform_sample, pick_and_flip
 
 from .conftest import make_pg
 

@@ -142,23 +142,23 @@ def test_ego_star_all_x():
     pg = make_pg([("a", "1"), ("a", "2"), ("a", "3")], x_labels={"a", "1", "2", "3"})
     ctx = ego_context(pg, "a")
     g = pg.graph
-    assert ctx.N_a == {g.index_of(v) for v in "123"}
-    assert ctx.R_star == ctx.N_a
-    assert ctx.X_minus == {g.index_of(v) for v in "123"}
+    assert g.neighbors(ctx.a) == {g.index_of(v) for v in "123"}
+    assert ctx.R_star == g.neighbors(ctx.a)
+    assert set(ctx.x_minus_sorted.tolist()) == {g.index_of(v) for v in "123"}
 
 
 def test_ego_mixed_parties():
     pg = make_pg([("a", "1"), ("a", "2")], x_labels={"a", "1"})
     ctx = ego_context(pg, "a")
     g = pg.graph
-    assert ctx.N_a == {g.index_of("1"), g.index_of("2")}
+    assert g.neighbors(ctx.a) == {g.index_of("1"), g.index_of("2")}
     assert ctx.R_star == {g.index_of("1")}
 
 
 def test_ego_isolated():
     pg = make_pg([("1", "2")], x_labels={"a", "1", "2"}, isolated=["a"])
     ctx = ego_context(pg, "a")
-    assert ctx.N_a == frozenset() and ctx.R_star == frozenset()
+    assert pg.graph.neighbors(ctx.a) == frozenset() and ctx.R_star == frozenset()
 
 
 def test_ego_wrong_party_and_unknown():
@@ -172,8 +172,8 @@ def test_ego_wrong_party_and_unknown():
 def test_ego_x_minus_sorted_matches_set():
     pg = make_pg([("a", "b"), ("b", "c")], x_labels={"a", "b", "c"})
     ctx = ego_context(pg, "b")
-    assert set(ctx.x_minus_sorted.tolist()) == ctx.X_minus
-    assert pg.graph.index_of("b") not in ctx.X_minus
+    assert ctx.x_minus_sorted.tolist() == sorted(pg.graph.index_of(v) for v in "ac")
+    assert pg.graph.index_of("b") not in ctx.x_minus_sorted.tolist()
 
 
 # ---------------------------------------------------------------------------

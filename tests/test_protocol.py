@@ -59,6 +59,13 @@ def test_config_validation():
     assert issubclass(HandshakeError, ProtocolError)
 
 
+def test_config_rejects_non_finite_epsilon():
+    # an infinite budget has no noise scale; it is refused before any stage runs
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ProtocolConfig(epsilon=eps)
+
+
 def test_wrong_party_ego(mixed_pg):
     with pytest.raises(WrongPartyError):
         run_session(mixed_pg, "b", ProtocolConfig(epsilon=1.0),
@@ -240,7 +247,7 @@ def test_counts_for_nodes_outside_r_star_are_discarded(mixed_pg):
     view_x = mixed_pg.view_x()
     g = view_x.graph
     ectx = ego_context(view_x, "a")
-    y_ego = sorted(v for v in ectx.N_a if not view_x.is_x(v))
+    y_ego = sorted(v for v in g.neighbors(ectx.a) if not view_x.is_x(v))
     r = np.array(sorted(set(ectx.R_star) | {g.index_of("f")}))  # f is X-side, not in N_a
     base_t = np.ones((r.size, len(y_ego)), dtype=np.int64)
     tampered = base_t.copy()
@@ -255,7 +262,7 @@ def test_missing_rows_start_from_zero(mixed_pg):
     # i in R* but not in R: X uses 0 + its own side counts
     view_x = mixed_pg.view_x()
     ectx = ego_context(view_x, "a")
-    y_ego = sorted(v for v in ectx.N_a if not view_x.is_x(v))
+    y_ego = sorted(v for v in view_x.graph.neighbors(ectx.a) if not view_x.is_x(v))
     cfg = ProtocolConfig(epsilon=1.0)
     no_r = np.array([], dtype=np.int64)
     acc_none, _ = _assemble_x(view_x, ectx, no_r, None, cfg)
@@ -872,7 +879,7 @@ def _fake_y_session(pg, cfg, reply) -> None:
             with listener:
                 conn, _ = listener.accept()
                 with conn:
-                    protocol._handshake_accept(conn)
+                    protocol._handshake(conn)
                     fwd = decode_msg(protocol._recv_frame(conn, 1 << 20))
                     conn.sendall(reply(fwd))
                     conn.recv(1)  # hold the connection until X hangs up
