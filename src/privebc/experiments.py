@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -180,10 +181,28 @@ def load_experiment_graph(config: ExperimentConfig) -> Graph:
     if config.dataset is not None:
         return load_edge_list(config.dataset)
     n, m = config.synthetic
-    import networkx as nx
+    return Graph(range(n), _ba_edges(n, m, _SYNTHETIC_SEED))
 
-    ba = nx.barabasi_albert_graph(n, m, seed=_SYNTHETIC_SEED)
-    return Graph(ba.nodes(), ba.edges())
+
+def _ba_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """Barabasi-Albert edges on nodes 0..n-1, drawn as networkx's
+    barabasi_albert_graph(n, m, seed) draws them, so the edge sets are
+    equal: a star on m + 1 nodes, then each new node joins m distinct
+    targets picked by random.Random(seed).choice from a list that holds
+    every node once per incident edge."""
+    if not 1 <= m < n:
+        raise ValueError(f"Barabasi-Albert graphs need 1 <= m < n, got m = {m}, n = {n}")
+    rng = random.Random(seed)
+    edges = [(0, v) for v in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        edges += ((source, t) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return edges
 
 
 def prepare_partition(config: ExperimentConfig) -> PartitionedGraph:

@@ -5,9 +5,11 @@ ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled in two
 stages: first the quality stratum index I (whose law reduces to
 Binomial(|X^-|, sigma(t)) with t = eps/(2 delta)), then a uniform
 member of that stratum via pick-and-flip. Stage one runs in log space
-in mpmath at extended precision but draws from one 53-bit uniform, so
-it is exact only to that grid (see inverse_transform_sample); stage two
-is an exact partial Fisher-Yates over X^-. Per-node randomized response
+in mpmath at extended precision, scanning the upper-tail log-CDF down
+from I = n, where the binomial's mass lies, so a draw of I costs
+n - I + 1 steps. It draws from one 53-bit uniform, so it is exact only
+to that grid (see inverse_transform_sample); stage two is an exact
+partial Fisher-Yates over X^-. Per-node randomized response
 (ROADMAP item 3) would make the release exact outright.
 """
 
@@ -33,9 +35,10 @@ class StratumDistribution:
     quality exponent eps/(2*delta0). Masses sum to one at context
     precision; exp(log_pmf) equals the Binomial(n, e^t/(1+e^t)) pmf.
 
-    The log-CDF prefix that draws have needed so far is kept alongside
-    (see inverse_transform_sample); it is derived data and takes no
-    part in equality.
+    The upper-tail log-CDF prefix that draws have needed so far,
+    log P(I >= n), log P(I >= n-1), ..., is kept alongside (see
+    inverse_transform_sample); it is derived data and takes no part in
+    equality.
     """
 
     n: int
@@ -121,44 +124,49 @@ def _stratum_distribution(n: int, epsilon: float, delta0: float,
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
-    """Sample the stratum index by log-space inverse transform.
+    """Sample the stratum index by log-space inverse transform, scanning
+    the upper tail from the heavy end down.
 
     Draws psi = -Exp(1) and returns the scan's answer: with the
-    streaming log-CDF c_0 = log_pmf[0], c_i = log_add(c_{i-1},
-    log_pmf[i]), the least I in 0..n-1 with c_I >= psi, or n if there
-    is none. The c_i are kept on `dist` as far as some draw has needed
-    them, so a draw within that prefix is a bisection; a draw beyond it
-    extends the prefix exactly as far as the scan would have gone.
-    log_add never decreases its first argument, so bisection and scan
-    return the same index.
+    streaming upper-tail log-CDF u_0 = log_pmf[n], u_k = log_add(u_{k-1},
+    log_pmf[n-k]) = log P(I >= n-k), the index n-k for the least k in
+    0..n-1 with u_k >= psi, or 0 if there is none. Since I >= j exactly
+    when P(I >= j) >= U for U = e^psi, the law is that of the pmf. The
+    pmf is Binomial(n, sigma) with sigma > 1/2, so its mass lies at the
+    top and a draw of I costs n - I + 1 scan steps. The u_k are kept on
+    `dist` as far as some draw has needed them, so a draw within that
+    prefix is a bisection; a draw beyond it extends the prefix exactly
+    as far as the scan would have gone. log_add never decreases its
+    first argument, so bisection and scan return the same index.
 
     The draw is exact only to the grid of its uniform: psi is log(U)
-    for one 53-bit double U, so psi >= -53 ln 2 ~ -36.7. A stratum whose
-    log-CDF lies below that is never drawn (I = 0 at |X^-| = 100 and
-    eps = 1 has log-probability -97.4), and each stratum's mass is
-    rounded to the 2^-53 grid of U.
+    for one 53-bit double U in [2^-53, 1 - 2^-53], and each stratum's
+    mass is rounded to that grid. A stratum at either end of the scan
+    order whose mass lies below 2^-53 is never drawn: I = n needs
+    U <= P(I = n), and I = 0 needs U > 1 - P(I = 0) (I = 0 at
+    |X^-| = 100 and eps = 1 has log-probability -97.4).
     """
     psi = dist.ctx.mp.mpf(sample_neg_exp1(rng))
-    cdf = dist._log_cdf
-    if cdf and cdf[-1] >= psi:
-        return bisect_left(cdf, psi)
+    tail = dist._log_cdf
+    if tail and tail[-1] >= psi:
+        return dist.n - bisect_left(tail, psi)
     return _extend_log_cdf(dist, psi)
 
 
 def _extend_log_cdf(dist: StratumDistribution, psi) -> int:
-    """Continue the log-CDF scan past the stored prefix, all of which
+    """Continue the upper-tail scan past the stored prefix, all of which
     lies below psi; store the longer prefix and return the index."""
     n = dist.n
     if n == 0:
         return 0
-    cdf = list(dist._log_cdf) or [dist.log_pmf[0]]
-    while cdf[-1] < psi and len(cdf) < n:
-        cdf.append(log_add(cdf[-1], dist.log_pmf[len(cdf)], dist.ctx))
+    tail = list(dist._log_cdf) or [dist.log_pmf[n]]
+    while tail[-1] < psi and len(tail) < n:
+        tail.append(log_add(tail[-1], dist.log_pmf[n - len(tail)], dist.ctx))
     # concurrent draws may race here; every writer stores a prefix of
     # the same deterministic sequence, so any of them is correct
-    if len(cdf) > len(dist._log_cdf):
-        object.__setattr__(dist, "_log_cdf", tuple(cdf))
-    return len(cdf) - 1 if cdf[-1] >= psi else n
+    if len(tail) > len(dist._log_cdf):
+        object.__setattr__(dist, "_log_cdf", tuple(tail))
+    return n - (len(tail) - 1) if tail[-1] >= psi else 0
 
 
 def pick_and_flip(X_minus: Iterable[int] | np.ndarray, R_star: Iterable[int] | np.ndarray,

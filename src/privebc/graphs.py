@@ -8,7 +8,9 @@ to share across concurrent readers.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -197,6 +199,17 @@ class _PartyInfoMixin:
 
     def is_x(self, idx: int) -> bool:
         return bool(self._is_x[idx])
+
+    @cached_property
+    def roster_digest(self) -> bytes:
+        """SHA-256 of the roster both parties hold: every label, length-
+        prefixed in index order, then the party mask's bits."""
+        parts = [struct.pack(">I", self.graph.n)]
+        for label in self.graph.labels:
+            raw = label.encode()
+            parts += (struct.pack(">I", len(raw)), raw)
+        parts.append(np.packbits(self._is_x).tobytes())
+        return hashlib.sha256(b"".join(parts)).digest()
 
     @cached_property
     def vx_indices(self) -> np.ndarray:

@@ -45,7 +45,8 @@ class ProtocolError(RuntimeError):
 
 
 class HandshakeError(ProtocolError):
-    """Transport peers disagree on magic or protocol version."""
+    """Transport peers disagree on the protocol or on the session: magic,
+    version, ego, epsilon, mechanisms or node roster."""
 
 
 class DecodeError(ValueError):
@@ -154,6 +155,7 @@ WIRE_VERSION = 3
 TYPE_FORWARD = 1
 TYPE_BACKWARD = 2
 HANDSHAKE_MAGIC = b"PEBC"
+HANDSHAKE_VERSION = 4
 
 _WIDTHS = (1, 2, 4, 8)
 
@@ -454,7 +456,14 @@ def nonprivate_ebc_protocol(pg: PartitionedGraph, a: object) -> float:
 # Longest wait, in seconds, for a connection or for the peer's next bytes.
 IO_TIMEOUT_S = 10.0
 
-_HELLO = HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
+# hello v4 = magic | u8 version | u32 ego's dense index | f8 epsilon |
+#            u8 mechanism mask | 32-byte SHA-256 of the node roster
+# (big-endian, 50 bytes). Each side sends its own and refuses a peer's
+# that differs in any field: the two halves then run the same session
+# on the same roster, or none.
+_HELLO = struct.Struct(">4sBIdB32s")
+_HELLO_FIELDS = ("magic", "version", "ego", "epsilon", "mechanisms", "roster")
+_MECH_BITS = {"mech1": 1, "mech2": 2, "mech3": 4}
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytes:
@@ -477,15 +486,29 @@ def _recv_frame(sock: socket.socket, max_size: int) -> bytes:
     return head + _recv_exact(sock, length)
 
 
-def _handshake(sock: socket.socket) -> None:
+def _hello(view: PartyView, a_idx: int, config: ProtocolConfig) -> bytes:
+    """This side's hello for the session on ego a_idx under config."""
+    mask = sum(bit for mech, bit in _MECH_BITS.items() if mech in config.mech_mask)
+    return _HELLO.pack(HANDSHAKE_MAGIC, HANDSHAKE_VERSION, a_idx, config.epsilon, mask,
+                       view.roster_digest)
+
+
+def _handshake(sock: socket.socket, hello: bytes) -> None:
     """Either role's greeting: send this side's hello, then check the
-    peer's."""
-    sock.sendall(_HELLO)
-    hello = _recv_exact(sock, 5)
-    if hello[:4] != HANDSHAKE_MAGIC:
+    peer's. Magic and version are checked before the rest is read, so
+    an older peer's shorter hello is refused at once; then the first
+    field that differs is named."""
+    sock.sendall(hello)
+    head = _recv_exact(sock, 5)
+    if head[:4] != HANDSHAKE_MAGIC:
         raise HandshakeError("peer sent bad magic")
-    if hello[4] != WIRE_VERSION:
-        raise HandshakeError(f"peer speaks version {hello[4]}, expected {WIRE_VERSION}")
+    if head[4] != HANDSHAKE_VERSION:
+        raise HandshakeError(f"peer speaks version {head[4]}, expected {HANDSHAKE_VERSION}")
+    peer = _HELLO.unpack(head + _recv_exact(sock, _HELLO.size - 5))
+    for name, ours, theirs in zip(_HELLO_FIELDS, _HELLO.unpack(hello), peer):
+        if ours != theirs:
+            detail = "" if name == "roster" else f": ours {ours!r}, the peer's {theirs!r}"
+            raise HandshakeError(f"peers disagree on the session's {name}{detail}")
 
 
 def _connect(address: tuple[str, int]) -> socket.socket:
@@ -530,7 +553,10 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
     child, replays an in-process session bit for bit. X returns the EBC
     estimate; Y returns None. Each party only ever holds its own view,
     so the other side's internal edges are absent from its process by
-    construction. Y waiting longer than
+    construction. Both halves must be handed the same ego, epsilon and
+    mechanism mask, and views of the same node roster (labels and
+    party mask); the handshake raises HandshakeError on both sides
+    otherwise. Y waiting longer than
     IO_TIMEOUT_S for X to connect, or either side waiting that long for
     the peer's next bytes, raises ProtocolError; X that has not
     connected within IO_TIMEOUT_S raises ConnectionError.
@@ -542,10 +568,11 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
         seed = np.random.SeedSequence(seed, spawn_key=(0 if role == "X" else 1,))
     rng = np.random.default_rng(seed)
     rng_x, rng_y = (rng, None) if role == "X" else (None, rng)
+    hello = _hello(view, a_idx, config)
     open_link = _connect if role == "X" else _accept
     try:
         with open_link(address) as sock:
-            _handshake(sock)
+            _handshake(sock, hello)
             result = _play(view, a_idx, config, rng_x, rng_y, sock,
                            transcript if transcript is not None else [])
     except TimeoutError as exc:

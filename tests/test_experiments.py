@@ -13,6 +13,7 @@ from privebc.experiments import (
     ExperimentConfig,
     ResultRow,
     SUMMARY_ID,
+    _ba_edges,
     load_experiment_graph,
     mask_name,
     parse_csv,
@@ -100,6 +101,21 @@ def test_synthetic_graph_is_reproducible():
     assert g1.n == g2.n == 60
     assert g1.edge_count == g2.edge_count
     assert list(g1.edges_iter()) == list(g2.edges_iter())
+
+
+@pytest.mark.parametrize("n, m", [(30, 2), (200, 3), (400, 3), (50, 1), (5000, 10), (10000, 15)])
+def test_ba_edges_match_networkx(n, m):
+    import networkx as nx
+    want = {frozenset(e) for e in nx.barabasi_albert_graph(n, m, seed=0).edges()}
+    got = _ba_edges(n, m, 0)
+    assert len(got) == len(want) == (n - m - 1) * m + m
+    assert {frozenset(e) for e in got} == want
+
+
+def test_synthetic_graph_is_the_ba_edge_set():
+    g = load_experiment_graph(_sweep_config())
+    want = {frozenset(map(str, e)) for e in _ba_edges(60, 2, 0)}
+    assert {frozenset((g.label_of(i), g.label_of(j))) for i, j in g.edges_iter()} == want
 
 
 # ------------------------------------------------------------- selection

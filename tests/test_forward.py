@@ -15,7 +15,7 @@ from privebc import (
     quality,
     stratum_distribution,
 )
-from privebc import ego_context, oracle
+from privebc import ego_context, forward, oracle
 from privebc.dpnum import log_add, sample_neg_exp1
 from privebc.forward import forward_message_from_context, inverse_transform_sample, pick_and_flip
 
@@ -141,6 +141,18 @@ def test_inverse_transform_two_point():
     assert hits / 200_000 == pytest.approx(want, abs=0.005)
 
 
+def _chi_square_sf(counts: np.ndarray, want: np.ndarray) -> float:
+    """Chi-square p-value of counts against expected counts, with the
+    cells expected below 5 merged into one."""
+    keep = want >= 5  # merge thin tails out of the statistic
+    chi2 = float(((counts[keep] - want[keep]) ** 2 / want[keep]).sum())
+    dof = int(keep.sum()) - 1
+    if (~keep).any():
+        chi2 += float((counts[~keep].sum() - want[~keep].sum()) ** 2 / want[~keep].sum())
+        dof += 1
+    return stats.chi2.sf(chi2, dof)
+
+
 def test_inverse_transform_chi_square():
     n, eps = 10, 1.0
     d = stratum_distribution(n, PrivacyParams(epsilon=eps))
@@ -149,28 +161,55 @@ def test_inverse_transform_chi_square():
     counts = np.zeros(n + 1)
     for _ in range(draws):
         counts[inverse_transform_sample(d, rng)] += 1
-    want = d.pmf_floats() * draws
-    keep = want >= 5  # merge thin tails out of the statistic
-    chi2 = float(((counts[keep] - want[keep]) ** 2 / want[keep]).sum())
-    dof = int(keep.sum()) - 1
-    if (~keep).any():
-        chi2 += float((counts[~keep].sum() - want[~keep].sum()) ** 2 / want[~keep].sum())
-        dof += 1
-    assert stats.chi2.sf(chi2, dof) > 1e-3
+    assert _chi_square_sf(counts, d.pmf_floats() * draws) > 1e-3
+
+
+@pytest.mark.parametrize("eps", [0.1, 7.0])
+def test_inverse_transform_chi_square_low_and_high_budget(eps):
+    # the law's mass sits near n/2 at eps 0.1 and at n at eps 7, so the
+    # downward scan stops midway in one and at once in the other
+    n, draws = 40, 50_000
+    d = stratum_distribution(n, PrivacyParams(epsilon=eps))
+    rng = np.random.default_rng(3)
+    counts = np.bincount([inverse_transform_sample(d, rng) for _ in range(draws)],
+                         minlength=n + 1)
+    assert _chi_square_sf(counts, d.pmf_floats() * draws) > 1e-3
+
+
+def test_inverse_transform_scan_costs_n_minus_i_steps(monkeypatch):
+    # a draw on a fresh distribution walks the upper tail from I = n down
+    # to the drawn stratum: n - I log_add steps. I = 0 takes n - 1, as
+    # the scan returns it once P(I >= 1) falls short, without a last step
+    calls = []
+    real = forward.log_add
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(forward, "log_add", counting)
+    rng = np.random.default_rng(12)
+    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0)):
+        base = stratum_distribution(n, PrivacyParams(epsilon=eps))
+        for _ in range(40):
+            calls.clear()
+            i = inverse_transform_sample(dataclasses.replace(base), rng)
+            assert len(calls) == (n - i if i else n - 1)
 
 
 def _scan_reference(dist: StratumDistribution, rng: np.random.Generator) -> int:
-    """The plain linear log-CDF scan: from c = log_pmf[0], iteration I
-    over 1..n returns I-1 the first time c >= psi holds at loop entry,
-    and n if the scan completes."""
+    """The plain linear upper-tail scan: from u = log_pmf[n], iteration
+    k over 1..n returns n-k+1 the first time u >= psi holds at loop
+    entry, and 0 if the scan completes."""
     ctx = dist.ctx
     psi = ctx.mp.mpf(sample_neg_exp1(rng))
-    c = dist.log_pmf[0]
-    for i in range(1, dist.n + 1):
-        if c >= psi:
-            return i - 1
-        c = log_add(c, dist.log_pmf[i], ctx)
-    return dist.n
+    n = dist.n
+    u = dist.log_pmf[n]
+    for k in range(1, n + 1):
+        if u >= psi:
+            return n - k + 1
+        u = log_add(u, dist.log_pmf[n - k], ctx)
+    return 0
 
 
 def _same_draws_as_scan(dist: StratumDistribution, seed: int, draws: int) -> None:

@@ -37,7 +37,13 @@ from privebc import protocol
 from privebc.backward import _partial_sum_core, _spanning_core_matrix, _y_ego_sorted
 from privebc.dpnum import geometric_scale, two_sided_geometric
 from privebc.graphs import _x_minus
-from privebc.protocol import HANDSHAKE_MAGIC, WIRE_VERSION, BudgetLedger, _assemble_x
+from privebc.protocol import (
+    HANDSHAKE_MAGIC,
+    HANDSHAKE_VERSION,
+    WIRE_VERSION,
+    BudgetLedger,
+    _assemble_x,
+)
 
 from .conftest import make_pg, random_graph, random_partition
 
@@ -376,14 +382,15 @@ def test_seeded_frames_and_values_are_pinned():
                 for f in res.frames:
                     h.update(f)
                 h.update(repr(res.value).encode())
-    assert h.hexdigest() == "5c45a245f4f1d1ee4129059eb57d9a7eea0902994614b1fb7c06ebe60849450f"
+    assert h.hexdigest() == "89e95d2e37d55f8ccc3eef2818ace70f692e911174d467de4b60d4c608cd87ee"
 
 
 def test_seeded_r_sets_and_noiseless_values_are_pinned():
     # the sessions above, without Y's noise: their R sets, the noiseless
-    # counts for each R and the values with noiseless replies. The digest
-    # was computed before wire formats v2 and v3 and both changes of Y's
-    # noise sampler, which moved only the noisy values pinned above.
+    # counts for each R and the values with noiseless replies. Wire
+    # formats v2 and v3 and both changes of Y's noise sampler left it
+    # as it was; the stratum scan's move to the upper tail moved it,
+    # since one uniform now maps to another stratum.
     rng = np.random.default_rng(31)
     h = hashlib.sha256()
     for n in (12, 30, 60):
@@ -406,7 +413,7 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
                 h.update(repr((exact.value, exact.parts.S_X, exact.parts.S_XY,
                                exact.parts.S_Y)).encode())
                 h.update(repr(core.shape).encode() + core.tobytes())
-    assert h.hexdigest() == "68623b5362a1555b3d352cf30e8851cd96e4f681c9e990d3402295fa3a8354f7"
+    assert h.hexdigest() == "cda5c08cdcd04680bd4c7110185ff96cddc618cfb38bdf8c491727eedbcce75f"
 
 
 def test_encode_rejects_unknown_type():
@@ -661,7 +668,7 @@ def test_two_process_handshake_version_mismatch(mixed_pg):
     yt.start()
     with protocol._connect(address) as sock:
         sock.sendall(HANDSHAKE_MAGIC + bytes([99]))
-        assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
+        assert protocol._recv_exact(sock, 5) == HANDSHAKE_MAGIC + bytes([HANDSHAKE_VERSION])
     yt.join(timeout=30)
     assert not yt.is_alive()
     assert len(box) == 1 and isinstance(box[0], HandshakeError)
@@ -768,7 +775,7 @@ def _handshake_refuses(pg, version: int) -> None:
     yt.start()
     with protocol._connect(address) as sock:
         sock.sendall(HANDSHAKE_MAGIC + bytes([version]))
-        assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
+        assert protocol._recv_exact(sock, 5) == HANDSHAKE_MAGIC + bytes([HANDSHAKE_VERSION])
     yt.join(timeout=30)
     assert len(box) == 1 and isinstance(box[0], HandshakeError)
     # X refuses a Y that answers with the old version
@@ -799,6 +806,60 @@ def test_two_process_handshake_rejects_v2_peer(mixed_pg):
     # v2 sent R as ids and Y's reply as floats; a v3 party speaks neither
     assert WIRE_VERSION == 3
     _handshake_refuses(mixed_pg, 2)
+
+
+def test_two_process_handshake_rejects_v3_peer(mixed_pg):
+    # a v3 hello binds nothing of the session; the frames keep version 3
+    assert HANDSHAKE_VERSION == 4
+    _handshake_refuses(mixed_pg, 3)
+
+
+def test_hello_binds_the_session(mixed_pg):
+    a_idx = mixed_pg.graph.index_of("a")
+    cfg = ProtocolConfig(epsilon=0.9)
+    hello = protocol._hello(mixed_pg.view_x(), a_idx, cfg)
+    assert len(hello) == 50
+    assert hello == protocol._hello(mixed_pg.view_y(), a_idx, cfg)
+    assert hello[:9] == HANDSHAKE_MAGIC + struct.pack(">BI", 4, a_idx)
+    assert struct.unpack(">dB", hello[9:18]) == (0.9, 7)
+    assert protocol._hello(mixed_pg.view_x(), a_idx, ProtocolConfig(
+        epsilon=0.9, mech_mask=frozenset({"mech1", "mech3"})))[17] == 5
+
+
+def _mismatched_halves(pg):
+    """(name, Y's view, Y's ego, Y's config) for three sessions that Y
+    is handed wrongly, against X's ego a at eps 1 on pg: another ego, a
+    budget of 100, and another partition of the same graph."""
+    cfg = ProtocolConfig(epsilon=1.0)
+    moved = pg._is_x.copy()
+    moved[pg.graph.index_of("g")] = False
+    return [("ego", pg.view_y(), "e", cfg),
+            ("epsilon", pg.view_y(), "a", ProtocolConfig(epsilon=100.0)),
+            ("roster", PartitionedGraph(pg.graph, moved).view_y(), "a", cfg)]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("noisy", [False, True])
+def test_two_process_refuses_mismatched_sessions(mixed_pg, case, noisy):
+    # before the hello carried the session, these ran: a wrong ego gave
+    # a wrong noiseless value, a wrong budget went unnoticed, and a
+    # wrong partition failed by accident with a bare ConnectionError
+    name, view_y, ego_y, cfg_y = _mismatched_halves(mixed_pg)[case]
+    mask = ALL_MECHS if noisy else frozenset()
+    cfg_x = ProtocolConfig(epsilon=1.0, mech_mask=mask)
+    cfg_y = ProtocolConfig(epsilon=cfg_y.epsilon, mech_mask=mask)
+    address = ("127.0.0.1", _free_port())
+    box: list = []
+    yt = threading.Thread(target=_run_y, args=(view_y, ego_y, cfg_y, 4, address, None, box))
+    yt.start()
+    try:
+        with pytest.raises(HandshakeError, match=name):
+            run_two_process("X", address, mixed_pg.view_x(), "a", cfg_x, 4)
+    finally:
+        yt.join(timeout=30)
+    assert not yt.is_alive()
+    assert len(box) == 1 and isinstance(box[0], HandshakeError)
+    assert name in str(box[0])
 
 
 def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
@@ -851,12 +912,13 @@ def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
     assert mine.tolist() == noise.ravel().tolist()
 
 
-def _fake_x(address, payload: bytes) -> bytes:
-    """Stands in for X: says hello, sends `payload` raw and returns all
-    Y sends after its hello, until Y hangs up (or 10 s pass)."""
+def _fake_x(address, hello: bytes, payload: bytes) -> bytes:
+    """Stands in for X: says `hello`, sends `payload` raw and returns
+    all Y sends after its hello, which must equal X's, until Y hangs up
+    (or 10 s pass)."""
     with protocol._connect(address) as sock:
-        sock.sendall(HANDSHAKE_MAGIC + bytes([WIRE_VERSION]) + payload)
-        assert sock.recv(5) == HANDSHAKE_MAGIC + bytes([WIRE_VERSION])
+        sock.sendall(hello + payload)
+        assert protocol._recv_exact(sock, len(hello)) == hello
         rest = b""
         try:
             while chunk := sock.recv(65536):
@@ -873,13 +935,14 @@ def _fake_y_session(pg, cfg, reply) -> None:
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     box: list = []
+    a_idx = pg.graph.index_of("a")
 
     def serve():
         try:
             with listener:
                 conn, _ = listener.accept()
                 with conn:
-                    protocol._handshake(conn)
+                    protocol._handshake(conn, protocol._hello(pg.view_y(), a_idx, cfg))
                     fwd = decode_msg(protocol._recv_frame(conn, 1 << 20))
                     conn.sendall(reply(fwd))
                     conn.recv(1)  # hold the connection until X hangs up
@@ -935,13 +998,14 @@ def test_y_refuses_forward_set_outside_x_minus_over_tcp(mixed_pg):
     cfg = ProtocolConfig(epsilon=1.0)
     frames = [(encode_msg(ForwardMsg(member=bits)), 6) for bits in _bad_forward_bits(mixed_pg)[:3]]
     frames.append((struct.pack(">IBBIB", 7, 3, 1, 3, 0b10110000), 10))
+    hello = protocol._hello(mixed_pg.view_x(), mixed_pg.graph.index_of("a"), cfg)
     for frame, offset in frames:
         address = ("127.0.0.1", _free_port())
         box: list = []
         yt = threading.Thread(target=_run_y,
                               args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
         yt.start()
-        assert _fake_x(address, frame) == b""  # no backward frame
+        assert _fake_x(address, hello, frame) == b""  # no backward frame
         yt.join(timeout=30)
         assert len(box) == 1 and isinstance(box[0], DecodeError)
         assert box[0].offset == offset
@@ -951,13 +1015,14 @@ def test_y_refuses_oversized_frame_before_reading_it(mixed_pg):
     # Y's bound is the forward frame over |X^-| = 3 nodes, 10 + 1 = 11
     # bytes here: a length field of 8 is one byte over
     cfg = ProtocolConfig(epsilon=1.0)
+    hello = protocol._hello(mixed_pg.view_x(), mixed_pg.graph.index_of("a"), cfg)
     for length in (0xFFFFFFFF, 8):
         address = ("127.0.0.1", _free_port())
         box: list = []
         yt = threading.Thread(target=_run_y,
                               args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
         yt.start()
-        assert _fake_x(address, struct.pack(">I", length)) == b""
+        assert _fake_x(address, hello, struct.pack(">I", length)) == b""
         yt.join(timeout=30)
         assert not yt.is_alive()
         assert len(box) == 1 and isinstance(box[0], ProtocolError)
