@@ -6,11 +6,14 @@ stages: first the quality stratum index I (whose law reduces to
 Binomial(|X^-|, sigma(t)) with t = eps/(2 delta)), then a uniform
 member of that stratum via pick-and-flip. Stage one runs in log space
 in mpmath at extended precision, scanning the upper-tail log-CDF down
-from I = n, where the binomial's mass lies, so a draw of I costs
-n - I + 1 steps. It draws from one 53-bit uniform, so it is exact only
-to that grid (see inverse_transform_sample); stage two is an exact
-partial Fisher-Yates over X^-. Per-node randomized response
-(ROADMAP item 3) would make the release exact outright.
+from I = n, where the binomial's mass lies, and computing each pmf term
+only when the scan reaches it, so a fresh draw of I costs n - I + 1
+terms and scan steps. The table of log 1, 2, ... those terms read is
+shared by every n, and the full pmf is built only on request. Stage one
+draws from one 53-bit uniform, so it is exact only to that grid (see
+inverse_transform_sample); stage two is an exact partial Fisher-Yates
+over X^-. Per-node randomized response (ROADMAP item 3) would make the
+release exact outright.
 """
 
 from __future__ import annotations
@@ -29,23 +32,30 @@ from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 @dataclass(frozen=True)
 class StratumDistribution:
-    """Log-space pmf of the stratum index I over {0, ..., n}.
+    """Log-space pmf of the stratum index I over {0, ..., n}, built lazily.
 
     log_pmf[i] = log C(n, i) + i*t - n*log(1 + e^t) where t is the
-    quality exponent eps/(2*delta0). Masses sum to one at context
-    precision; exp(log_pmf) equals the Binomial(n, e^t/(1+e^t)) pmf.
-
-    The upper-tail log-CDF prefix that draws have needed so far,
-    log P(I >= n), log P(I >= n-1), ..., is kept alongside (see
-    inverse_transform_sample); it is derived data and takes no part in
-    equality.
+    quality exponent eps/(2*delta0); exp(log_pmf) equals the
+    Binomial(n, e^t/(1+e^t)) pmf. A fresh draw of I grows n - I + 1
+    terms from I = n down, with the upper-tail log-CDF, from the log
+    table every n shares (see inverse_transform_sample); the full pmf is
+    built only on request. The stored prefixes take no part in equality.
     """
 
     n: int
     t: float
-    log_pmf: tuple
     ctx: PrecisionContext
+    _terms: tuple = field(default=(), init=False, repr=False, compare=False)
     _log_cdf: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    @property
+    def log_pmf(self) -> tuple:
+        """All n + 1 terms, log_pmf[0] first, at context precision."""
+        terms = list(self._terms)
+        while len(terms) <= self.n:
+            _next_log_pmf(terms, self)
+        object.__setattr__(self, "_terms", tuple(terms))
+        return tuple(reversed(terms))
 
     def pmf_floats(self) -> np.ndarray:
         mp = self.ctx.mp
@@ -73,11 +83,24 @@ class ForwardMsg:
         return frozenset(self.x_minus[self.member].tolist())
 
 
-@lru_cache(maxsize=8)
-def _log_int_table(n: int, ctx: PrecisionContext) -> tuple:
-    """log(1), ..., log(n) at extended precision; pure constants."""
-    mp = ctx.mp
-    return tuple(mp.log(mp.mpf(i)) for i in range(1, n + 1))
+# _LOG_INTS[i] = log(i) at the contexts' one precision, shared by every n
+_LOG_INTS = [DEFAULT_CONTEXT.mp.ninf]
+
+
+def _next_log_pmf(terms: list, dist: StratumDistribution) -> None:
+    """Append the next term from the heavy end down to terms = [log_pmf[n],
+    ..., log_pmf[i]]: log_pmf[n] = -n*log1p(e^-t), and log_pmf[i-1] =
+    log_pmf[i] + log(i) - log(n-i+1) - t. The first term grows the
+    shared log table to n."""
+    mp, n, t = dist.ctx.mp, dist.n, dist.ctx.mp.mpf(dist.t)
+    if not terms:
+        # one slice store; a racing writer stores the same values there
+        start = len(_LOG_INTS)
+        _LOG_INTS[start:n + 1] = [DEFAULT_CONTEXT.mp.log(i) for i in range(start, n + 1)]
+        terms.append(mp.fneg(mp.fmul(n, mp.log1p(mp.exp(mp.fneg(t))))))
+        return
+    i = n + 1 - len(terms)
+    terms.append(mp.fsub(mp.fadd(terms[-1], _LOG_INTS[i]), mp.fadd(_LOG_INTS[n - i + 1], t)))
 
 
 def quality(R: Iterable[int], R_star: Iterable[int], X_minus: Iterable[int]) -> int:
@@ -94,9 +117,10 @@ def stratum_distribution(n: int, params: PrivacyParams,
                          ctx: PrecisionContext = DEFAULT_CONTEXT) -> StratumDistribution:
     """Exact stratum pmf for |X^-| = n at the context's precision.
 
-    The eight most recently used distributions are kept, keyed by
-    (n, epsilon, delta0, ctx), so repeated releases at one size
-    compute the pmf once. The key holds nothing of the graph.
+    The distribution computes its terms lazily, so building one is
+    O(1). The eight most recently used are kept, keyed by (n, epsilon,
+    delta0, ctx), so repeated releases at one size compute each term
+    once. The key holds nothing of the graph.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -106,21 +130,7 @@ def stratum_distribution(n: int, params: PrivacyParams,
 @lru_cache(maxsize=8)
 def _stratum_distribution(n: int, epsilon: float, delta0: float,
                           ctx: PrecisionContext) -> StratumDistribution:
-    mp = ctx.mp
-    t = mp.fdiv(mp.mpf(epsilon), mp.mpf(2.0 * delta0))
-    norm = mp.fmul(mp.mpf(n), mp.log1p(mp.exp(t)))
-    logs = _log_int_table(n, ctx)
-    pmf = [mp.fsub(mp.mpf(0), norm)]
-    log_choose = mp.mpf(0)
-    acc_t = mp.mpf(0)
-    for i in range(1, n + 1):
-        # log C(n,i) accumulates as log(n-i+1) - log(i); the i*t term
-        # accumulates alongside so each step is the previous plus
-        # log(n-i+1) - log(i) + t
-        log_choose = mp.fsub(mp.fadd(log_choose, logs[n - i]), logs[i - 1])
-        acc_t = mp.fadd(acc_t, t)
-        pmf.append(mp.fsub(mp.fadd(log_choose, acc_t), norm))
-    return StratumDistribution(n=n, t=float(t), log_pmf=tuple(pmf), ctx=ctx)
+    return StratumDistribution(n=n, t=epsilon / (2.0 * delta0), ctx=ctx)
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
@@ -133,11 +143,13 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
     0..n-1 with u_k >= psi, or 0 if there is none. Since I >= j exactly
     when P(I >= j) >= U for U = e^psi, the law is that of the pmf. The
     pmf is Binomial(n, sigma) with sigma > 1/2, so its mass lies at the
-    top and a draw of I costs n - I + 1 scan steps. The u_k are kept on
-    `dist` as far as some draw has needed them, so a draw within that
-    prefix is a bisection; a draw beyond it extends the prefix exactly
-    as far as the scan would have gone. log_add never decreases its
-    first argument, so bisection and scan return the same index.
+    top. The scan computes each log_pmf term as it reaches it, from the
+    log table every n shares, so a draw of I on a fresh `dist` computes
+    n - I + 1 terms and scan steps and never the full pmf. Terms and u_k
+    are kept on `dist` as far as some draw has needed them, so a draw
+    within that prefix is a bisection; a draw beyond it extends both
+    exactly as far as the scan would have gone. log_add never decreases
+    its first argument, so bisection and scan return the same index.
 
     The draw is exact only to the grid of its uniform: psi is log(U)
     for one 53-bit double U in [2^-53, 1 - 2^-53], and each stratum's
@@ -155,17 +167,24 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
 
 def _extend_log_cdf(dist: StratumDistribution, psi) -> int:
     """Continue the upper-tail scan past the stored prefix, all of which
-    lies below psi; store the longer prefix and return the index."""
+    lies below psi, growing the pmf terms it reaches alongside; store the
+    longer prefixes and return the index."""
     n = dist.n
     if n == 0:
         return 0
-    tail = list(dist._log_cdf) or [dist.log_pmf[n]]
+    terms, tail = list(dist._terms), list(dist._log_cdf)
+    if not terms:
+        _next_log_pmf(terms, dist)
+    if not tail:
+        tail.append(terms[0])
     while tail[-1] < psi and len(tail) < n:
-        tail.append(log_add(tail[-1], dist.log_pmf[n - len(tail)], dist.ctx))
-    # concurrent draws may race here; every writer stores a prefix of
-    # the same deterministic sequence, so any of them is correct
-    if len(tail) > len(dist._log_cdf):
-        object.__setattr__(dist, "_log_cdf", tuple(tail))
+        while len(terms) <= len(tail):
+            _next_log_pmf(terms, dist)
+        tail.append(log_add(tail[-1], terms[len(tail)], dist.ctx))
+    # concurrent draws may race here; every writer stores prefixes of the
+    # same deterministic sequences, so any of them is correct
+    object.__setattr__(dist, "_terms", tuple(terms))
+    object.__setattr__(dist, "_log_cdf", tuple(tail))
     return n - (len(tail) - 1) if tail[-1] >= psi else 0
 
 

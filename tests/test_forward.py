@@ -119,10 +119,14 @@ def test_subset_law_pointwise():
 # ------------------------------------------------ inverse transform sample
 
 def _point_mass_dist(n: int, k: int) -> StratumDistribution:
+    """A distribution whose stored terms are the explicit log-pmf of a
+    point mass at k: all n + 1 of them, so no draw grows any."""
     ctx = DEFAULT_CONTEXT
     logs = [ctx.mp.ninf] * (n + 1)
     logs[k] = ctx.mp.mpf(0.0)
-    return StratumDistribution(n=n, t=0.0, log_pmf=tuple(logs), ctx=ctx)
+    d = StratumDistribution(n=n, t=0.0, ctx=ctx)
+    object.__setattr__(d, "_terms", tuple(reversed(logs)))
+    return d
 
 
 def test_inverse_transform_point_mass():
@@ -212,10 +216,12 @@ def _scan_reference(dist: StratumDistribution, rng: np.random.Generator) -> int:
     return 0
 
 
-def _same_draws_as_scan(dist: StratumDistribution, seed: int, draws: int) -> None:
-    # a fresh copy starts with no stored log-CDF prefix; the shared one
-    # may already hold some, so both paths are compared with the scan
-    for d in (dataclasses.replace(dist), dist):
+def _same_draws_as_scan(dist: StratumDistribution, seed: int, draws: int,
+                        fresh=dataclasses.replace) -> None:
+    # a fresh copy starts with no stored terms or log-CDF prefix; the
+    # shared one may already hold some, so both paths are compared with
+    # the scan
+    for d in (fresh(dist), dist):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = [inverse_transform_sample(d, rng_a) for _ in range(draws)]
         want = [_scan_reference(d, rng_b) for _ in range(draws)]
@@ -233,7 +239,57 @@ def test_inverse_transform_matches_linear_scan(n, eps):
 def test_inverse_transform_point_mass_matches_linear_scan():
     for n in (1, 3, 7):
         for k in range(n + 1):
-            _same_draws_as_scan(_point_mass_dist(n, k), seed=10 * n + k, draws=50)
+            _same_draws_as_scan(_point_mass_dist(n, k), seed=10 * n + k, draws=50,
+                                fresh=lambda d: _point_mass_dist(d.n, k))
+
+
+def test_fresh_draw_computes_only_the_terms_it_reaches(monkeypatch):
+    # a draw on a fresh distribution computes the log-pmf terms from
+    # I = n down to the drawn stratum: n - I + 1 of them. I = 0 takes n,
+    # as the scan returns it once P(I >= 1) falls short
+    calls = []
+    real = forward._next_log_pmf
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(forward, "_next_log_pmf", counting)
+    rng = np.random.default_rng(13)
+    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0), (0, 1.0)):
+        base = stratum_distribution(n, PrivacyParams(epsilon=eps))
+        for _ in range(40):
+            calls.clear()
+            i = inverse_transform_sample(dataclasses.replace(base), rng)
+            assert len(calls) == (n - i + 1 if i else n)
+
+
+def _bottom_up_log_pmf(n: int, eps: float) -> list:
+    """The stratum log-pmf built from I = 0 up, with log C(n, i) and i*t
+    accumulated term by term, independently of forward's recurrence."""
+    mp = DEFAULT_CONTEXT.mp
+    t = mp.fdiv(mp.mpf(eps), 2)
+    norm = mp.fmul(n, mp.log1p(mp.exp(t)))
+    pmf, log_choose = [mp.fneg(norm)], mp.mpf(0)
+    for i in range(1, n + 1):
+        log_choose = mp.fsub(mp.fadd(log_choose, mp.log(n - i + 1)), mp.log(i))
+        pmf.append(mp.fsub(mp.fadd(log_choose, mp.fmul(i, t)), norm))
+    return pmf
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.5, 3.0, 7.0])
+def test_lazy_pmf_after_partial_draws_equals_bottom_up(eps):
+    # the terms a few draws grew, completed on request, are the pmf
+    for n in (0, 1, 2, 7, 31, 200):
+        d = dataclasses.replace(stratum_distribution(n, PrivacyParams(epsilon=eps)))
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            inverse_transform_sample(d, rng)
+        assert len(d._terms) <= n
+        want = _bottom_up_log_pmf(n, eps)
+        assert all(abs(float(a - b)) <= 1e-12 for a, b in zip(d.log_pmf, want, strict=True))
+        floats = np.array([float(DEFAULT_CONTEXT.mp.exp(b)) for b in want])
+        assert np.allclose(d.pmf_floats(), floats, rtol=1e-12, atol=0)
 
 
 def test_inverse_transform_zero_nodes():
