@@ -10,7 +10,7 @@ assembles the estimate. See README.md for the CLI and experiment harness.
 """
 
 from .backward import BackwardMsg, DegenerateEgoError, partial_ebc_y, spanning_counts
-from .dpnum import DEFAULT_CONTEXT, PrecisionContext, PrivacyParams
+from .dpnum import DEFAULT_CONTEXT, PrivacyParams
 from .forward import (
     ForwardMsg,
     StratumDistribution,
@@ -67,7 +67,6 @@ __all__ = [
     "LoadReport",
     "PartitionedGraph",
     "PartyView",
-    "PrecisionContext",
     "PrivacyParams",
     "ProtocolConfig",
     "ProtocolError",

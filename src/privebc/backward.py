@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .dpnum import PrivacyParams, geometric_scale, two_sided_geometric
-from .graphs import PartitionedGraph, PartyView, _neighbor_array, _pair_sum
+from .graphs import PartitionedGraph, PartyView, _pair_sum, ego_context
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,12 +42,6 @@ SUM_GRID_BITS = 20  # S_Y is released in units of 2^-20
 
 class DegenerateEgoError(ValueError):
     """Y's side of the ego network is too small for a backward message."""
-
-
-def _y_ego_sorted(pg: PartitionedGraph | PartyView, a_idx: int) -> np.ndarray:
-    """N_a n V_Y as a sorted index array, from edges the caller knows."""
-    nbrs = _neighbor_array(pg.graph, a_idx)
-    return nbrs[~pg._is_x[nbrs]]
 
 
 def _core_blocks(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
@@ -128,7 +122,7 @@ def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[in
     (rounded up) per entry, drawn in row-major order. Empty R yields a
     0 x d_Y matrix with no noise drawn.
     """
-    y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
+    y_ego = ego_context(pg, a).y_ego_sorted
     core = _spanning_core_matrix(pg, _sorted_ids(R), y_ego)
     return _release(core, 0.0, params, rng, True, False).T
 
@@ -137,9 +131,10 @@ def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int]
                   params: PrivacyParams, rng: np.random.Generator) -> float:
     """Noisy partial EBC sum over Y's side of the ego network, on the
     2^-20 grid."""
-    y_ego = _y_ego_sorted(pg, pg.graph.index_of(a))
-    if y_ego.size < 2:
+    ectx = ego_context(pg, a)
+    if ectx.flow:
         raise DegenerateEgoError("need at least two Y-side ego neighbours")
+    y_ego = ectx.y_ego_sorted
     s_y = _partial_sum_core(pg, _sorted_ids(R), y_ego)
     return _release(np.zeros((0, y_ego.size)), s_y, params, rng, False, True).S_Y
 

@@ -23,26 +23,10 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_int
 
 
-class PrecisionContext:
-    """Immutable handle on mpmath arithmetic at 300 significand bits, the
-    precision the samplers were validated at. `mp` is the mpmath context
-    the extended-precision math calls directly."""
-
-    __slots__ = ("mp",)
-
-    def __init__(self):
-        mp = mpmath.MPContext()
-        mp.prec = 300
-        object.__setattr__(self, "mp", mp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrecisionContext is immutable")
-
-    def __repr__(self) -> str:
-        return f"PrecisionContext({self.mp.prec} bits)"
-
-
-DEFAULT_CONTEXT = PrecisionContext()
+# The mpmath context of the extended-precision math, at 300 significand
+# bits, the precision the samplers were validated at.
+DEFAULT_CONTEXT = mpmath.MPContext()
+DEFAULT_CONTEXT.prec = 300
 
 
 @dataclass(frozen=True)
@@ -65,26 +49,25 @@ class PrivacyParams:
             raise ValueError("delta0 must be positive")
 
 
-def log_add(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
+def log_add(x, y, ctx: mpmath.MPContext = DEFAULT_CONTEXT):
     """log(e^x + e^y), computed stably by factoring out the max.
 
     Inputs may be context reals or floats; -inf is the exact identity
     element.
     """
-    mp = ctx.mp
     if isinstance(x, (int, float)):
-        x = mp.mpf(x)
+        x = ctx.mpf(x)
     if isinstance(y, (int, float)):
-        y = mp.mpf(y)
-    if x == mp.ninf:
+        y = ctx.mpf(y)
+    if x == ctx.ninf:
         return y
-    if y == mp.ninf:
+    if y == ctx.ninf:
         return x
     if x >= y:
         hi, lo = x, y
     else:
         hi, lo = y, x
-    return mp.fadd(hi, mp.log1p(mp.exp(mp.fsub(lo, hi))))
+    return ctx.fadd(hi, ctx.log1p(ctx.exp(ctx.fsub(lo, hi))))
 
 
 def sample_neg_exp1(rng: np.random.Generator) -> float:

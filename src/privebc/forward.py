@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
+import mpmath
 import numpy as np
 
 from . import _kernels
-from .dpnum import DEFAULT_CONTEXT, PrecisionContext, PrivacyParams, log_add, sample_neg_exp1
+from .dpnum import DEFAULT_CONTEXT, PrivacyParams, log_add, sample_neg_exp1
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 
@@ -39,14 +40,20 @@ class StratumDistribution:
     Binomial(n, e^t/(1+e^t)) pmf. A fresh draw of I grows n - I + 1
     terms from I = n down, with the upper-tail log-CDF, from the log
     table every n shares (see inverse_transform_sample); the full pmf is
-    built only on request. The stored prefixes take no part in equality.
+    built only on request. t is converted to a context real once, when
+    the distribution is built. The stored prefixes take no part in
+    equality.
     """
 
     n: int
     t: float
-    ctx: PrecisionContext
+    ctx: mpmath.MPContext
+    _t: object = field(default=None, init=False, repr=False, compare=False)
     _terms: tuple = field(default=(), init=False, repr=False, compare=False)
     _log_cdf: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_t", self.ctx.mpf(self.t))
 
     @property
     def log_pmf(self) -> tuple:
@@ -58,8 +65,7 @@ class StratumDistribution:
         return tuple(reversed(terms))
 
     def pmf_floats(self) -> np.ndarray:
-        mp = self.ctx.mp
-        return np.array([float(mp.exp(p)) for p in self.log_pmf])
+        return np.array([float(self.ctx.exp(p)) for p in self.log_pmf])
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +89,8 @@ class ForwardMsg:
         return frozenset(self.x_minus[self.member].tolist())
 
 
-# _LOG_INTS[i] = log(i) at the contexts' one precision, shared by every n
-_LOG_INTS = [DEFAULT_CONTEXT.mp.ninf]
+# _LOG_INTS[i] = log(i) at DEFAULT_CONTEXT's precision, shared by every n
+_LOG_INTS = [DEFAULT_CONTEXT.ninf]
 
 
 def _next_log_pmf(terms: list, dist: StratumDistribution) -> None:
@@ -92,15 +98,15 @@ def _next_log_pmf(terms: list, dist: StratumDistribution) -> None:
     ..., log_pmf[i]]: log_pmf[n] = -n*log1p(e^-t), and log_pmf[i-1] =
     log_pmf[i] + log(i) - log(n-i+1) - t. The first term grows the
     shared log table to n."""
-    mp, n, t = dist.ctx.mp, dist.n, dist.ctx.mp.mpf(dist.t)
+    ctx, n, t = dist.ctx, dist.n, dist._t
     if not terms:
         # one slice store; a racing writer stores the same values there
         start = len(_LOG_INTS)
-        _LOG_INTS[start:n + 1] = [DEFAULT_CONTEXT.mp.log(i) for i in range(start, n + 1)]
-        terms.append(mp.fneg(mp.fmul(n, mp.log1p(mp.exp(mp.fneg(t))))))
+        _LOG_INTS[start:n + 1] = [DEFAULT_CONTEXT.log(i) for i in range(start, n + 1)]
+        terms.append(ctx.fneg(ctx.fmul(n, ctx.log1p(ctx.exp(ctx.fneg(t))))))
         return
     i = n + 1 - len(terms)
-    terms.append(mp.fsub(mp.fadd(terms[-1], _LOG_INTS[i]), mp.fadd(_LOG_INTS[n - i + 1], t)))
+    terms.append(ctx.fsub(ctx.fadd(terms[-1], _LOG_INTS[i]), ctx.fadd(_LOG_INTS[n - i + 1], t)))
 
 
 def quality(R: Iterable[int], R_star: Iterable[int], X_minus: Iterable[int]) -> int:
@@ -114,7 +120,7 @@ def quality(R: Iterable[int], R_star: Iterable[int], X_minus: Iterable[int]) -> 
 
 
 def stratum_distribution(n: int, params: PrivacyParams,
-                         ctx: PrecisionContext = DEFAULT_CONTEXT) -> StratumDistribution:
+                         ctx: mpmath.MPContext = DEFAULT_CONTEXT) -> StratumDistribution:
     """Exact stratum pmf for |X^-| = n at the context's precision.
 
     The distribution computes its terms lazily, so building one is
@@ -129,7 +135,7 @@ def stratum_distribution(n: int, params: PrivacyParams,
 
 @lru_cache(maxsize=8)
 def _stratum_distribution(n: int, epsilon: float, delta0: float,
-                          ctx: PrecisionContext) -> StratumDistribution:
+                          ctx: mpmath.MPContext) -> StratumDistribution:
     return StratumDistribution(n=n, t=epsilon / (2.0 * delta0), ctx=ctx)
 
 
@@ -158,7 +164,7 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
     U <= P(I = n), and I = 0 needs U > 1 - P(I = 0) (I = 0 at
     |X^-| = 100 and eps = 1 has log-probability -97.4).
     """
-    psi = dist.ctx.mp.mpf(sample_neg_exp1(rng))
+    psi = dist.ctx.mpf(sample_neg_exp1(rng))
     tail = dist._log_cdf
     if tail and tail[-1] >= psi:
         return dist.n - bisect_left(tail, psi)
@@ -235,7 +241,7 @@ def _flip(member: np.ndarray, I: int, rng: np.random.Generator) -> None:
 
 
 def forward_message(pg: PartitionedGraph | PartyView, a: object, params: PrivacyParams,
-                    ctx: PrecisionContext = DEFAULT_CONTEXT,
+                    ctx: mpmath.MPContext = DEFAULT_CONTEXT,
                     rng: np.random.Generator | None = None) -> ForwardMsg:
     """X's private set release for ego a: the full two-stage sampler."""
     if rng is None:
@@ -245,7 +251,7 @@ def forward_message(pg: PartitionedGraph | PartyView, a: object, params: Privacy
 
 
 def forward_message_from_context(ectx: EgoContext, params: PrivacyParams,
-                                 ctx: PrecisionContext,
+                                 ctx: mpmath.MPContext,
                                  rng: np.random.Generator) -> ForwardMsg:
     if params.delta0 != 1.0:
         raise ValueError("the set release runs with quality sensitivity 1")

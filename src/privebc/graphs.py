@@ -304,16 +304,24 @@ def partition_nodes(g: Graph, seed: int, x_fraction: float) -> PartitionedGraph:
 
 @dataclass(frozen=True)
 class EgoContext:
-    """Ego node a plus the derived node sets, all as dense indices.
+    """All one party derives about ego a from the view it holds, as
+    dense indices in sorted arrays.
 
-    r_star_sorted is R* = N_a intersected with V_X and x_minus_sorted is
-    X^- = V_X minus {a}, both as sorted arrays for the samplers; R_star
-    gives R* as a set.
+    x_minus_sorted is X^- = V_X minus {a} and y_ego_sorted is N_a n V_Y;
+    both come from the node roster and a's cross edges, which either
+    party holds, so X's and Y's contexts agree on them. r_star_sorted is
+    R* = N_a n V_X, which needs X's internal edges: it is empty in Y's
+    view. R_star gives R* as a set. flow is the session's degenerate
+    marker, which fixes the frames it sends: "no-y-nodes" sends none and
+    spends no budget, "small-y-ego" (fewer than two Y-side neighbours)
+    sends the forward frame only, "" sends both.
     """
 
     a: int
     r_star_sorted: np.ndarray
     x_minus_sorted: np.ndarray
+    y_ego_sorted: np.ndarray
+    flow: str
 
     @cached_property
     def R_star(self) -> frozenset[int]:
@@ -333,16 +341,21 @@ def _x_ego_index(pg: PartitionedGraph | PartyView, a: object) -> int:
 
 
 def _ego_context_idx(pg: PartitionedGraph | PartyView, a_idx: int) -> EgoContext:
+    """The ego context of X's node a_idx, from the edges pg holds."""
     nbrs = _neighbor_array(pg.graph, a_idx)
-    return EgoContext(a=a_idx, r_star_sorted=nbrs[pg._is_x[nbrs]],
-                      x_minus_sorted=_x_minus(pg, a_idx))
-
-
-def _x_minus(pg: PartitionedGraph | PartyView, a_idx: int) -> np.ndarray:
-    """X^- = V_X minus {a} as a sorted index array; both parties know it."""
+    in_x = pg._is_x[nbrs]
+    y_ego = nbrs[~in_x]
     vx = pg.vx_indices
     pos = int(vx.searchsorted(a_idx))
-    return np.concatenate((vx[:pos], vx[pos + 1:]))
+    if vx.size == pg.graph.n:
+        flow = "no-y-nodes"  # X holds every edge
+    elif y_ego.size < 2:
+        flow = "small-y-ego"  # Y's counts and partial sum are all zero
+    else:
+        flow = ""
+    return EgoContext(a=a_idx, r_star_sorted=nbrs[in_x],
+                      x_minus_sorted=np.concatenate((vx[:pos], vx[pos + 1:])),
+                      y_ego_sorted=y_ego, flow=flow)
 
 
 def _neighbor_array(g: Graph, i: int) -> np.ndarray:

@@ -2,13 +2,16 @@
 
 One session is one sequence, written once for both modes: forward
 message (X's set release), backward message (Y's noisy counts and
-partial sum), then X-side assembly of S_X + S_XY + S_Y. Both parties
-skip the messages their shared knowledge makes empty: both when Y has
-no nodes, the backward one when Y's side of the ego network has fewer
-than two nodes. Runs either in-process (both party views held by one
-driver) or across two processes over a framed TCP wire; handed the
-generators the in-process driver spawns, both modes produce
-bit-identical results.
+partial sum), then X-side assembly of S_X + S_XY + S_Y. Each party
+derives its part of the session from its own view only, through one
+ego context (graphs.EgoContext): the node sets, the frames it sends and
+the size bound of each frame it receives. Both parties skip the
+messages their shared knowledge makes empty: both when Y has no nodes,
+the backward one when Y's side of the ego network has fewer than two
+nodes. Runs either in-process (both party views held by one driver) or
+across two processes over a framed TCP wire; the two modes run the same
+per-party derivation and, handed the generators the in-process driver
+spawns, produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .backward import BackwardMsg, DegenerateEgoError, _reply, _y_ego_sorted
+from .backward import BackwardMsg, DegenerateEgoError, _reply
 from .dpnum import DEFAULT_CONTEXT, PrivacyParams
 from .forward import ForwardMsg, _membership, forward_message_from_context
 from .graphs import (
@@ -33,7 +36,6 @@ from .graphs import (
     _ego_local,
     _pair_sum,
     _x_ego_index,
-    _x_minus,
 )
 
 ALL_MECHS = frozenset({"mech1", "mech2", "mech3"})
@@ -246,7 +248,7 @@ def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
 # Session stages (shared by in-process and two-process modes)
 # ---------------------------------------------------------------------------
 
-def _forward_stage(view_x: PartyView, ectx: EgoContext, config: ProtocolConfig,
+def _forward_stage(ectx: EgoContext, config: ProtocolConfig,
                    rng: np.random.Generator | None, ledger: BudgetLedger) -> ForwardMsg:
     if "mech1" in config.mech_mask:
         params = PrivacyParams(epsilon=config.epsilon, delta0=1.0)
@@ -257,22 +259,23 @@ def _forward_stage(view_x: PartyView, ectx: EgoContext, config: ProtocolConfig,
                       x_minus=ectx.x_minus_sorted)
 
 
-def _backward_stage(view_y: PartyView, a_idx: int, y_ego: np.ndarray, fwd: ForwardMsg,
+def _backward_stage(view_y: PartyView, ectx: EgoContext, fwd: ForwardMsg,
                     config: ProtocolConfig, rng: np.random.Generator | None,
                     ledger: BudgetLedger) -> BackwardMsg:
-    """Y's reply to the forward message, whose bits Y reads against its
-    own X^- = V_X minus {a}: a bitmap cannot name any other id, so the
-    counts depend only on edges the noise's sensitivity bound covers.
-    Bits over any other number of nodes are refused."""
-    if y_ego.size < 2:
+    """Y's reply to the forward message, from Y's view and Y's ego
+    context, whose X^- = V_X minus {a} the bits are read against: a
+    bitmap cannot name any other id, so the counts depend only on edges
+    the noise's sensitivity bound covers. Bits over any other number of
+    nodes are refused."""
+    if ectx.flow:
         raise DegenerateEgoError("backward stage invoked on a gated case")
-    x_minus = _x_minus(view_y, a_idx)
+    x_minus = ectx.x_minus_sorted
     if fwd.member.size != x_minus.size:
         raise ProtocolError(f"forward bits cover {fwd.member.size} nodes, X^- has {x_minus.size}")
     noisy_t = "mech2" in config.mech_mask
     noisy_sy = "mech3" in config.mech_mask
-    back = _reply(view_y, y_ego, x_minus[fwd.member], PrivacyParams(epsilon=config.epsilon),
-                  rng, noisy_t, noisy_sy)
+    back = _reply(view_y, ectx.y_ego_sorted, x_minus[fwd.member],
+                  PrivacyParams(epsilon=config.epsilon), rng, noisy_t, noisy_sy)
     if noisy_t:
         ledger.charge("Y", "count-vector", config.epsilon / 2.0)
     if noisy_sy:
@@ -294,7 +297,7 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
     in_x = view_x._is_x[local]  # R* and a itself
     rs = in_x & (local != ectx.a)
     ys = ~in_x
-    shape = (r_sorted.size, int(np.count_nonzero(ys)))
+    shape = (r_sorted.size, ectx.y_ego_sorted.size)
     if back is not None and back.T.shape != shape:
         raise ProtocolError(f"backward matrix has shape {back.T.shape}, expected {shape}")
     rows = m[rs]  # R* against all of N_a u {a}
@@ -329,19 +332,6 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
 # ---------------------------------------------------------------------------
 # The session: one sequence for both modes
 # ---------------------------------------------------------------------------
-
-def _flow(view: PartitionedGraph | PartyView, y_ego: np.ndarray) -> str:
-    """The session's degenerate marker, which fixes the frames it sends:
-    "no-y-nodes" sends none and spends no budget, "small-y-ego" sends
-    the forward frame only, "" sends both. Each party computes it on its
-    own view, from the node roster and the ego's cross edges, which both
-    hold, so the two always agree."""
-    if view.vy_indices.size == 0:
-        return "no-y-nodes"  # X holds every edge
-    if y_ego.size < 2:
-        return "small-y-ego"  # Y's counts and partial sum are all zero
-    return ""
-
 
 def _held(held: PartitionedGraph | PartyView, party: str) -> PartyView | None:
     """held's view for `party`; None if held is the other party's view."""
@@ -381,39 +371,47 @@ def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig
 
     held is both parties' graph (in-process, no socket) or one party's
     view (its peer at the other end of sock). A message whose sender is
-    held is built and sent here; any other is received. Returns X's
-    result, or None where X is not held. A party's generator may be None
-    only if none of its mechanisms is randomized.
+    held is built and sent here; any other is received. Each held party
+    works from the ego context of its own view alone, which gives the
+    flow, every node set and the bound on each frame it receives, so the
+    joint graph's edges are never read. Where X is held, X's context
+    gives the flow and Y's is built only when Y replies; where only Y
+    is, Y's gives it. Returns X's result, or None where X is not held.
+    A party's generator may be None only if none of its mechanisms is
+    randomized.
     """
-    y_ego = _y_ego_sorted(held, a_idx)
-    degenerate = _flow(held, y_ego)
     view_x = _held(held, "X")
-    ectx = _ego_context_idx(view_x, a_idx) if view_x is not None else None
+    ectx_x = _ego_context_idx(view_x, a_idx) if view_x is not None else None
+    ectx_y = _ego_context_idx(held, a_idx) if view_x is None else None  # held is Y's view
+    flow = (ectx_x or ectx_y).flow
     ledger = BudgetLedger()
     fwd = back = None
-    if degenerate != "no-y-nodes":
-        if view_x is not None:
-            fwd = _forward_stage(view_x, ectx, config, rng_x, ledger)
+    if flow != "no-y-nodes":
+        if ectx_x is not None:
+            fwd = _forward_stage(ectx_x, config, rng_x, ledger)
             _send(sock, fwd, log)
         else:
-            n = held.vx_indices.size - 1  # |X^-|
+            n = ectx_y.x_minus_sorted.size
             fwd = _receive(sock, ForwardMsg, _forward_frame_size(n), log)
             if fwd.member.size != n:
                 raise DecodeError(6, f"forward bits cover {fwd.member.size} nodes, X^- has {n}")
-    if degenerate == "":
+    if flow == "":
         view_y = _held(held, "Y")
         if view_y is not None:
-            back = _backward_stage(view_y, a_idx, y_ego, fwd, config, rng_y, ledger)
+            if ectx_y is None:
+                ectx_y = _ego_context_idx(view_y, a_idx)
+            back = _backward_stage(view_y, ectx_y, fwd, config, rng_y, ledger)
             _send(sock, back, log)
         else:
             rows = int(np.count_nonzero(fwd.member))
-            back = _receive(sock, BackwardMsg, _backward_frame_size(rows, y_ego.size), log)
-    if view_x is None:
+            back = _receive(sock, BackwardMsg,
+                            _backward_frame_size(rows, ectx_x.y_ego_sorted.size), log)
+    if ectx_x is None:
         return None
-    r_sorted = ectx.r_star_sorted if fwd is None else ectx.x_minus_sorted[fwd.member]
-    acc, skipped = _assemble_x(view_x, ectx, r_sorted, back, config)
+    r_sorted = ectx_x.r_star_sorted if fwd is None else ectx_x.x_minus_sorted[fwd.member]
+    acc, skipped = _assemble_x(view_x, ectx_x, r_sorted, back, config)
     return SessionResult(value=acc.total, parts=acc, skipped_terms=skipped,
-                         degenerate=degenerate, non_private=config.non_private,
+                         degenerate=flow, non_private=config.non_private,
                          budget=ledger, frames=tuple(frame for _, frame in log),
                          r_size=r_sorted.size)
 

@@ -35,10 +35,10 @@ from privebc import (
     stratum_distribution,
 )
 from privebc import oracle
-from privebc.backward import SUM_GRID_BITS, _partial_sum_core, _spanning_core_matrix, _y_ego_sorted
+from privebc.backward import SUM_GRID_BITS, _partial_sum_core, _spanning_core_matrix
 from privebc.dpnum import geometric_scale
 from privebc.experiments import ExperimentConfig, load_experiment_graph, parse_csv, run_error_sweep
-from privebc.graphs import partition_nodes
+from privebc.graphs import _ego_context_idx, partition_nodes
 
 from .conftest import random_graph, random_partition
 
@@ -223,7 +223,7 @@ def _sweep_flips(x_labels, y_labels):
         pg = PartitionedGraph(Graph(labels, edges), mask)
         g = pg.graph
         a_idx = g.index_of("a")
-        y_ego = _y_ego_sorted(pg, a_idx)
+        y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
         r_sorted = np.array(sorted(g.index_of(r) for r in r_labels), dtype=np.int64)
         c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
         s1 = _partial_sum_core(pg, r_sorted, y_ego) if y_ego.size >= 2 else None
@@ -231,7 +231,7 @@ def _sweep_flips(x_labels, y_labels):
         for yp in y_pairs:
             flipped = list(edge_set ^ {tuple(sorted(yp))})
             pg2 = PartitionedGraph(Graph(labels, flipped), mask)
-            assert np.array_equal(_y_ego_sorted(pg2, a_idx), y_ego)
+            assert np.array_equal(_ego_context_idx(pg2, a_idx).y_ego_sorted, y_ego)
             c2 = _spanning_core_matrix(pg2, r_sorted, y_ego)
             s2 = _partial_sum_core(pg2, r_sorted, y_ego) if s1 is not None else None
             yield r_sorted, y_ego, (c1, s1), (c2, s2)
@@ -298,7 +298,7 @@ def test_criterion_4_sensitivity_sweeps():
         pg = PartitionedGraph(Graph(labels, edges), mask)
         g = pg.graph
         a_idx = g.index_of("a")
-        y_ego = _y_ego_sorted(pg, a_idx)
+        y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
         r_sorted = np.array(sorted(g.index_of(x) for x in x_labels[1:]), dtype=np.int64)
         c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
         s1 = _partial_sum_core(pg, r_sorted, y_ego) if y_ego.size >= 2 else None

@@ -18,11 +18,10 @@ from privebc.backward import (
     _partial_sum_core,
     _release,
     _spanning_core_matrix,
-    _y_ego_sorted,
 )
 from privebc.dpnum import geometric_scale
 from privebc.forward import ForwardMsg, _membership
-from privebc.graphs import _x_minus
+from privebc.graphs import _ego_context_idx
 from privebc.protocol import BudgetLedger, _backward_stage
 
 from .conftest import make_pg, random_graph, random_partition
@@ -32,11 +31,10 @@ BIG_EPS = PrivacyParams(epsilon=1e9)
 
 def _y_reply(pg, a, R, epsilon, rng):
     """Y's full reply to R through the session's backward stage."""
-    a_idx = pg.graph.index_of(a)
     view_y = pg.view_y()
-    fwd = ForwardMsg(member=_membership(_x_minus(view_y, a_idx), np.array(sorted(R), dtype=np.int64)))
-    return _backward_stage(view_y, a_idx, _y_ego_sorted(view_y, a_idx), fwd,
-                           ProtocolConfig(epsilon=epsilon), rng, BudgetLedger())
+    ectx = _ego_context_idx(view_y, pg.graph.index_of(a))
+    fwd = ForwardMsg(member=_membership(ectx.x_minus_sorted, np.array(sorted(R), dtype=np.int64)))
+    return _backward_stage(view_y, ectx, fwd, ProtocolConfig(epsilon=epsilon), rng, BudgetLedger())
 
 
 def _pmf(z, scale):
@@ -74,7 +72,7 @@ def test_spanning_core_matches_reference_counts():
         g = random_graph(np.random.default_rng(seed), 10, 0.35)
         pg = random_partition(rng, g)
         for a_idx in pg.vx_indices:
-            y_ego = _y_ego_sorted(pg, int(a_idx))
+            y_ego = _ego_context_idx(pg, int(a_idx)).y_ego_sorted
             if y_ego.size == 0:
                 continue
             xm = sorted(v for v in g.neighbors(int(a_idx)) if pg.is_x(v))
@@ -147,7 +145,7 @@ def test_partial_sum_core_brute_force():
         pg = random_partition(rng, g)
         for a_idx in pg.vx_indices:
             a_idx = int(a_idx)
-            y_ego = _y_ego_sorted(pg, a_idx)
+            y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
             if y_ego.size < 2:
                 continue
             xm = [v for v in g.neighbors(a_idx) if pg.is_x(v)]
@@ -181,7 +179,7 @@ def test_degenerate_gates():
 def test_backward_message_key_set_and_high_budget(mixed_pg):
     g = mixed_pg.graph
     a_idx = g.index_of("a")
-    y_ego = _y_ego_sorted(mixed_pg, a_idx)
+    y_ego = _ego_context_idx(mixed_pg, a_idx).y_ego_sorted
     xm = frozenset(v for v in g.neighbors(a_idx) if mixed_pg.is_x(v))
     msg = _y_reply(mixed_pg, "a", xm, BIG_EPS.epsilon, np.random.default_rng(3))
     assert isinstance(msg, BackwardMsg)
@@ -253,7 +251,7 @@ def test_count_sensitivity_bound_over_y_edges():
         labelled = [(g.label_of(i), g.label_of(j)) for i, j in g.edges_iter()]
         ys = [int(v) for v in pg.vy_indices]
         for a_idx in (int(v) for v in pg.vx_indices):
-            y_ego = _y_ego_sorted(pg, a_idx)
+            y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
             xm = sorted(v for v in g.neighbors(a_idx) if pg.is_x(v))
             if y_ego.size < 2 or not xm:
                 continue
@@ -262,7 +260,7 @@ def test_count_sensitivity_bound_over_y_edges():
                          for q in range(p + 1, len(ys))][:4]:
                 flipped = _toggle_y_edge(labelled, g.label_of(u), g.label_of(v))
                 pg2 = PartitionedGraph(Graph(g.labels, flipped), mask)
-                assert np.array_equal(_y_ego_sorted(pg2, a_idx), y_ego)
+                assert np.array_equal(_ego_context_idx(pg2, a_idx).y_ego_sorted, y_ego)
                 c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
                 c2 = _spanning_core_matrix(pg2, r_sorted, y_ego)
                 assert np.abs(c1 - c2).sum() <= 2 * len(xm) + 1e-9
@@ -284,8 +282,8 @@ def test_density_ratio_bounded_by_budget():
     a_idx = g.index_of("a")
     r = frozenset({g.index_of("x1")})
     r_sorted = np.array(sorted(r), dtype=np.int64)
-    y_ego = _y_ego_sorted(pg1, a_idx)
-    assert np.array_equal(y_ego, _y_ego_sorted(pg2, a_idx))
+    y_ego = _ego_context_idx(pg1, a_idx).y_ego_sorted
+    assert np.array_equal(y_ego, _ego_context_idx(pg2, a_idx).y_ego_sorted)
 
     eps = 1.3
     scale_t = geometric_scale(4 * len(r), eps)
@@ -314,7 +312,7 @@ def test_noiseless_flags_bypass_sampling():
     pg = _bridge_pg()
     g = pg.graph
     a_idx = g.index_of("a")
-    y_ego = _y_ego_sorted(pg, a_idx)
+    y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
     r = frozenset({g.index_of("x1")})
     params = PrivacyParams(epsilon=0.1)
     rng = np.random.default_rng(9)

@@ -10,7 +10,6 @@ from scipy import stats
 
 from privebc import (
     DEFAULT_CONTEXT,
-    PrecisionContext,
     PrivacyParams,
     ProtocolConfig,
     forward,
@@ -29,21 +28,12 @@ from privebc.dpnum import (
 
 
 # ---------------------------------------------------------------------------
-# PrecisionContext / PrivacyParams
+# DEFAULT_CONTEXT / PrivacyParams
 # ---------------------------------------------------------------------------
 
 def test_default_context_precision():
-    # one precision for every session: the context takes no setting
-    assert DEFAULT_CONTEXT.mp.prec == 300
-    assert PrecisionContext().mp.prec == 300
-    with pytest.raises(TypeError):
-        PrecisionContext(53)
-
-
-def test_context_immutable():
-    ctx = PrecisionContext()
-    with pytest.raises(AttributeError):
-        ctx.mp = None
+    # one precision for every session
+    assert DEFAULT_CONTEXT.prec == 300
 
 
 def test_no_context_is_built_after_import(monkeypatch, mixed_pg):
@@ -75,7 +65,7 @@ def test_no_context_is_built_after_import(monkeypatch, mixed_pg):
 
 def test_shared_log_table_is_exact():
     # one table serves every n; each entry is log(i) at 300 bits exactly
-    mp = DEFAULT_CONTEXT.mp
+    mp = DEFAULT_CONTEXT
     _ = stratum_distribution(300, PrivacyParams(epsilon=0.5)).log_pmf
     table = forward._LOG_INTS
     assert len(table) > 300
@@ -107,10 +97,10 @@ def _to_mpf(ctx, v):
 
 def test_log_add_neg_inf_identity():
     ctx = DEFAULT_CONTEXT
-    y = ctx.mp.mpf(2.5)
-    assert log_add(ctx.mp.ninf, y) is y
-    assert log_add(y, ctx.mp.ninf) is y
-    assert log_add(ctx.mp.ninf, ctx.mp.ninf) == ctx.mp.ninf
+    y = ctx.mpf(2.5)
+    assert log_add(ctx.ninf, y) is y
+    assert log_add(y, ctx.ninf) is y
+    assert log_add(ctx.ninf, ctx.ninf) == ctx.ninf
 
 
 def test_log_add_exact_small_case():
@@ -121,8 +111,8 @@ def test_log_add_exact_small_case():
 def test_log_add_matches_extended_precision_oracle():
     ctx = DEFAULT_CONTEXT
     rng = np.random.default_rng(0)
-    tol = mpmath.mpf(2) ** (-(ctx.mp.prec - 10))  # 2 ulp plus decimal round-trip slack
-    with mpmath.workprec(ctx.mp.prec + 100):
+    tol = mpmath.mpf(2) ** (-(ctx.prec - 10))  # 2 ulp plus decimal round-trip slack
+    with mpmath.workprec(ctx.prec + 100):
         for _ in range(1000):
             x, y = rng.uniform(-700, 700, size=2)
             got = _to_mpf(ctx, log_add(x, y, ctx))
@@ -145,12 +135,12 @@ def test_log_add_commutative_and_monotone():
 def test_log_add_associative_within_ulp():
     ctx = DEFAULT_CONTEXT
     rng = np.random.default_rng(2)
-    with mpmath.workprec(ctx.mp.prec + 100):
-        tol = mpmath.mpf(2) ** (-(ctx.mp.prec - 12))
+    with mpmath.workprec(ctx.prec + 100):
+        tol = mpmath.mpf(2) ** (-(ctx.prec - 12))
         for _ in range(100):
             x, y, z = rng.uniform(-100, 100, size=3)
-            left = _to_mpf(ctx, log_add(log_add(x, y, ctx), ctx.mp.mpf(z), ctx))
-            right = _to_mpf(ctx, log_add(ctx.mp.mpf(x), log_add(y, z, ctx), ctx))
+            left = _to_mpf(ctx, log_add(log_add(x, y, ctx), ctx.mpf(z), ctx))
+            right = _to_mpf(ctx, log_add(ctx.mpf(x), log_add(y, z, ctx), ctx))
             assert abs(left - right) <= abs(left) * tol
 
 

@@ -122,8 +122,8 @@ def _point_mass_dist(n: int, k: int) -> StratumDistribution:
     """A distribution whose stored terms are the explicit log-pmf of a
     point mass at k: all n + 1 of them, so no draw grows any."""
     ctx = DEFAULT_CONTEXT
-    logs = [ctx.mp.ninf] * (n + 1)
-    logs[k] = ctx.mp.mpf(0.0)
+    logs = [ctx.ninf] * (n + 1)
+    logs[k] = ctx.mpf(0.0)
     d = StratumDistribution(n=n, t=0.0, ctx=ctx)
     object.__setattr__(d, "_terms", tuple(reversed(logs)))
     return d
@@ -206,7 +206,7 @@ def _scan_reference(dist: StratumDistribution, rng: np.random.Generator) -> int:
     k over 1..n returns n-k+1 the first time u >= psi holds at loop
     entry, and 0 if the scan completes."""
     ctx = dist.ctx
-    psi = ctx.mp.mpf(sample_neg_exp1(rng))
+    psi = ctx.mpf(sample_neg_exp1(rng))
     n = dist.n
     u = dist.log_pmf[n]
     for k in range(1, n + 1):
@@ -267,7 +267,7 @@ def test_fresh_draw_computes_only_the_terms_it_reaches(monkeypatch):
 def _bottom_up_log_pmf(n: int, eps: float) -> list:
     """The stratum log-pmf built from I = 0 up, with log C(n, i) and i*t
     accumulated term by term, independently of forward's recurrence."""
-    mp = DEFAULT_CONTEXT.mp
+    mp = DEFAULT_CONTEXT
     t = mp.fdiv(mp.mpf(eps), 2)
     norm = mp.fmul(n, mp.log1p(mp.exp(t)))
     pmf, log_choose = [mp.fneg(norm)], mp.mpf(0)
@@ -288,7 +288,7 @@ def test_lazy_pmf_after_partial_draws_equals_bottom_up(eps):
         assert len(d._terms) <= n
         want = _bottom_up_log_pmf(n, eps)
         assert all(abs(float(a - b)) <= 1e-12 for a, b in zip(d.log_pmf, want, strict=True))
-        floats = np.array([float(DEFAULT_CONTEXT.mp.exp(b)) for b in want])
+        floats = np.array([float(DEFAULT_CONTEXT.exp(b)) for b in want])
         assert np.allclose(d.pmf_floats(), floats, rtol=1e-12, atol=0)
 
 

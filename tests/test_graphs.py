@@ -17,10 +17,10 @@ from privebc import (
     load_edge_list,
     partition_nodes,
 )
-from privebc.graphs import _ego_local
+from privebc.graphs import _ego_context_idx, _ego_local
 from privebc.oracle import ebc_dense_reference, two_path_reference
 
-from .conftest import make_pg, random_graph
+from .conftest import make_pg, random_graph, random_partition
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +174,36 @@ def test_ego_x_minus_sorted_matches_set():
     ctx = ego_context(pg, "b")
     assert ctx.x_minus_sorted.tolist() == sorted(pg.graph.index_of(v) for v in "ac")
     assert pg.graph.index_of("b") not in ctx.x_minus_sorted.tolist()
+
+
+def test_party_contexts_agree_on_what_both_hold():
+    # each party builds the ego context from its own view; the roster and
+    # the ego's cross edges are in both, so the two agree on X^-, on
+    # N_a n V_Y and on the flow, while Y's view holds no edge of R*
+    rng = np.random.default_rng(11)
+    cases = [make_pg([("a", "x1")], x_labels={"a", "x1"}),  # no Y nodes
+             make_pg([("a", "x1"), ("a", "y1"), ("x1", "y1")], x_labels={"a", "x1"})]
+    for seed in range(30):
+        g = random_graph(np.random.default_rng(300 + seed), 9, 0.4)
+        cases.append(random_partition(rng, g, x_fraction=(0.3, 0.6, 1.0)[seed % 3]))
+    flows = set()
+    for pg in cases:
+        g = pg.graph
+        view_x, view_y = pg.view_x(), pg.view_y()
+        for a_idx in pg.vx_indices.tolist():
+            cx, cy = _ego_context_idx(view_x, a_idx), _ego_context_idx(view_y, a_idx)
+            y_ego = sorted(v for v in g.neighbors(a_idx) if not pg.is_x(v))
+            want_flow = ("no-y-nodes" if pg.vy_indices.size == 0
+                         else "small-y-ego" if len(y_ego) < 2 else "")
+            for ctx in (cx, cy):
+                assert ctx.a == a_idx
+                assert ctx.x_minus_sorted.tolist() == sorted(set(pg.vx_indices.tolist()) - {a_idx})
+                assert ctx.y_ego_sorted.tolist() == y_ego
+                assert ctx.flow == want_flow
+            assert cx.r_star_sorted.tolist() == sorted(v for v in g.neighbors(a_idx) if pg.is_x(v))
+            assert cy.r_star_sorted.size == 0 and cy.R_star == frozenset()
+            flows.add(cx.flow)
+    assert flows == {"no-y-nodes", "small-y-ego", ""}
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ from privebc import (
     run_two_process,
 )
 from privebc import protocol
-from privebc.backward import _partial_sum_core, _spanning_core_matrix, _y_ego_sorted
+from privebc.backward import _partial_sum_core, _spanning_core_matrix
 from privebc.dpnum import geometric_scale, two_sided_geometric
-from privebc.graphs import _x_minus
+from privebc.graphs import _ego_context_idx
 from privebc.protocol import (
     HANDSHAKE_MAGIC,
     HANDSHAKE_VERSION,
@@ -207,6 +207,32 @@ def test_determinism_under_seed(mixed_pg):
     c = run_session(mixed_pg, "a", cfg, np.random.default_rng(7))
     assert a.value == b.value and a.frames == b.frames
     assert c.frames != a.frames
+
+
+def test_in_process_session_reads_only_the_party_views(mixed_pg):
+    # each party derives its side of the session from its own view: once
+    # the views are built, emptying the joint graph's edges changes
+    # nothing, neither the value nor the frames nor the ledger
+    cases = [(mixed_pg, "a")]
+    rng = np.random.default_rng(12)
+    for seed in range(6):
+        pg = random_partition(rng, random_graph(np.random.default_rng(400 + seed), 10, 0.4))
+        cases += [(pg, pg.graph.label_of(int(a))) for a in pg.vx_indices[:2]]
+    flows = set()
+    for pg, label in cases:
+        pg.view_x(), pg.view_y()
+        configs = (ProtocolConfig(epsilon=1.0), ProtocolConfig(epsilon=1.0, mech_mask=frozenset()))
+        want = [run_session(pg, label, cfg, np.random.default_rng(5)) for cfg in configs]
+        g = pg.graph
+        pg.graph = Graph._from_csr(g, np.zeros(g.n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        for cfg, w in zip(configs, want):
+            got = run_session(pg, label, cfg, np.random.default_rng(5))
+            assert got.value == w.value
+            assert got.frames == w.frames
+            assert got.budget.events == w.budget.events
+            assert got.degenerate == w.degenerate
+            flows.add(w.degenerate)
+    assert "" in flows
 
 
 # --------------------------------------------------- X-side assembly rules
@@ -399,12 +425,13 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
         pg = PartitionedGraph(g, rng.random(n) < 0.5)
         for a in pg.vx_indices[:3]:
             label = g.label_of(int(a))
-            y_ego = _y_ego_sorted(pg, int(a))
+            ectx = _ego_context_idx(pg, int(a))
+            y_ego = ectx.y_ego_sorted
             for eps in (0.1, 1.0, 7.0):
                 seed = n + int(a)
                 res = run_session(pg, label, ProtocolConfig(epsilon=eps), np.random.default_rng(seed))
                 bits = decode_msg(res.frames[0]).member
-                r_sorted = _x_minus(pg, int(a))[bits].tolist()
+                r_sorted = ectx.x_minus_sorted[bits].tolist()
                 exact = run_session(pg, label,
                                     ProtocolConfig(epsilon=eps, mech_mask=frozenset({"mech1"})),
                                     np.random.default_rng(seed))
@@ -895,12 +922,10 @@ def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
     assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (seed_x, (0,), 0)
 
     # Y's noise, recovered with the whole graph, is none that X can derive
-    g = mixed_pg.graph
-    a_idx = g.index_of("a")
-    x_minus = _x_minus(mixed_pg, a_idx)
-    r_sorted = x_minus[decode_msg(tx[0][1]).member]
+    ectx = _ego_context_idx(mixed_pg, mixed_pg.graph.index_of("a"))
+    r_sorted = ectx.x_minus_sorted[decode_msg(tx[0][1]).member]
     assert r_sorted.size == 2  # so Y's reply holds count noise
-    y_ego = _y_ego_sorted(mixed_pg, a_idx)
+    y_ego = ectx.y_ego_sorted
     back = decode_msg(tx[1][1])
     noise = back.T - _spanning_core_matrix(mixed_pg.view_y(), r_sorted, y_ego).astype(np.int64)
     scale = np.full(noise.size, geometric_scale(4 * r_sorted.size, cfg.epsilon))
@@ -961,7 +986,7 @@ def _fake_y_session(pg, cfg, reply) -> None:
 def _bad_forward_bits(pg):
     """Forward bits over anything but X^- = {e, f, g} (bad), and one
     well-formed set over it for contrast."""
-    x_minus = _x_minus(pg, pg.graph.index_of("a"))
+    x_minus = _ego_context_idx(pg, pg.graph.index_of("a")).x_minus_sorted
     assert x_minus.size == 3
     return [_bits(), _bits(1, 1), _bits(0, 0, 0, 1), _bits(*[1] * 11)]
 
@@ -972,22 +997,22 @@ def test_y_refuses_forward_set_outside_x_minus(mixed_pg):
     # leave that reading undefined, and are refused (from a frame, at its
     # count field: see the test over TCP)
     view_y = mixed_pg.view_y()
-    a_idx = mixed_pg.graph.index_of("a")
-    y_ego = _y_ego_sorted(view_y, a_idx)
+    ectx = _ego_context_idx(view_y, mixed_pg.graph.index_of("a"))
+    y_ego = ectx.y_ego_sorted
     cfg = ProtocolConfig(epsilon=1.0)
     for bits in _bad_forward_bits(mixed_pg):
         ledger = BudgetLedger()
         with pytest.raises(ProtocolError):
-            protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=bits), cfg,
+            protocol._backward_stage(view_y, ectx, ForwardMsg(member=bits), cfg,
                                      np.random.default_rng(0), ledger)
         assert ledger.events == []
     g = mixed_pg.graph
-    back = protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=_bits(1, 0, 1)), cfg,
+    back = protocol._backward_stage(view_y, ectx, ForwardMsg(member=_bits(1, 0, 1)), cfg,
                                     np.random.default_rng(0), BudgetLedger())
     assert back.T.shape == (2, y_ego.size)
     # the rows are e and g, the ascending ids of X^-'s first and last node
     core = _spanning_core_matrix(view_y, np.array([g.index_of("e"), g.index_of("g")]), y_ego)
-    noiseless = protocol._backward_stage(view_y, a_idx, y_ego, ForwardMsg(member=_bits(1, 0, 1)),
+    noiseless = protocol._backward_stage(view_y, ectx, ForwardMsg(member=_bits(1, 0, 1)),
                                          ProtocolConfig(epsilon=1.0, mech_mask=frozenset()),
                                          None, BudgetLedger())
     assert noiseless.T.tolist() == core.tolist()
