@@ -47,11 +47,18 @@ class DegenerateEgoError(ValueError):
 def _core_blocks(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
                  y_ego: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float 0/1 blocks: b[r, k] = r~k for k in y_ego, m1 = adjacency
-    inside y_ego. Both noiseless releases are products of these."""
+    inside y_ego. Both noiseless releases are products of these.
+
+    One pass over y_ego's neighbour lists fills both, as the two row
+    slices of one (|R| + d_Y) x d_Y array."""
     indptr, indices = pg.graph.csr()
-    b = _kernels.bipartite_dense(indptr, indices, r_sorted, y_ego)
-    m1 = _kernels.induced_dense(indptr, indices, y_ego)
-    return b.astype(np.float64), m1.astype(np.float64)
+    out = np.zeros((r_sorted.size + y_ego.size, y_ego.size))
+    owner, neigh = _kernels._gather(indptr, indices, y_ego)
+    for first, rows in ((0, r_sorted), (r_sorted.size, y_ego)):
+        if rows.size:
+            hit, pos = _kernels._locate(rows, neigh)
+            out[first + pos, owner[hit]] = 1.0
+    return out[:r_sorted.size], out[r_sorted.size:]
 
 
 def _partial_sum_from_blocks(b: np.ndarray, m1: np.ndarray) -> float:

@@ -93,6 +93,13 @@ class ForwardMsg:
 _LOG_INTS = [DEFAULT_CONTEXT.ninf]
 
 
+@lru_cache(maxsize=8)
+def _log1p_exp_neg(t: float, ctx: mpmath.MPContext):
+    """log1p(e^-t) at the context's precision: every distribution at one
+    epsilon shares it."""
+    return ctx.log1p(ctx.exp(ctx.fneg(ctx.mpf(t))))
+
+
 def _next_log_pmf(terms: list, dist: StratumDistribution) -> None:
     """Append the next term from the heavy end down to terms = [log_pmf[n],
     ..., log_pmf[i]]: log_pmf[n] = -n*log1p(e^-t), and log_pmf[i-1] =
@@ -103,7 +110,7 @@ def _next_log_pmf(terms: list, dist: StratumDistribution) -> None:
         # one slice store; a racing writer stores the same values there
         start = len(_LOG_INTS)
         _LOG_INTS[start:n + 1] = [DEFAULT_CONTEXT.log(i) for i in range(start, n + 1)]
-        terms.append(ctx.fneg(ctx.fmul(n, ctx.log1p(ctx.exp(ctx.fneg(t))))))
+        terms.append(ctx.fneg(ctx.fmul(n, _log1p_exp_neg(dist.t, ctx))))
         return
     i = n + 1 - len(terms)
     terms.append(ctx.fsub(ctx.fadd(terms[-1], _LOG_INTS[i]), ctx.fadd(_LOG_INTS[n - i + 1], t)))

@@ -47,11 +47,34 @@ class LoadReport:
     duplicates: int = 0
 
 
+class _LabelHash:
+    """The roster digest's label part: SHA-256 over the node count, then
+    every label, length-prefixed in index order. Hashed on first use and
+    shared by every graph on one node set, so each view of it adds only
+    its party mask."""
+
+    __slots__ = ("_labels", "_sha")
+
+    def __init__(self, labels: tuple[str, ...]):
+        self._labels = labels
+        self._sha = None
+
+    def copy(self):
+        """A fresh hash object that has read the label part."""
+        if self._sha is None:
+            parts = [struct.pack(">I", len(self._labels))]
+            for label in self._labels:
+                raw = label.encode()
+                parts += (struct.pack(">I", len(raw)), raw)
+            self._sha = hashlib.sha256(b"".join(parts))
+        return self._sha.copy()
+
+
 class Graph:
     """Simple undirected graph: no self-loops, no duplicate edges."""
 
     __slots__ = ("labels", "n", "edge_count", "load_report",
-                 "_index", "_indptr", "_indices", "__weakref__")
+                 "_index", "_indptr", "_indices", "_label_hash", "__weakref__")
 
     def __init__(self, nodes: Iterable[object], edges: Iterable[tuple[object, object]],
                  load_report: LoadReport | None = None):
@@ -77,6 +100,7 @@ class Graph:
         self.edge_count = count
         self.load_report = load_report
         self._index = index
+        self._label_hash = _LabelHash(self.labels)
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         self._indptr[1:] = np.fromiter(map(len, nbrs), np.int64, n).cumsum()
         self._indices = np.array([j for s in nbrs for j in sorted(s)], dtype=np.int64)
@@ -98,6 +122,7 @@ class Graph:
         g.edge_count = indices.size // 2
         g.load_report = None
         g._index = base._index
+        g._label_hash = base._label_hash
         g._indptr = indptr
         g._indices = indices
         return g
@@ -204,12 +229,9 @@ class _PartyInfoMixin:
     def roster_digest(self) -> bytes:
         """SHA-256 of the roster both parties hold: every label, length-
         prefixed in index order, then the party mask's bits."""
-        parts = [struct.pack(">I", self.graph.n)]
-        for label in self.graph.labels:
-            raw = label.encode()
-            parts += (struct.pack(">I", len(raw)), raw)
-        parts.append(np.packbits(self._is_x).tobytes())
-        return hashlib.sha256(b"".join(parts)).digest()
+        sha = self.graph._label_hash.copy()
+        sha.update(np.packbits(self._is_x).tobytes())
+        return sha.digest()
 
     @cached_property
     def vx_indices(self) -> np.ndarray:

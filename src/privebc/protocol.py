@@ -33,7 +33,6 @@ from .graphs import (
     PartitionedGraph,
     PartyView,
     _ego_context_idx,
-    _ego_local,
     _pair_sum,
     _x_ego_index,
 )
@@ -292,40 +291,43 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
     R* are discarded; counts for i in R* \\ R start from zero. The
     X-side path increment counts intermediates in R* u {a}; S_X counts
     intermediates anywhere in N_a u {a}, all through edges X knows.
+
+    Both come from one block of X's view, R* against R* then N_a n V_Y.
+    The ego's column is left out: a is adjacent to all of N_a, so it
+    adds exactly one path to every pair, and no pair it joins is open.
     """
-    local, m = _ego_local(view_x.graph, ectx.a)
-    in_x = view_x._is_x[local]  # R* and a itself
-    rs = in_x & (local != ectx.a)
-    ys = ~in_x
-    shape = (r_sorted.size, ectx.y_ego_sorted.size)
+    r_star, y_ego = ectx.r_star_sorted, ectx.y_ego_sorted
+    shape = (r_sorted.size, y_ego.size)
     if back is not None and back.T.shape != shape:
         raise ProtocolError(f"backward matrix has shape {back.T.shape}, expected {shape}")
-    rows = m[rs]  # R* against all of N_a u {a}
-    acc = EbcAccumulator()
+    acc = EbcAccumulator(S_Y=back.S_Y if back is not None else 0.0)
     skipped = 0
+    if not r_star.size:
+        return acc, skipped
+    indptr, indices = view_x.graph.csr()
+    block = _kernels.bipartite_dense(indptr, indices, r_star,
+                                     np.concatenate((r_star, y_ego))).astype(np.float64)
+    xx, xy = block[:, :r_star.size], block[:, r_star.size:]
 
-    if rows.shape[0] and ys.any():
-        # X-side 2-path counts through R* u {a}: rows R*, cols Y-side ego
-        k_x = rows[:, in_x] @ m[in_x][:, ys]
+    if y_ego.size:
+        k_x = xx @ xy + 1.0  # X-side 2-path counts through R* u {a}
         t_recv = np.zeros(k_x.shape, dtype=np.float64)
         if back is not None and r_sorted.size:
             # back.T's rows are R in ascending order; take those of R n R*
-            hit, pos = _kernels._locate(r_sorted, local[rs])
+            hit, pos = _kernels._locate(r_sorted, r_star)
             t_recv[hit] = back.T[pos]
         if config.clamp_mode == "clamp_nonneg":
             np.maximum(t_recv, 0.0, out=t_recv)
         denom = t_recv + k_x
         # one rule for both modes: clamped counts leave every open pair
         # usable, since k_x counts the path through a (denom >= 1)
-        open_pairs = rows[:, ys] == 0
+        open_pairs = xy == 0
         usable = open_pairs & (denom > 0.0)
         skipped = int(np.count_nonzero(open_pairs & ~usable))
         acc.S_XY = float((1.0 / denom[usable]).sum())
 
-    if rows.shape[0] >= 2:
-        acc.S_X = _pair_sum(rows[:, rs], rows @ m[:, rs])
-
-    acc.S_Y = back.S_Y if back is not None else 0.0
+    if r_star.size >= 2:
+        acc.S_X = _pair_sum(xx, block @ block.T + 1.0)
     return acc, skipped
 
 

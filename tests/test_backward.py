@@ -13,8 +13,10 @@ from privebc import (
     partial_ebc_y,
     spanning_counts,
 )
+from privebc import _kernels
 from privebc.backward import (
     SUM_GRID_BITS,
+    _core_blocks,
     _partial_sum_core,
     _release,
     _spanning_core_matrix,
@@ -109,6 +111,28 @@ def test_spanning_counts_deterministic_and_empty_r():
     before = copy.deepcopy(rng.bit_generator.state)
     assert spanning_counts(pg, "a", frozenset(), params, rng).shape == (0, 2)
     assert rng.bit_generator.state == before  # no noise drawn for empty R
+
+
+def test_core_blocks_match_the_dense_kernels():
+    # one gather fills both blocks; each equals its own kernel call, as
+    # floats, for R inside X^- (empty included) and any Y-side ego
+    rng = np.random.default_rng(29)
+    checked = 0
+    for seed in range(30):
+        g = random_graph(np.random.default_rng(500 + seed), int(rng.integers(3, 26)), 0.35)
+        view_y = random_partition(rng, g).view_y()
+        indptr, indices = view_y.graph.csr()
+        for a in view_y.vx_indices[:3]:
+            ectx = _ego_context_idx(view_y, int(a))
+            x_minus, y_ego = ectx.x_minus_sorted, ectx.y_ego_sorted
+            for r in (x_minus[rng.random(x_minus.size) < 0.5], x_minus[:0]):
+                b, m1 = _core_blocks(view_y, r, y_ego)
+                assert b.dtype == m1.dtype == np.float64
+                assert b.shape == (r.size, y_ego.size) and m1.shape == (y_ego.size,) * 2
+                assert np.array_equal(b, _kernels.bipartite_dense(indptr, indices, r, y_ego))
+                assert np.array_equal(m1, _kernels.induced_dense(indptr, indices, y_ego))
+                checked += r.size > 0 and y_ego.size > 1
+    assert checked >= 20
 
 
 def test_partial_ebc_sole_intermediate_is_ego():

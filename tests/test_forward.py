@@ -116,6 +116,19 @@ def test_subset_law_pointwise():
             assert per_set == pytest.approx(law.mass_of(member), rel=1e-9)
 
 
+def test_first_term_constant_is_the_inline_expression():
+    # the constant log1p(e^-t) is computed once per (t, context), by the
+    # same operations in the same order as the first term ever used
+    ctx = DEFAULT_CONTEXT
+    for eps in (0.1, 0.5, 1.0, 2.0, 7.0):
+        t = eps / 2.0
+        want = ctx.log1p(ctx.exp(ctx.fneg(ctx.mpf(t))))
+        assert forward._log1p_exp_neg(t, ctx) == want
+        assert forward._log1p_exp_neg(t, ctx) is forward._log1p_exp_neg(t, ctx)
+        dist = stratum_distribution(40, PrivacyParams(epsilon=eps))
+        assert dist.log_pmf[40] == ctx.fneg(ctx.fmul(40, want))
+
+
 # ------------------------------------------------ inverse transform sample
 
 def _point_mass_dist(n: int, k: int) -> StratumDistribution:

@@ -33,10 +33,10 @@ from privebc import (
     run_session,
     run_two_process,
 )
-from privebc import protocol
+from privebc import _kernels, protocol
 from privebc.backward import _partial_sum_core, _spanning_core_matrix
 from privebc.dpnum import geometric_scale, two_sided_geometric
-from privebc.graphs import _ego_context_idx
+from privebc.graphs import _ego_context_idx, _ego_local, _pair_sum
 from privebc.protocol import (
     HANDSHAKE_MAGIC,
     HANDSHAKE_VERSION,
@@ -303,6 +303,77 @@ def test_missing_rows_start_from_zero(mixed_pg):
     assert acc_none.S_XY == acc_zero.S_XY == pytest.approx(
         sum(1.0 for _ in ectx.R_star for _ in y_ego))  # all K_x = 1 here
     assert acc_none.S_X == acc_zero.S_X
+
+
+def _assemble_x_by_masks(view_x, ectx, r_sorted, back, config):
+    """X's assembly as it was written over the ego's whole local block
+    N_a u {a}, re-sliced by party masks: the reference the one-block
+    assembly must match bit for bit."""
+    local, m = _ego_local(view_x.graph, ectx.a)
+    in_x = view_x._is_x[local]  # R* and a itself
+    rs = in_x & (local != ectx.a)
+    ys = ~in_x
+    rows = m[rs]  # R* against all of N_a u {a}
+    acc = EbcAccumulator()
+    skipped = 0
+    if rows.shape[0] and ys.any():
+        k_x = rows[:, in_x] @ m[in_x][:, ys]
+        t_recv = np.zeros(k_x.shape, dtype=np.float64)
+        if back is not None and r_sorted.size:
+            hit, pos = _kernels._locate(r_sorted, local[rs])
+            t_recv[hit] = back.T[pos]
+        if config.clamp_mode == "clamp_nonneg":
+            np.maximum(t_recv, 0.0, out=t_recv)
+        denom = t_recv + k_x
+        open_pairs = rows[:, ys] == 0
+        usable = open_pairs & (denom > 0.0)
+        skipped = int(np.count_nonzero(open_pairs & ~usable))
+        acc.S_XY = float((1.0 / denom[usable]).sum())
+    if rows.shape[0] >= 2:
+        acc.S_X = _pair_sum(rows[:, rs], rows @ m[:, rs])
+    acc.S_Y = back.S_Y if back is not None else 0.0
+    return acc, skipped
+
+
+def _assembly_cases(rng):
+    """(view_x, ego context, R) over random graphs and partitions, with R
+    drawn to cover R = R*, R a strict part of R*, R reaching outside R*,
+    and an empty R."""
+    for seed in range(50):
+        n = int(rng.integers(3, 31))
+        g = random_graph(np.random.default_rng(700 + seed), n, float(rng.uniform(0.1, 0.6)))
+        pg = random_partition(rng, g, x_fraction=float(rng.uniform(0.2, 0.8)))
+        view_x = pg.view_x()
+        for a in pg.vx_indices[:3]:
+            ectx = _ego_context_idx(view_x, int(a))
+            x_minus, r_star = ectx.x_minus_sorted, ectx.r_star_sorted
+            picks = [r_star, r_star[rng.random(r_star.size) < 0.5],
+                     x_minus[rng.random(x_minus.size) < 0.5], x_minus[:0]]
+            for r in picks:
+                yield view_x, ectx, r
+
+
+def test_one_block_assembly_matches_the_masked_reference():
+    rng = np.random.default_rng(23)
+    seen = set()
+    for view_x, ectx, r in _assembly_cases(rng):
+        r_star, d_y = ectx.r_star_sorted, ectx.y_ego_sorted.size
+        t = rng.integers(-6, 7, size=(r.size, d_y))
+        replies = [None, BackwardMsg(T=t, S_Y=float(rng.normal()))]
+        for back in replies:
+            for mode in ("clamp_nonneg", "raw"):
+                cfg = ProtocolConfig(epsilon=1.0, clamp_mode=mode)
+                want = _assemble_x_by_masks(view_x, ectx, r, back, cfg)
+                assert _assemble_x(view_x, ectx, r, back, cfg) == want
+                seen.add((mode, want[1] > 0))
+        inside = np.isin(r, r_star)
+        seen.add(("R*", r_star.size == 0))
+        seen.add(("d_Y", min(d_y, 2)))
+        seen.add(("R", "outside" if not inside.all() else
+                  "= R*" if r.size == r_star.size else "part"))
+    assert {("R*", True), ("R*", False), ("d_Y", 0), ("d_Y", 1), ("d_Y", 2),
+            ("R", "outside"), ("R", "= R*"), ("R", "part"),
+            ("raw", True), ("clamp_nonneg", False)} <= seen
 
 
 # ------------------------------------------------------------ wire format
