@@ -31,6 +31,8 @@ def _locate(sorted_nodes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
     """Positions in `sorted_nodes` of those `ids` it contains:
     (mask over ids, their positions)."""
     pos = sorted_nodes.searchsorted(ids)
+    if not sorted_nodes.size:  # take() has nothing to clip to
+        return np.zeros(ids.shape, dtype=bool), pos[:0]
     hit = sorted_nodes.take(pos, mode="clip") == ids
     return hit, pos[hit]
 

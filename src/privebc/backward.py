@@ -55,9 +55,8 @@ def _core_blocks(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
     out = np.zeros((r_sorted.size + y_ego.size, y_ego.size))
     owner, neigh = _kernels._gather(indptr, indices, y_ego)
     for first, rows in ((0, r_sorted), (r_sorted.size, y_ego)):
-        if rows.size:
-            hit, pos = _kernels._locate(rows, neigh)
-            out[first + pos, owner[hit]] = 1.0
+        hit, pos = _kernels._locate(rows, neigh)
+        out[first + pos, owner[hit]] = 1.0
     return out[:r_sorted.size], out[r_sorted.size:]
 
 

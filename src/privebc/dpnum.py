@@ -1,14 +1,15 @@
-"""Numeric substrate: extended-precision log arithmetic and exact noise.
+"""Numeric substrate: the extended-precision context and exact noise.
 
-The stratum pmf/CDF math spans thousands of orders of magnitude, so it
-runs in log space in mpmath, at DEFAULT_CONTEXT's 300 significand bits
-in every session. Y's noise is the two-sided geometric mechanism
-(Ghosh, Roughgarden and Sundararajan, STOC 2009), sampled exactly: every
-released value is an integer whose law is exactly P(z) ~ exp(-|z|/scale)
-at a scale rounded up, never down, so no floating-point artefact of the
-sampler reaches the output (Mironov, CCS 2012). All randomness comes
-from a caller-supplied numpy Generator; the library never reads ambient
-entropy.
+The stratum pmf spans thousands of orders of magnitude. Stage one keeps
+its terms as logarithms and sums their exponentials in linear scale, in
+mpmath, whose exponent range is unbounded, at DEFAULT_CONTEXT's 300
+significand bits in every session. Y's noise is the two-sided geometric
+mechanism (Ghosh, Roughgarden and Sundararajan, STOC 2009), sampled
+exactly: every released value is an integer whose law is exactly
+P(z) ~ exp(-|z|/scale) at a scale rounded up, never down, so no
+floating-point artefact of the sampler reaches the output (Mironov,
+CCS 2012). All randomness comes from a caller-supplied numpy Generator;
+the library never reads ambient entropy.
 """
 
 from __future__ import annotations
@@ -47,35 +48,6 @@ class PrivacyParams:
             raise ValueError("epsilon must be positive and finite")
         if not self.delta0 > 0:
             raise ValueError("delta0 must be positive")
-
-
-def log_add(x, y, ctx: mpmath.MPContext = DEFAULT_CONTEXT):
-    """log(e^x + e^y), computed stably by factoring out the max.
-
-    Inputs may be context reals or floats; -inf is the exact identity
-    element.
-    """
-    if isinstance(x, (int, float)):
-        x = ctx.mpf(x)
-    if isinstance(y, (int, float)):
-        y = ctx.mpf(y)
-    if x == ctx.ninf:
-        return y
-    if y == ctx.ninf:
-        return x
-    if x >= y:
-        hi, lo = x, y
-    else:
-        hi, lo = y, x
-    return ctx.fadd(hi, ctx.log1p(ctx.exp(ctx.fsub(lo, hi))))
-
-
-def sample_neg_exp1(rng: np.random.Generator) -> float:
-    """One draw of -Exp(1), i.e. log(U) for U uniform on (0, 1)."""
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return math.log(u)
 
 
 # ---------------------------------------------------------------------------

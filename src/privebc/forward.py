@@ -4,16 +4,17 @@ The exponential mechanism over all subsets R of X^- (= V_X minus the
 ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled in two
 stages: first the quality stratum index I (whose law reduces to
 Binomial(|X^-|, sigma(t)) with t = eps/(2 delta)), then a uniform
-member of that stratum via pick-and-flip. Stage one runs in log space
-in mpmath at extended precision, scanning the upper-tail log-CDF down
-from I = n, where the binomial's mass lies, and computing each pmf term
-only when the scan reaches it, so a fresh draw of I costs n - I + 1
-terms and scan steps. The table of log 1, 2, ... those terms read is
-shared by every n, and the full pmf is built only on request. Stage one
-draws from one 53-bit uniform, so it is exact only to that grid (see
-inverse_transform_sample); stage two is an exact partial Fisher-Yates
-over X^-. Per-node randomized response (ROADMAP item 3) would make the
-release exact outright.
+member of that stratum via pick-and-flip. Stage one keeps the pmf terms
+as logarithms in mpmath at extended precision and sums the upper tail
+P(I >= j) in linear scale down from I = n, where the binomial's mass
+lies, computing each term only when the scan reaches it, so a fresh
+draw of I costs n - I + 1 terms and scan steps. The table of log 1, 2,
+... those terms read is shared by every n, and the full pmf is built
+only on request. Stage one compares that sum with one 53-bit uniform
+U, so it is exact only to U's grid (see inverse_transform_sample);
+stage two is an exact partial Fisher-Yates over X^-. Per-node
+randomized response (ROADMAP item 3) would make the release exact
+outright.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import mpmath
 import numpy as np
 
 from . import _kernels
-from .dpnum import DEFAULT_CONTEXT, PrivacyParams, log_add, sample_neg_exp1
+from .dpnum import DEFAULT_CONTEXT, PrivacyParams
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 
@@ -38,11 +39,11 @@ class StratumDistribution:
     log_pmf[i] = log C(n, i) + i*t - n*log(1 + e^t) where t is the
     quality exponent eps/(2*delta0); exp(log_pmf) equals the
     Binomial(n, e^t/(1+e^t)) pmf. A fresh draw of I grows n - I + 1
-    terms from I = n down, with the upper-tail log-CDF, from the log
-    table every n shares (see inverse_transform_sample); the full pmf is
-    built only on request. t is converted to a context real once, when
-    the distribution is built. The stored prefixes take no part in
-    equality.
+    terms from I = n down, from the log table every n shares, with the
+    linear upper-tail sums P(I >= j) (see inverse_transform_sample); the
+    full pmf is built only on request. t is converted to a context real
+    once, when the distribution is built. The stored prefixes take no
+    part in equality.
     """
 
     n: int
@@ -50,7 +51,7 @@ class StratumDistribution:
     ctx: mpmath.MPContext
     _t: object = field(default=None, init=False, repr=False, compare=False)
     _terms: tuple = field(default=(), init=False, repr=False, compare=False)
-    _log_cdf: tuple = field(default=(), init=False, repr=False, compare=False)
+    _tail: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_t", self.ctx.mpf(self.t))
@@ -147,58 +148,64 @@ def _stratum_distribution(n: int, epsilon: float, delta0: float,
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
-    """Sample the stratum index by log-space inverse transform, scanning
-    the upper tail from the heavy end down.
+    """Sample the stratum index by inverse transform, scanning the upper
+    tail in linear scale from the heavy end down.
 
-    Draws psi = -Exp(1) and returns the scan's answer: with the
-    streaming upper-tail log-CDF u_0 = log_pmf[n], u_k = log_add(u_{k-1},
-    log_pmf[n-k]) = log P(I >= n-k), the index n-k for the least k in
-    0..n-1 with u_k >= psi, or 0 if there is none. Since I >= j exactly
-    when P(I >= j) >= U for U = e^psi, the law is that of the pmf. The
-    pmf is Binomial(n, sigma) with sigma > 1/2, so its mass lies at the
-    top. The scan computes each log_pmf term as it reaches it, from the
-    log table every n shares, so a draw of I on a fresh `dist` computes
-    n - I + 1 terms and scan steps and never the full pmf. Terms and u_k
-    are kept on `dist` as far as some draw has needed them, so a draw
-    within that prefix is a bisection; a draw beyond it extends both
-    exactly as far as the scan would have gone. log_add never decreases
-    its first argument, so bisection and scan return the same index.
+    Draws one uniform U and returns the scan's answer: with the
+    streaming upper-tail sum T_0 = e^log_pmf[n], T_k = T_{k-1} +
+    e^log_pmf[n-k] = P(I >= n-k), the index n-k for the least k in
+    0..n-1 with T_k >= U, or 0 if there is none. Since I >= j exactly
+    when P(I >= j) >= U, the law is that of the pmf. mpmath's exponent
+    range is unbounded, so no term underflows, and a -inf log term adds
+    an exact 0. The pmf is Binomial(n, sigma) with sigma > 1/2, so its
+    mass lies at the top. The scan computes each log_pmf term as it
+    reaches it, from the log table every n shares, so a draw of I on a
+    fresh `dist` computes n - I + 1 terms and scan steps and never the
+    full pmf. Terms and T_k are kept on `dist` as far as some draw has
+    needed them, so a draw within that prefix is a bisection; a draw
+    beyond it extends both exactly as far as the scan would have gone.
+    Adding a nonnegative term never decreases the sum, so bisection and
+    scan return the same index.
 
-    The draw is exact only to the grid of its uniform: psi is log(U)
-    for one 53-bit double U in [2^-53, 1 - 2^-53], and each stratum's
-    mass is rounded to that grid. A stratum at either end of the scan
-    order whose mass lies below 2^-53 is never drawn: I = n needs
-    U <= P(I = n), and I = 0 needs U > 1 - P(I = 0) (I = 0 at
+    The draw is exact only to the grid of its uniform: U is one 53-bit
+    double in [2^-53, 1 - 2^-53] (an exact 0 is drawn again), and each
+    stratum's mass is rounded to that grid. A stratum at either end of
+    the scan order whose mass lies below 2^-53 is never drawn: I = n
+    needs U <= P(I = n), and I = 0 needs U > 1 - P(I = 0) (I = 0 at
     |X^-| = 100 and eps = 1 has log-probability -97.4).
     """
-    psi = dist.ctx.mpf(sample_neg_exp1(rng))
-    tail = dist._log_cdf
-    if tail and tail[-1] >= psi:
-        return dist.n - bisect_left(tail, psi)
-    return _extend_log_cdf(dist, psi)
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    u = dist.ctx.mpf(u)  # exact: a double is a context real
+    tail = dist._tail
+    if tail and tail[-1] >= u:
+        return dist.n - bisect_left(tail, u)
+    return _extend_tail(dist, u)
 
 
-def _extend_log_cdf(dist: StratumDistribution, psi) -> int:
+def _extend_tail(dist: StratumDistribution, u) -> int:
     """Continue the upper-tail scan past the stored prefix, all of which
-    lies below psi, growing the pmf terms it reaches alongside; store the
+    lies below u, growing the pmf terms it reaches alongside; store the
     longer prefixes and return the index."""
     n = dist.n
     if n == 0:
         return 0
-    terms, tail = list(dist._terms), list(dist._log_cdf)
+    ctx = dist.ctx
+    terms, tail = list(dist._terms), list(dist._tail)
     if not terms:
         _next_log_pmf(terms, dist)
     if not tail:
-        tail.append(terms[0])
-    while tail[-1] < psi and len(tail) < n:
+        tail.append(ctx.exp(terms[0]))
+    while tail[-1] < u and len(tail) < n:
         while len(terms) <= len(tail):
             _next_log_pmf(terms, dist)
-        tail.append(log_add(tail[-1], terms[len(tail)], dist.ctx))
+        tail.append(ctx.fadd(tail[-1], ctx.exp(terms[len(tail)])))
     # concurrent draws may race here; every writer stores prefixes of the
     # same deterministic sequences, so any of them is correct
     object.__setattr__(dist, "_terms", tuple(terms))
-    object.__setattr__(dist, "_log_cdf", tuple(tail))
-    return n - (len(tail) - 1) if tail[-1] >= psi else 0
+    object.__setattr__(dist, "_tail", tuple(tail))
+    return n - (len(tail) - 1) if tail[-1] >= u else 0
 
 
 def pick_and_flip(X_minus: Iterable[int] | np.ndarray, R_star: Iterable[int] | np.ndarray,

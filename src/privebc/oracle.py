@@ -3,8 +3,10 @@
 Everything here recomputes what the production modules compute, by a
 deliberately different route: direct-space probabilities via mpmath
 instead of log-space recurrences, exhaustive subset enumeration instead
-of two-stage sampling, and dense pure-python matrix walks instead of
-CSR kernels. These paths are exponential or cubic by design and guarded
+of two-stage sampling, dense pure-python matrix walks instead of CSR
+kernels, and a log-domain stratum scan's pieces (log_add and a -Exp(1)
+draw), the reference stage one's linear-scale scan must match draw for
+draw. These paths are exponential or cubic by design and guarded
 against large inputs; they exist to be obviously correct, not fast.
 """
 
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import mpmath
+import numpy as np
 
+from .dpnum import DEFAULT_CONTEXT
 from .graphs import Graph
 
 GUARD_LIMIT = 20
@@ -155,6 +159,35 @@ def normalizer_routes(n: int, t: float) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.
                               for i in range(n + 1))
         closed = (1 + mpmath.e ** tt) ** n
         return direct, stratum, closed
+
+
+def log_add(x, y, ctx: mpmath.MPContext = DEFAULT_CONTEXT):
+    """log(e^x + e^y), computed stably by factoring out the max.
+
+    Inputs may be context reals or floats; -inf is the exact identity
+    element.
+    """
+    if isinstance(x, (int, float)):
+        x = ctx.mpf(x)
+    if isinstance(y, (int, float)):
+        y = ctx.mpf(y)
+    if x == ctx.ninf:
+        return y
+    if y == ctx.ninf:
+        return x
+    if x >= y:
+        hi, lo = x, y
+    else:
+        hi, lo = y, x
+    return ctx.fadd(hi, ctx.log1p(ctx.exp(ctx.fsub(lo, hi))))
+
+
+def sample_neg_exp1(rng: np.random.Generator) -> float:
+    """One draw of -Exp(1), i.e. log(U) for U uniform on (0, 1)."""
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    return math.log(u)
 
 
 def _edge_pairs(g: Graph) -> set[tuple[int, int]]:

@@ -312,7 +312,7 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
     if y_ego.size:
         k_x = xx @ xy + 1.0  # X-side 2-path counts through R* u {a}
         t_recv = np.zeros(k_x.shape, dtype=np.float64)
-        if back is not None and r_sorted.size:
+        if back is not None:
             # back.T's rows are R in ascending order; take those of R n R*
             hit, pos = _kernels._locate(r_sorted, r_star)
             t_recv[hit] = back.T[pos]

@@ -20,11 +20,10 @@ from privebc.dpnum import (
     _SLICE,
     MAX_SCALE,
     geometric_scale,
-    log_add,
     resolve_cell,
-    sample_neg_exp1,
     two_sided_geometric,
 )
+from privebc.oracle import log_add, sample_neg_exp1
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from privebc import (
     stratum_distribution,
 )
 from privebc import ego_context, forward, oracle
-from privebc.dpnum import log_add, sample_neg_exp1
 from privebc.forward import forward_message_from_context, inverse_transform_sample, pick_and_flip
+from privebc.oracle import log_add, sample_neg_exp1
 
 from .conftest import make_pg
 
@@ -193,29 +193,21 @@ def test_inverse_transform_chi_square_low_and_high_budget(eps):
     assert _chi_square_sf(counts, d.pmf_floats() * draws) > 1e-3
 
 
-def test_inverse_transform_scan_costs_n_minus_i_steps(monkeypatch):
-    # a draw on a fresh distribution walks the upper tail from I = n down
-    # to the drawn stratum: n - I log_add steps. I = 0 takes n - 1, as
-    # the scan returns it once P(I >= 1) falls short, without a last step
-    calls = []
-    real = forward.log_add
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(forward, "log_add", counting)
+def test_inverse_transform_tail_grows_to_the_drawn_stratum():
+    # a draw on a fresh distribution sums the upper tail from I = n down
+    # to the drawn stratum: n - I + 1 sums. I = 0 stores n, as the scan
+    # returns it once P(I >= 1) falls short, without a last sum
     rng = np.random.default_rng(12)
-    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0)):
+    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0), (0, 1.0)):
         base = stratum_distribution(n, PrivacyParams(epsilon=eps))
         for _ in range(40):
-            calls.clear()
-            i = inverse_transform_sample(dataclasses.replace(base), rng)
-            assert len(calls) == (n - i if i else n - 1)
+            dist = dataclasses.replace(base)
+            i = inverse_transform_sample(dist, rng)
+            assert len(dist._tail) == (n - i + 1 if i else n)
 
 
 def _scan_reference(dist: StratumDistribution, rng: np.random.Generator) -> int:
-    """The plain linear upper-tail scan: from u = log_pmf[n], iteration
+    """The plain log-domain upper-tail scan: from u = log_pmf[n], iteration
     k over 1..n returns n-k+1 the first time u >= psi holds at loop
     entry, and 0 if the scan completes."""
     ctx = dist.ctx
@@ -231,7 +223,7 @@ def _scan_reference(dist: StratumDistribution, rng: np.random.Generator) -> int:
 
 def _same_draws_as_scan(dist: StratumDistribution, seed: int, draws: int,
                         fresh=dataclasses.replace) -> None:
-    # a fresh copy starts with no stored terms or log-CDF prefix; the
+    # a fresh copy starts with no stored terms or tail prefix; the
     # shared one may already hold some, so both paths are compared with
     # the scan
     for d in (fresh(dist), dist):
@@ -242,8 +234,8 @@ def _same_draws_as_scan(dist: StratumDistribution, seed: int, draws: int,
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 10, 200])
-@pytest.mark.parametrize("eps", [0.1, 1.0, 4.0, 30.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 49, 200])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.5, 3.0, 4.0, 7.0, 30.0])
 def test_inverse_transform_matches_linear_scan(n, eps):
     d = stratum_distribution(n, PrivacyParams(epsilon=eps))
     _same_draws_as_scan(d, seed=n * 1000 + int(eps * 10), draws=100)

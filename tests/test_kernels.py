@@ -74,6 +74,16 @@ def test_bipartite_dense_backends_agree():
         assert got.shape == (nr, nc)
 
 
+def test_locate_in_an_empty_array_finds_nothing():
+    # no id lies in an empty node list, whatever the ids
+    for ids in (np.array([3, 5]), np.array([0]), np.empty(0, dtype=np.int64)):
+        hit, pos = _kernels._locate(np.empty(0, dtype=np.int64), ids)
+        assert hit.dtype == bool and hit.shape == ids.shape and not hit.any()
+        assert pos.size == 0
+    hit, pos = _kernels._locate(np.array([2, 5, 9]), np.array([5, 3, 9, 10]))
+    assert hit.tolist() == [True, False, True, False] and pos.tolist() == [1, 2]
+
+
 def test_partial_shuffle_backends_agree():
     rng = np.random.default_rng(5)
     base = np.arange(100, dtype=np.int64)
