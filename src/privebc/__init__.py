@@ -15,7 +15,6 @@ from .forward import (
     ForwardMsg,
     StratumDistribution,
     forward_message,
-    quality,
     stratum_distribution,
 )
 from .graphs import (
@@ -84,7 +83,6 @@ __all__ = [
     "partial_ebc_y",
     "partition_nodes",
     "private_ebc",
-    "quality",
     "run_session",
     "run_two_process",
     "spanning_counts",

@@ -1,9 +1,9 @@
 """Numeric substrate: the extended-precision context and exact noise.
 
-The stratum pmf spans thousands of orders of magnitude. Stage one keeps
-its terms as logarithms and sums their exponentials in linear scale, in
-mpmath, whose exponent range is unbounded, at DEFAULT_CONTEXT's 300
-significand bits in every session. Y's noise is the two-sided geometric
+The stratum pmf spans thousands of orders of magnitude. Stage one steps
+its terms by one linear recurrence and sums them in mpmath, whose
+exponent range is unbounded, at DEFAULT_CONTEXT's 300 significand bits
+in every session. Y's noise is the two-sided geometric
 mechanism (Ghosh, Roughgarden and Sundararajan, STOC 2009), sampled
 exactly: every released value is an integer whose law is exactly
 P(z) ~ exp(-|z|/scale) at a scale rounded up, never down, so no

@@ -4,17 +4,16 @@ The exponential mechanism over all subsets R of X^- (= V_X minus the
 ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled in two
 stages: first the quality stratum index I (whose law reduces to
 Binomial(|X^-|, sigma(t)) with t = eps/(2 delta)), then a uniform
-member of that stratum via pick-and-flip. Stage one keeps the pmf terms
-as logarithms in mpmath at extended precision and sums the upper tail
-P(I >= j) in linear scale down from I = n, where the binomial's mass
-lies, computing each term only when the scan reaches it, so a fresh
-draw of I costs n - I + 1 terms and scan steps. The table of log 1, 2,
-... those terms read is shared by every n, and the full pmf is built
-only on request. Stage one compares that sum with one 53-bit uniform
-U, so it is exact only to U's grid (see inverse_transform_sample);
-stage two is an exact partial Fisher-Yates over X^-. Per-node
-randomized response (ROADMAP item 3) would make the release exact
-outright.
+member of that stratum via pick-and-flip. Stage one is binomial
+inversion (Devroye 1986, ch. X; Kachitvichyanukul and Schmeiser's BINV,
+1988) in mpmath at extended precision. It starts from P(I = n) =
+(1 + e^-t)^-n, where the binomial's mass lies, steps down by one
+linear pmf recurrence, and sums the upper tail P(I >= j) as it goes, so
+a fresh draw of I costs n - I + 1 terms and scan steps. Stage one
+compares that sum with one 53-bit uniform U, so it is exact only to
+U's grid (see inverse_transform_sample); stage two is an exact partial
+Fisher-Yates over X^-. Per-node randomized response (ROADMAP item 3)
+would make the release exact outright.
 """
 
 from __future__ import annotations
@@ -32,41 +31,32 @@ from .dpnum import DEFAULT_CONTEXT, PrivacyParams
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 
-@dataclass(frozen=True)
+@dataclass
 class StratumDistribution:
-    """Log-space pmf of the stratum index I over {0, ..., n}, built lazily.
+    """The law of the stratum index I over {0, ..., n}: Binomial(n,
+    sigma) with sigma = 1/(1 + e^-t), where t is the quality exponent
+    eps/(2*delta0).
 
-    log_pmf[i] = log C(n, i) + i*t - n*log(1 + e^t) where t is the
-    quality exponent eps/(2*delta0); exp(log_pmf) equals the
-    Binomial(n, e^t/(1+e^t)) pmf. A fresh draw of I grows n - I + 1
-    terms from I = n down, from the log table every n shares, with the
-    linear upper-tail sums P(I >= j) (see inverse_transform_sample); the
-    full pmf is built only on request. t is converted to a context real
-    once, when the distribution is built. The stored prefixes take no
-    part in equality.
+    Its scan state is one (tail, term) pair: tail[k] = P(I >= n - k)
+    over the prefix some draw has needed (see inverse_transform_sample),
+    and term = P(I = n - k) for the prefix's last k. A draw replaces the
+    pair in one assignment, so a racing writer always stores a
+    consistent pair. The state takes no part in equality.
     """
 
     n: int
     t: float
     ctx: mpmath.MPContext
-    _t: object = field(default=None, init=False, repr=False, compare=False)
-    _terms: tuple = field(default=(), init=False, repr=False, compare=False)
-    _tail: tuple = field(default=(), init=False, repr=False, compare=False)
+    _scan: tuple = field(default=((), None), init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_t", self.ctx.mpf(self.t))
-
-    @property
-    def log_pmf(self) -> tuple:
-        """All n + 1 terms, log_pmf[0] first, at context precision."""
-        terms = list(self._terms)
-        while len(terms) <= self.n:
-            _next_log_pmf(terms, self)
-        object.__setattr__(self, "_terms", tuple(terms))
-        return tuple(reversed(terms))
+    def pmf(self) -> list:
+        """All n + 1 terms, P(I = 0) first, at context precision, computed
+        fresh by the scan's recurrence."""
+        top = _top_term(self)
+        return [top, *_terms_below(self, self.n, top)][::-1]
 
     def pmf_floats(self) -> np.ndarray:
-        return np.array([float(self.ctx.exp(p)) for p in self.log_pmf])
+        return np.array([float(p) for p in self.pmf()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,51 +80,36 @@ class ForwardMsg:
         return frozenset(self.x_minus[self.member].tolist())
 
 
-# _LOG_INTS[i] = log(i) at DEFAULT_CONTEXT's precision, shared by every n
-_LOG_INTS = [DEFAULT_CONTEXT.ninf]
-
-
 @lru_cache(maxsize=8)
-def _log1p_exp_neg(t: float, ctx: mpmath.MPContext):
-    """log1p(e^-t) at the context's precision: every distribution at one
-    epsilon shares it."""
-    return ctx.log1p(ctx.exp(ctx.fneg(ctx.mpf(t))))
+def _exp_neg(t: float, ctx: mpmath.MPContext) -> tuple:
+    """e^-t and sigma = 1/(1 + e^-t) at the context's precision: every
+    distribution at one epsilon shares them."""
+    e = ctx.exp(ctx.fneg(ctx.mpf(t)))
+    return e, ctx.fdiv(1, ctx.fadd(1, e))
 
 
-def _next_log_pmf(terms: list, dist: StratumDistribution) -> None:
-    """Append the next term from the heavy end down to terms = [log_pmf[n],
-    ..., log_pmf[i]]: log_pmf[n] = -n*log1p(e^-t), and log_pmf[i-1] =
-    log_pmf[i] + log(i) - log(n-i+1) - t. The first term grows the
-    shared log table to n."""
-    ctx, n, t = dist.ctx, dist.n, dist._t
-    if not terms:
-        # one slice store; a racing writer stores the same values there
-        start = len(_LOG_INTS)
-        _LOG_INTS[start:n + 1] = [DEFAULT_CONTEXT.log(i) for i in range(start, n + 1)]
-        terms.append(ctx.fneg(ctx.fmul(n, _log1p_exp_neg(dist.t, ctx))))
-        return
-    i = n + 1 - len(terms)
-    terms.append(ctx.fsub(ctx.fadd(terms[-1], _LOG_INTS[i]), ctx.fadd(_LOG_INTS[n - i + 1], t)))
+def _top_term(dist: StratumDistribution):
+    """P(I = n) = sigma^n."""
+    return _exp_neg(dist.t, dist.ctx)[1] ** dist.n
 
 
-def quality(R: Iterable[int], R_star: Iterable[int], X_minus: Iterable[int]) -> int:
-    """q(R) = |R n R*| + |X^- \\ (R u R*)|, i.e. |X^-| - |R delta R*|."""
-    r = frozenset(R)
-    rs = frozenset(R_star)
-    xm = frozenset(X_minus)
-    if not r <= xm or not rs <= xm:
-        raise ValueError("R and R_star must be subsets of X_minus")
-    return len(r & rs) + len(xm - (r | rs))
+def _terms_below(dist: StratumDistribution, i: int, term):
+    """Yield P(I = i - 1), ..., P(I = 0) from term = P(I = i), each as
+    P(I = j - 1) = P(I = j) * j / ((n - j + 1) e^t)."""
+    e, n = _exp_neg(dist.t, dist.ctx)[0], dist.n
+    for j in range(i, 0, -1):
+        term = term * e * j / (n - j + 1)
+        yield term
 
 
 def stratum_distribution(n: int, params: PrivacyParams,
                          ctx: mpmath.MPContext = DEFAULT_CONTEXT) -> StratumDistribution:
-    """Exact stratum pmf for |X^-| = n at the context's precision.
+    """Exact stratum law for |X^-| = n at the context's precision.
 
-    The distribution computes its terms lazily, so building one is
-    O(1). The eight most recently used are kept, keyed by (n, epsilon,
-    delta0, ctx), so repeated releases at one size compute each term
-    once. The key holds nothing of the graph.
+    The distribution computes its terms as draws reach them, so
+    building one is O(1). The eight most recently used are kept, keyed
+    by (n, epsilon, delta0, ctx), so repeated releases at one size
+    compute each term once. The key holds nothing of the graph.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -148,24 +123,24 @@ def _stratum_distribution(n: int, epsilon: float, delta0: float,
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
-    """Sample the stratum index by inverse transform, scanning the upper
-    tail in linear scale from the heavy end down.
+    """Sample the stratum index by binomial inversion, scanning the
+    upper tail in linear scale from the heavy end down.
 
     Draws one uniform U and returns the scan's answer: with the
-    streaming upper-tail sum T_0 = e^log_pmf[n], T_k = T_{k-1} +
-    e^log_pmf[n-k] = P(I >= n-k), the index n-k for the least k in
-    0..n-1 with T_k >= U, or 0 if there is none. Since I >= j exactly
-    when P(I >= j) >= U, the law is that of the pmf. mpmath's exponent
-    range is unbounded, so no term underflows, and a -inf log term adds
-    an exact 0. The pmf is Binomial(n, sigma) with sigma > 1/2, so its
-    mass lies at the top. The scan computes each log_pmf term as it
-    reaches it, from the log table every n shares, so a draw of I on a
-    fresh `dist` computes n - I + 1 terms and scan steps and never the
-    full pmf. Terms and T_k are kept on `dist` as far as some draw has
-    needed them, so a draw within that prefix is a bisection; a draw
-    beyond it extends both exactly as far as the scan would have gone.
-    Adding a nonnegative term never decreases the sum, so bisection and
-    scan return the same index.
+    streaming upper-tail sum T_0 = P(I = n), T_k = T_{k-1} + P(I = n-k)
+    = P(I >= n-k), the index n-k for the least k in 0..n-1 with
+    T_k >= U, or 0 if there is none. Since I >= j exactly when
+    P(I >= j) >= U, the law is that of the pmf. The pmf is Binomial(n,
+    sigma) with sigma > 1/2, so its mass lies at the top. The scan
+    starts from P(I = n) = sigma^n and takes each later term from the
+    one before by the pmf's ratio (see _terms_below); mpmath's exponent
+    range is unbounded, so no term underflows. A draw of I on a fresh
+    `dist` thus computes n - I + 1 terms and scan steps and never the
+    full pmf. T_k is kept on `dist` as far as some draw has needed it,
+    with the last term, so a draw within that prefix is a bisection; a
+    draw beyond it extends the prefix exactly as far as the scan would
+    have gone. Adding a nonnegative term never decreases the sum, so
+    bisection and scan return the same index.
 
     The draw is exact only to the grid of its uniform: U is one 53-bit
     double in [2^-53, 1 - 2^-53] (an exact 0 is drawn again), and each
@@ -178,7 +153,7 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
     while u == 0.0:
         u = rng.random()
     u = dist.ctx.mpf(u)  # exact: a double is a context real
-    tail = dist._tail
+    tail = dist._scan[0]
     if tail and tail[-1] >= u:
         return dist.n - bisect_left(tail, u)
     return _extend_tail(dist, u)
@@ -186,25 +161,21 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
 
 def _extend_tail(dist: StratumDistribution, u) -> int:
     """Continue the upper-tail scan past the stored prefix, all of which
-    lies below u, growing the pmf terms it reaches alongside; store the
-    longer prefixes and return the index."""
+    lies below u; store the longer prefix and return the index."""
     n = dist.n
     if n == 0:
         return 0
-    ctx = dist.ctx
-    terms, tail = list(dist._terms), list(dist._tail)
-    if not terms:
-        _next_log_pmf(terms, dist)
-    if not tail:
-        tail.append(ctx.exp(terms[0]))
+    tail, term = dist._scan
+    if tail:
+        tail = list(tail)
+    else:
+        term = _top_term(dist)
+        tail = [term]
+    terms = _terms_below(dist, n + 1 - len(tail), term)
     while tail[-1] < u and len(tail) < n:
-        while len(terms) <= len(tail):
-            _next_log_pmf(terms, dist)
-        tail.append(ctx.fadd(tail[-1], ctx.exp(terms[len(tail)])))
-    # concurrent draws may race here; every writer stores prefixes of the
-    # same deterministic sequences, so any of them is correct
-    object.__setattr__(dist, "_terms", tuple(terms))
-    object.__setattr__(dist, "_tail", tuple(tail))
+        term = next(terms)
+        tail.append(tail[-1] + term)
+    dist._scan = (tuple(tail), term)
     return n - (len(tail) - 1) if tail[-1] >= u else 0
 
 

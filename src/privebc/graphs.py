@@ -136,11 +136,6 @@ class Graph:
     def label_of(self, idx: int) -> str:
         return self.labels[idx]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        row = _neighbor_array(self, i)
-        k = int(row.searchsorted(j))
-        return bool(k < row.size and row[k] == j)
-
     def neighbors(self, i: int) -> frozenset[int]:
         return frozenset(_neighbor_array(self, i).tolist())
 
@@ -241,13 +236,6 @@ class _PartyInfoMixin:
     def vy_indices(self) -> np.ndarray:
         return np.flatnonzero(~self._is_x).astype(np.int64)
 
-    def edge_class(self, i: int, j: int) -> str:
-        if self._is_x[i] and self._is_x[j]:
-            return "X"
-        if not self._is_x[i] and not self._is_x[j]:
-            return "Y"
-        return "XY"
-
 
 class PartyView(_PartyInfoMixin):
     """One party's complete knowledge: the full node/party roster plus
@@ -278,10 +266,13 @@ class PartitionedGraph(_PartyInfoMixin):
         self._is_x = is_x_mask.astype(bool)
 
     def edge_class_counts(self) -> dict[str, int]:
-        counts = {"X": 0, "Y": 0, "XY": 0}
-        for i, j in self.graph.edges_iter():
-            counts[self.edge_class(i, j)] += 1
-        return counts
+        indptr, indices = self.graph.csr()
+        owner = np.arange(self.graph.n).repeat(np.diff(indptr))
+        upper = owner < indices
+        # each edge once: its count of X endpoints is 0 (Y), 1 (XY) or 2 (X)
+        ends = self._is_x[owner[upper]].astype(np.int64) + self._is_x[indices[upper]]
+        y, xy, x = np.bincount(ends, minlength=3).tolist()
+        return {"X": x, "Y": y, "XY": xy}
 
     def _filtered_graph(self, keep_party_x: bool) -> Graph:
         """The edges with at least one endpoint in the kept party."""

@@ -1,9 +1,10 @@
 """Brute-force references for the test suite.
 
 Everything here recomputes what the production modules compute, by a
-deliberately different route: direct-space probabilities via mpmath
-instead of log-space recurrences, exhaustive subset enumeration instead
-of two-stage sampling, dense pure-python matrix walks instead of CSR
+deliberately different route: the quality function on sets instead of
+membership bits, direct-space probabilities via mpmath instead of the
+sampler's pmf recurrence, exhaustive subset enumeration instead of
+two-stage sampling, dense pure-python matrix walks instead of CSR
 kernels, and a log-domain stratum scan's pieces (log_add and a -Exp(1)
 draw), the reference stage one's linear-scale scan must match draw for
 draw. These paths are exponential or cubic by design and guarded
@@ -35,6 +36,16 @@ def _check_size(n: int) -> None:
     if n > GUARD_LIMIT:
         raise OracleSizeError(f"exhaustive enumeration over {n} elements refused "
                               f"(limit {GUARD_LIMIT})")
+
+
+def quality(R: Iterable[int], R_star: Iterable[int], X_minus: Iterable[int]) -> int:
+    """q(R) = |R n R*| + |X^- \\ (R u R*)|, i.e. |X^-| - |R delta R*|."""
+    r = frozenset(R)
+    rs = frozenset(R_star)
+    xm = frozenset(X_minus)
+    if not r <= xm or not rs <= xm:
+        raise ValueError("R and R_star must be subsets of X_minus")
+    return len(r & rs) + len(xm - (r | rs))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from privebc import (
     forward_message,
     nonprivate_ebc_protocol,
     private_ebc,
-    quality,
     run_session,
     stratum_distribution,
 )
@@ -121,7 +120,7 @@ def test_criterion_2_sampler_distribution():
             # analytic two-stage law vs exhaustive, pointwise
             pmf = stratum_distribution(n, PrivacyParams(epsilon=eps)).pmf_floats()
             for s, m in zip(law.support, law.mass):
-                q = quality(s, rs, xm)
+                q = oracle.quality(s, rs, xm)
                 analytic = pmf[q] / math.comb(n, q)
                 if not math.isclose(analytic, m, rel_tol=1e-9, abs_tol=1e-30):
                     pointwise_ok = False
@@ -171,7 +170,7 @@ def test_criterion_3_stratum_identities():
         for i in range(n + 1):
             assert len(oracle.enumerate_stratum(elems, rs, i)) == math.comb(n, i)
 
-    # exp(log_pmf) equals the Binomial(n, sigma) pmf within 1e-9
+    # the stratum pmf equals the Binomial(n, sigma) pmf within 1e-9
     worst_pmf = 0.0
     for n in range(16):
         for eps in (0.1, 1.0, 5.0):
@@ -266,7 +265,7 @@ def test_criterion_4_sensitivity_sweeps():
             for x in range(n):
                 rs2 = rs ^ {x}
                 for r in subsets:
-                    dq = abs(quality(r, rs, xm) - quality(r, rs2, xm))
+                    dq = abs(oracle.quality(r, rs, xm) - oracle.quality(r, rs2, xm))
                     worst_q = max(worst_q, dq)
     assert worst_q <= 1
 

@@ -45,30 +45,18 @@ def test_no_context_is_built_after_import(monkeypatch, mixed_pg):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(mpmath, "MPContext", CountingContext)
-    # fresh sizes: every distribution below is a cache miss, and each
-    # grows the shared log table by one entry
+    # every distribution below is a cache miss
     forward._stratum_distribution.cache_clear()
     params = PrivacyParams(epsilon=1.0)
-    top = len(forward._LOG_INTS) + 20
     rng = np.random.default_rng(0)
-    for n in range(top - 20, top):
+    for n in range(40, 60):
         d = stratum_distribution(n, params)
         forward.inverse_transform_sample(d, rng)
         d.pmf_floats()
-    assert len(forward._LOG_INTS) == top
     config = ProtocolConfig(epsilon=1.0)
     for seed in (0, 1):
         run_session(mixed_pg, "a", config, np.random.default_rng(seed))
     assert built == []
-
-
-def test_shared_log_table_is_exact():
-    # one table serves every n; each entry is log(i) at 300 bits exactly
-    mp = DEFAULT_CONTEXT
-    _ = stratum_distribution(300, PrivacyParams(epsilon=0.5)).log_pmf
-    table = forward._LOG_INTS
-    assert len(table) > 300
-    assert all(table[i] == mp.log(i) for i in range(len(table)))
 
 
 def test_privacy_params_validation():

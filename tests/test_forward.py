@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from privebc import (
     PrivacyParams,
     StratumDistribution,
     forward_message,
-    quality,
     stratum_distribution,
 )
 from privebc import ego_context, forward, oracle
 from privebc.forward import forward_message_from_context, inverse_transform_sample, pick_and_flip
-from privebc.oracle import log_add, sample_neg_exp1
+from privebc.oracle import log_add, quality, sample_neg_exp1
 
 from .conftest import make_pg
 
@@ -104,41 +104,50 @@ def test_two_stage_product_law():
 
 
 def test_subset_law_pointwise():
-    # exp(log_pmf[i]) / C(n,i) reproduces every subset probability
+    # pmf[i] / C(n,i) reproduces every subset probability
     for n, eps in [(5, 0.2), (9, 2.0), (12, 6.0)]:
         elems = list(range(n))
         law = oracle.enumerate_exp_pmf(elems, [], eps)
         d = stratum_distribution(n, PrivacyParams(epsilon=eps))
         for i in range(n + 1):
-            per_set = math.exp(float(d.log_pmf[i])) / math.comb(n, i)
+            per_set = float(d.pmf()[i]) / math.comb(n, i)
             # with R* empty, quality i means |S| = n - i
             member = frozenset(range(n - i))
             assert per_set == pytest.approx(law.mass_of(member), rel=1e-9)
 
 
 def test_first_term_constant_is_the_inline_expression():
-    # the constant log1p(e^-t) is computed once per (t, context), by the
-    # same operations in the same order as the first term ever used
+    # the constants e^-t and sigma = 1/(1 + e^-t) are computed once per
+    # (t, context), by the same operations in the same order as the
+    # inline expressions, and the first term is sigma^n
     ctx = DEFAULT_CONTEXT
     for eps in (0.1, 0.5, 1.0, 2.0, 7.0):
         t = eps / 2.0
-        want = ctx.log1p(ctx.exp(ctx.fneg(ctx.mpf(t))))
-        assert forward._log1p_exp_neg(t, ctx) == want
-        assert forward._log1p_exp_neg(t, ctx) is forward._log1p_exp_neg(t, ctx)
+        e = ctx.exp(ctx.fneg(ctx.mpf(t)))
+        sigma = ctx.fdiv(1, ctx.fadd(1, e))
+        assert forward._exp_neg(t, ctx) == (e, sigma)
+        assert forward._exp_neg(t, ctx) is forward._exp_neg(t, ctx)
         dist = stratum_distribution(40, PrivacyParams(epsilon=eps))
-        assert dist.log_pmf[40] == ctx.fneg(ctx.fmul(40, want))
+        assert dist.pmf()[40] == sigma ** 40
 
 
 # ------------------------------------------------ inverse transform sample
 
+def _point_mass_log_pmf(n: int, k: int) -> list:
+    """The log-pmf of a point mass at k over {0, ..., n}."""
+    logs = [DEFAULT_CONTEXT.ninf] * (n + 1)
+    logs[k] = DEFAULT_CONTEXT.mpf(0)
+    return logs
+
+
 def _point_mass_dist(n: int, k: int) -> StratumDistribution:
-    """A distribution whose stored terms are the explicit log-pmf of a
-    point mass at k: all n + 1 of them, so no draw grows any."""
-    ctx = DEFAULT_CONTEXT
-    logs = [ctx.ninf] * (n + 1)
-    logs[k] = ctx.mpf(0.0)
-    d = StratumDistribution(n=n, t=0.0, ctx=ctx)
-    object.__setattr__(d, "_terms", tuple(reversed(logs)))
+    """A distribution whose stored scan state is the complete upper tail
+    of a point mass at k, P(I >= n) down to P(I >= 1), with its last
+    term P(I = 1), so no draw extends it."""
+    one, zero = DEFAULT_CONTEXT.mpf(1), DEFAULT_CONTEXT.mpf(0)
+    d = StratumDistribution(n=n, t=0.0, ctx=DEFAULT_CONTEXT)
+    d._scan = (tuple(one if j <= k else zero for j in range(n, 0, -1)),
+               one if k == 1 else zero)
     return d
 
 
@@ -203,73 +212,11 @@ def test_inverse_transform_tail_grows_to_the_drawn_stratum():
         for _ in range(40):
             dist = dataclasses.replace(base)
             i = inverse_transform_sample(dist, rng)
-            assert len(dist._tail) == (n - i + 1 if i else n)
+            assert len(dist._scan[0]) == (n - i + 1 if i else n)
 
 
-def _scan_reference(dist: StratumDistribution, rng: np.random.Generator) -> int:
-    """The plain log-domain upper-tail scan: from u = log_pmf[n], iteration
-    k over 1..n returns n-k+1 the first time u >= psi holds at loop
-    entry, and 0 if the scan completes."""
-    ctx = dist.ctx
-    psi = ctx.mpf(sample_neg_exp1(rng))
-    n = dist.n
-    u = dist.log_pmf[n]
-    for k in range(1, n + 1):
-        if u >= psi:
-            return n - k + 1
-        u = log_add(u, dist.log_pmf[n - k], ctx)
-    return 0
-
-
-def _same_draws_as_scan(dist: StratumDistribution, seed: int, draws: int,
-                        fresh=dataclasses.replace) -> None:
-    # a fresh copy starts with no stored terms or tail prefix; the
-    # shared one may already hold some, so both paths are compared with
-    # the scan
-    for d in (fresh(dist), dist):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [inverse_transform_sample(d, rng_a) for _ in range(draws)]
-        want = [_scan_reference(d, rng_b) for _ in range(draws)]
-        assert got == want
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 10, 49, 200])
-@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.5, 3.0, 4.0, 7.0, 30.0])
-def test_inverse_transform_matches_linear_scan(n, eps):
-    d = stratum_distribution(n, PrivacyParams(epsilon=eps))
-    _same_draws_as_scan(d, seed=n * 1000 + int(eps * 10), draws=100)
-
-
-def test_inverse_transform_point_mass_matches_linear_scan():
-    for n in (1, 3, 7):
-        for k in range(n + 1):
-            _same_draws_as_scan(_point_mass_dist(n, k), seed=10 * n + k, draws=50,
-                                fresh=lambda d: _point_mass_dist(d.n, k))
-
-
-def test_fresh_draw_computes_only_the_terms_it_reaches(monkeypatch):
-    # a draw on a fresh distribution computes the log-pmf terms from
-    # I = n down to the drawn stratum: n - I + 1 of them. I = 0 takes n,
-    # as the scan returns it once P(I >= 1) falls short
-    calls = []
-    real = forward._next_log_pmf
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(forward, "_next_log_pmf", counting)
-    rng = np.random.default_rng(13)
-    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0), (0, 1.0)):
-        base = stratum_distribution(n, PrivacyParams(epsilon=eps))
-        for _ in range(40):
-            calls.clear()
-            i = inverse_transform_sample(dataclasses.replace(base), rng)
-            assert len(calls) == (n - i + 1 if i else n)
-
-
-def _bottom_up_log_pmf(n: int, eps: float) -> list:
+@lru_cache(maxsize=None)
+def _bottom_up_log_pmf(n: int, eps: float) -> tuple:
     """The stratum log-pmf built from I = 0 up, with log C(n, i) and i*t
     accumulated term by term, independently of forward's recurrence."""
     mp = DEFAULT_CONTEXT
@@ -279,20 +226,87 @@ def _bottom_up_log_pmf(n: int, eps: float) -> list:
     for i in range(1, n + 1):
         log_choose = mp.fsub(mp.fadd(log_choose, mp.log(n - i + 1)), mp.log(i))
         pmf.append(mp.fsub(mp.fadd(log_choose, mp.fmul(i, t)), norm))
-    return pmf
+    return tuple(pmf)
+
+
+def _scan_reference(log_pmf, rng: np.random.Generator) -> int:
+    """The plain log-domain upper-tail scan: from u = log_pmf[n], iteration
+    k over 1..n returns n-k+1 the first time u >= psi holds at loop
+    entry, and 0 if the scan completes."""
+    ctx = DEFAULT_CONTEXT
+    psi = ctx.mpf(sample_neg_exp1(rng))
+    n = len(log_pmf) - 1
+    u = log_pmf[n]
+    for k in range(1, n + 1):
+        if u >= psi:
+            return n - k + 1
+        u = log_add(u, log_pmf[n - k], ctx)
+    return 0
+
+
+def _same_draws_as_scan(dist: StratumDistribution, log_pmf, seed: int, draws: int,
+                        fresh=dataclasses.replace) -> None:
+    # a fresh copy starts with no stored tail prefix; the shared one may
+    # already hold some, so both paths are compared with the scan of an
+    # independently built log-pmf
+    for d in (fresh(dist), dist):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [inverse_transform_sample(d, rng_a) for _ in range(draws)]
+        want = [_scan_reference(log_pmf, rng_b) for _ in range(draws)]
+        assert got == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+# 4989 is |X^-| of every ego in the CLI sweep on --synthetic n=10000,m=15
+@pytest.mark.parametrize(
+    "eps,n", [(eps, n) for eps in (0.1, 0.5, 1.0, 1.5, 3.0, 4.0, 7.0, 30.0)
+              for n in (0, 1, 2, 10, 49, 200)] + [(eps, 4989) for eps in (0.1, 1.0, 7.0)])
+def test_inverse_transform_matches_linear_scan(eps, n):
+    d = stratum_distribution(n, PrivacyParams(epsilon=eps))
+    _same_draws_as_scan(d, _bottom_up_log_pmf(n, eps), seed=n * 1000 + int(eps * 10),
+                        draws=100 if n < 1000 else 10)
+
+
+def test_inverse_transform_point_mass_matches_linear_scan():
+    for n in (1, 3, 7):
+        for k in range(n + 1):
+            _same_draws_as_scan(_point_mass_dist(n, k), _point_mass_log_pmf(n, k),
+                                seed=10 * n + k, draws=50,
+                                fresh=lambda d: _point_mass_dist(d.n, k))
+
+
+def test_fresh_draw_computes_only_the_terms_it_reaches():
+    # a draw on a fresh distribution stores the upper tail from I = n
+    # down to the drawn stratum, n - I + 1 sums, and the last term it
+    # computed, P(I = max(I, 1)). I = 0 takes n terms, as the scan
+    # returns it once P(I >= 1) falls short
+    rng = np.random.default_rng(13)
+    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0)):
+        base = stratum_distribution(n, PrivacyParams(epsilon=eps))
+        pmf = base.pmf()
+        for _ in range(40):
+            dist = dataclasses.replace(base)
+            i = inverse_transform_sample(dist, rng)
+            tail, term = dist._scan
+            assert len(tail) == (n - i + 1 if i else n)
+            assert term == pmf[max(i, 1)]
+    dist = dataclasses.replace(stratum_distribution(0, PrivacyParams(epsilon=1.0)))
+    assert inverse_transform_sample(dist, rng) == 0 and dist._scan == ((), None)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.5, 3.0, 7.0])
 def test_lazy_pmf_after_partial_draws_equals_bottom_up(eps):
-    # the terms a few draws grew, completed on request, are the pmf
-    for n in (0, 1, 2, 7, 31, 200):
+    # the full pmf, built on request after a few draws stored part of
+    # the tail, is the bottom-up pmf
+    for n in (0, 1, 2, 7, 31, 200, 4989):
         d = dataclasses.replace(stratum_distribution(n, PrivacyParams(epsilon=eps)))
         rng = np.random.default_rng(n)
         for _ in range(3):
             inverse_transform_sample(d, rng)
-        assert len(d._terms) <= n
+        assert len(d._scan[0]) <= n
         want = _bottom_up_log_pmf(n, eps)
-        assert all(abs(float(a - b)) <= 1e-12 for a, b in zip(d.log_pmf, want, strict=True))
+        got = [DEFAULT_CONTEXT.log(p) for p in d.pmf()]
+        assert all(abs(float(a - b)) <= 1e-12 for a, b in zip(got, want, strict=True))
         floats = np.array([float(DEFAULT_CONTEXT.exp(b)) for b in want])
         assert np.allclose(d.pmf_floats(), floats, rtol=1e-12, atol=0)
 

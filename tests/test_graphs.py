@@ -18,7 +18,7 @@ from privebc import (
     partition_nodes,
 )
 from privebc.graphs import _ego_context_idx, _ego_local
-from privebc.oracle import ebc_dense_reference, two_path_reference
+from privebc.oracle import _edge_pairs, _has, ebc_dense_reference, two_path_reference
 
 from .conftest import make_pg, random_graph, random_partition
 
@@ -30,7 +30,7 @@ from .conftest import make_pg, random_graph, random_partition
 def test_load_basic_with_comment():
     g = load_edge_list(b"# c\n1 2\n2 3\n")
     assert g.n == 3 and g.edge_count == 2
-    assert g.has_edge(g.index_of("1"), g.index_of("2"))
+    assert _has(_edge_pairs(g), g.index_of("1"), g.index_of("2"))
 
 
 def test_load_dedup_and_self_loop():
@@ -86,7 +86,7 @@ def test_edges_are_unordered_and_deduped():
     g = Graph.from_edges([("a", "b"), ("b", "a")])
     assert g.edge_count == 1
     i, j = g.index_of("a"), g.index_of("b")
-    assert g.has_edge(i, j) and g.has_edge(j, i)
+    assert _has(_edge_pairs(g), i, j) and _has(_edge_pairs(g), j, i)
 
 
 def test_unknown_node_lookup():
@@ -126,12 +126,14 @@ def test_partition_fraction_out_of_range():
 
 def test_edge_classes_partition_exhaustively():
     rng = np.random.default_rng(3)
-    g = random_graph(rng, 12, 0.3)
-    pg = partition_nodes(g, seed=4, x_fraction=0.4)
-    for i, j in g.edges_iter():
-        cls = pg.edge_class(i, j)
-        expect = {(True, True): "X", (False, False): "Y"}.get((pg.is_x(i), pg.is_x(j)), "XY")
-        assert cls == expect
+    for n, p, frac in ((12, 0.3, 0.4), (40, 0.2, 0.5), (30, 0.1, 0.0), (30, 0.1, 1.0)):
+        g = random_graph(rng, n, p)
+        pg = partition_nodes(g, seed=4, x_fraction=frac)
+        want = {"X": 0, "Y": 0, "XY": 0}
+        for i, j in g.edges_iter():
+            cls = {(True, True): "X", (False, False): "Y"}.get((pg.is_x(i), pg.is_x(j)), "XY")
+            want[cls] += 1
+        assert pg.edge_class_counts() == want
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +339,10 @@ def test_views_hide_other_party_internal_edges(mixed_pg):
     g = mixed_pg.graph
     vy = mixed_pg.view_y().graph
     vx = mixed_pg.view_x().graph
+    in_x, in_y = _edge_pairs(vx), _edge_pairs(vy)
     for i, j in g.edges_iter():
-        cls = mixed_pg.edge_class(i, j)
-        assert vx.has_edge(i, j) == (cls in ("X", "XY"))
-        assert vy.has_edge(i, j) == (cls in ("Y", "XY"))
+        assert ((i, j) in in_x) == (mixed_pg.is_x(i) or mixed_pg.is_x(j))
+        assert ((i, j) in in_y) == (not mixed_pg.is_x(i) or not mixed_pg.is_x(j))
     # same labels, same dense indices in every view
     assert vx.labels == g.labels == vy.labels
 
