@@ -1,21 +1,28 @@
-"""Numeric substrate: the extended-precision context and exact noise.
+"""Numeric substrate: exact Bernoulli trials, exact noise and the
+extended-precision context of the stratum law.
 
-The stratum pmf spans thousands of orders of magnitude. Stage one steps
-its terms by one linear recurrence and sums them in mpmath, whose
-exponent range is unbounded, at DEFAULT_CONTEXT's 300 significand bits
-in every session. Y's noise is the two-sided geometric
-mechanism (Ghosh, Roughgarden and Sundararajan, STOC 2009), sampled
-exactly: every released value is an integer whose law is exactly
-P(z) ~ exp(-|z|/scale) at a scale rounded up, never down, so no
-floating-point artefact of the sampler reaches the output (Mironov,
-CCS 2012). All randomness comes from a caller-supplied numpy Generator;
-the library never reads ambient entropy.
+Both of the session's samplers are exact, and both decide in float64
+or integers except on a cell of probability about 2^-53, where they
+read further words of the generator and decide in interval arithmetic
+(mpmath.iv). Stage one of X's release counts per-node Bernoulli(p)
+trials, p = 1/(1 + e^t), each one 53-bit integer against the exact cut
+floor(p * 2^53) (`flip_trials`). Y's noise is the two-sided geometric
+mechanism (Ghosh, Roughgarden and Sundararajan, STOC 2009): every
+released value is an integer whose law is exactly P(z) ~
+exp(-|z|/scale) at a scale rounded up, never down, so no floating-point
+artefact of the sampler reaches the output (Mironov, CCS 2012).
+DEFAULT_CONTEXT, at 300 significand bits, serves only the stratum law's
+pmf (`forward.StratumDistribution.pmf`), which the checks of that law
+read; no session step uses it. All randomness comes from a
+caller-supplied numpy Generator; the library never reads ambient
+entropy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import mpmath
@@ -24,8 +31,8 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_int
 
 
-# The mpmath context of the extended-precision math, at 300 significand
-# bits, the precision the samplers were validated at.
+# The mpmath context of the stratum law's pmf, at 300 significand bits,
+# the precision its checks were validated at.
 DEFAULT_CONTEXT = mpmath.MPContext()
 DEFAULT_CONTEXT.prec = 300
 
@@ -152,3 +159,63 @@ def resolve_cell(scale: float, cell: int, words: Iterator[int]) -> int:
                 return g
         num = (num << 64) | next(words)
         bits += 64
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli trials of the set release
+# ---------------------------------------------------------------------------
+
+_TRIAL_BITS = 53  # each trial's first word: rng.integers(0, 2**53)
+
+
+def _scaled_floor(t: float, bits: int) -> int:
+    """floor(2^bits / (1 + e^t)), exactly: interval arithmetic at 64
+    bits beyond `bits`, and 64 more until the interval's ends share a
+    floor. p = 1/(1 + e^t) is irrational for t > 0, so this ends."""
+    iv = MPIntervalContext()  # this call's own, so its precision is ours to set
+    iv.prec = bits
+    while True:
+        iv.prec += 64
+        x = iv.mpf(2) ** bits / (1 + iv.exp(iv.mpf(t)))
+        lo, hi = (to_int(end, "f") for end in x._mpi_)
+        if lo == hi:
+            return lo
+
+
+@lru_cache(maxsize=64)
+def flip_cut(t: float) -> int:
+    """floor(p * 2^53) for the flip probability p = 1/(1 + e^t)."""
+    return _scaled_floor(t, _TRIAL_BITS)
+
+
+def flip_trials(draws: np.ndarray, t: float, words: Iterator[int]) -> np.ndarray:
+    """One exact Bernoulli(p) trial per entry of `draws`, p = 1/(1 + e^t):
+    True where it succeeds (the node flips).
+
+    Entry i's trial is U_i < p for U_i uniform on [0, 1), whose first 53
+    bits are draws[i] (an integer in [0, 2^53)). So an entry below the
+    cut floor(p * 2^53) succeeds and one above it fails. An entry equal
+    to the cut is a tie, with probability 2^-53: it reads further bits
+    of U_i as 64-bit words of `words`, in entry order, against the same
+    bits of p (`_tie_flips`).
+    """
+    cut = flip_cut(t)
+    flips = draws < cut
+    ties = draws == cut
+    if np.count_nonzero(ties):  # cheaper than ties.any() on short arrays
+        for i in np.flatnonzero(ties).tolist():
+            flips[i] = _tie_flips(t, cut, words)
+    return flips
+
+
+def _tie_flips(t: float, num: int, words: Iterator[int]) -> bool:
+    """Whether U < p, for U uniform on the 53-bit cell [num, num + 1) *
+    2^-53 that holds p: each next word narrows U's cell 2^64-fold, until
+    the cell lies wholly below or above p."""
+    bits = _TRIAL_BITS
+    while True:
+        num = (num << 64) | next(words)
+        bits += 64
+        cut = _scaled_floor(t, bits)
+        if num != cut:
+            return num < cut

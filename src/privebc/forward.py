@@ -2,24 +2,23 @@
 
 The exponential mechanism over all subsets R of X^- (= V_X minus the
 ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled in two
-stages: first the quality stratum index I (whose law reduces to
-Binomial(|X^-|, sigma(t)) with t = eps/(2 delta)), then a uniform
-member of that stratum via pick-and-flip. Stage one is binomial
-inversion (Devroye 1986, ch. X; Kachitvichyanukul and Schmeiser's BINV,
-1988) in mpmath at extended precision. It starts from P(I = n) =
-(1 + e^-t)^-n, where the binomial's mass lies, steps down by one
-linear pmf recurrence, and sums the upper tail P(I >= j) as it goes, so
-a fresh draw of I costs n - I + 1 terms and scan steps. Stage one
-compares that sum with one 53-bit uniform U, so it is exact only to
-U's grid (see inverse_transform_sample); stage two is an exact partial
-Fisher-Yates over X^-. Per-node randomized response (ROADMAP item 3)
-would make the release exact outright.
+stages: first the quality stratum index I, whose law reduces to
+Binomial(|X^-|, sigma(t)) with t = eps/(2 delta), then a uniform member
+of that stratum via pick-and-flip. Stage one counts per-node trials: I
+is |X^-| minus the number of nodes whose Bernoulli(p) trial succeeds,
+p = 1 - sigma(t) = 1/(1 + e^t). The trials are exact outright
+(`dpnum.flip_trials`): one 53-bit integer per node against the exact
+cut floor(p * 2^53), and interval arithmetic only on a tie. So a draw
+of I costs O(|X^-|) integer work and no extended-precision arithmetic.
+Stage two is an exact partial Fisher-Yates over X^-. StratumDistribution
+keeps the law itself, whose pmf the checks of the two-stage form read.
+Releasing the trials' flip mask directly (ROADMAP item 3) would fuse
+the two stages.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -27,31 +26,24 @@ import mpmath
 import numpy as np
 
 from . import _kernels
-from .dpnum import DEFAULT_CONTEXT, PrivacyParams
+from .dpnum import DEFAULT_CONTEXT, PrivacyParams, flip_trials
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 
-@dataclass
+@dataclass(frozen=True)
 class StratumDistribution:
     """The law of the stratum index I over {0, ..., n}: Binomial(n,
     sigma) with sigma = 1/(1 + e^-t), where t is the quality exponent
-    eps/(2*delta0).
-
-    Its scan state is one (tail, term) pair: tail[k] = P(I >= n - k)
-    over the prefix some draw has needed (see inverse_transform_sample),
-    and term = P(I = n - k) for the prefix's last k. A draw replaces the
-    pair in one assignment, so a racing writer always stores a
-    consistent pair. The state takes no part in equality.
+    eps/(2*delta0). ctx is the precision of its pmf.
     """
 
     n: int
     t: float
     ctx: mpmath.MPContext
-    _scan: tuple = field(default=((), None), init=False, repr=False, compare=False)
 
     def pmf(self) -> list:
-        """All n + 1 terms, P(I = 0) first, at context precision, computed
-        fresh by the scan's recurrence."""
+        """All n + 1 terms, P(I = 0) first, at context precision, by one
+        linear recurrence down from P(I = n)."""
         top = _top_term(self)
         return [top, *_terms_below(self, self.n, top)][::-1]
 
@@ -104,79 +96,31 @@ def _terms_below(dist: StratumDistribution, i: int, term):
 
 def stratum_distribution(n: int, params: PrivacyParams,
                          ctx: mpmath.MPContext = DEFAULT_CONTEXT) -> StratumDistribution:
-    """Exact stratum law for |X^-| = n at the context's precision.
-
-    The distribution computes its terms as draws reach them, so
-    building one is O(1). The eight most recently used are kept, keyed
-    by (n, epsilon, delta0, ctx), so repeated releases at one size
-    compute each term once. The key holds nothing of the graph.
-    """
+    """The stratum law for |X^-| = n, its pmf at the context's precision.
+    Building one computes nothing."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _stratum_distribution(n, float(params.epsilon), float(params.delta0), ctx)
-
-
-@lru_cache(maxsize=8)
-def _stratum_distribution(n: int, epsilon: float, delta0: float,
-                          ctx: mpmath.MPContext) -> StratumDistribution:
-    return StratumDistribution(n=n, t=epsilon / (2.0 * delta0), ctx=ctx)
+    return StratumDistribution(n=n, t=float(params.epsilon) / (2.0 * float(params.delta0)), ctx=ctx)
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
-    """Sample the stratum index by binomial inversion, scanning the
-    upper tail in linear scale from the heavy end down.
+    """Sample the stratum index as dist.n minus the number of nodes whose
+    trial flips (see _flip_mask): the unflipped count of n independent
+    Bernoulli(sigma) trials is Binomial(n, sigma), the law of I.
 
-    Draws one uniform U and returns the scan's answer: with the
-    streaming upper-tail sum T_0 = P(I = n), T_k = T_{k-1} + P(I = n-k)
-    = P(I >= n-k), the index n-k for the least k in 0..n-1 with
-    T_k >= U, or 0 if there is none. Since I >= j exactly when
-    P(I >= j) >= U, the law is that of the pmf. The pmf is Binomial(n,
-    sigma) with sigma > 1/2, so its mass lies at the top. The scan
-    starts from P(I = n) = sigma^n and takes each later term from the
-    one before by the pmf's ratio (see _terms_below); mpmath's exponent
-    range is unbounded, so no term underflows. A draw of I on a fresh
-    `dist` thus computes n - I + 1 terms and scan steps and never the
-    full pmf. T_k is kept on `dist` as far as some draw has needed it,
-    with the last term, so a draw within that prefix is a bisection; a
-    draw beyond it extends the prefix exactly as far as the scan would
-    have gone. Adding a nonnegative term never decreases the sum, so
-    bisection and scan return the same index.
-
-    The draw is exact only to the grid of its uniform: U is one 53-bit
-    double in [2^-53, 1 - 2^-53] (an exact 0 is drawn again), and each
-    stratum's mass is rounded to that grid. A stratum at either end of
-    the scan order whose mass lies below 2^-53 is never drawn: I = n
-    needs U <= P(I = n), and I = 0 needs U > 1 - P(I = 0) (I = 0 at
-    |X^-| = 100 and eps = 1 has log-probability -97.4).
+    The draw is exact outright. The name is kept from the binomial
+    inversion this replaced, because perfbench's trace calls it by name
+    (ROADMAP item 2).
     """
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    u = dist.ctx.mpf(u)  # exact: a double is a context real
-    tail = dist._scan[0]
-    if tail and tail[-1] >= u:
-        return dist.n - bisect_left(tail, u)
-    return _extend_tail(dist, u)
+    return dist.n - int(np.count_nonzero(_flip_mask(dist, rng)))
 
 
-def _extend_tail(dist: StratumDistribution, u) -> int:
-    """Continue the upper-tail scan past the stored prefix, all of which
-    lies below u; store the longer prefix and return the index."""
-    n = dist.n
-    if n == 0:
-        return 0
-    tail, term = dist._scan
-    if tail:
-        tail = list(tail)
-    else:
-        term = _top_term(dist)
-        tail = [term]
-    terms = _terms_below(dist, n + 1 - len(tail), term)
-    while tail[-1] < u and len(tail) < n:
-        term = next(terms)
-        tail.append(tail[-1] + term)
-    dist._scan = (tuple(tail), term)
-    return n - (len(tail) - 1) if tail[-1] >= u else 0
+def _flip_mask(dist: StratumDistribution, rng: np.random.Generator) -> np.ndarray:
+    """One exact Bernoulli(p) trial per node of X^-, p = 1/(1 + e^t):
+    True where the node's R* membership flips. It reads one word per
+    node, and further words only on a tie (`dpnum.flip_trials`)."""
+    return flip_trials(rng.integers(0, 2**53, dist.n), dist.t,
+                       iter(rng.bit_generator.random_raw, None))
 
 
 def pick_and_flip(X_minus: Iterable[int] | np.ndarray, R_star: Iterable[int] | np.ndarray,

@@ -5,9 +5,9 @@ deliberately different route: the quality function on sets instead of
 membership bits, direct-space probabilities via mpmath instead of the
 sampler's pmf recurrence, exhaustive subset enumeration instead of
 two-stage sampling, dense pure-python matrix walks instead of CSR
-kernels, and a log-domain stratum scan's pieces (log_add and a -Exp(1)
-draw), the reference stage one's linear-scale scan must match draw for
-draw. These paths are exponential or cubic by design and guarded
+kernels. log_add and a -Exp(1) draw are the pieces of a log-domain
+stratum scan that an earlier stage one was checked against; only their
+own tests read them now (ROADMAP item 8). These paths are exponential or cubic by design and guarded
 against large inputs; they exist to be obviously correct, not fast.
 """
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,13 @@ def make_pg(edges, x_labels, isolated=()):
     g = Graph.from_edges(edges, isolated=isolated)
     mask = np.array([lab in set(x_labels) for lab in g.labels])
     return PartitionedGraph(g, mask)
+
+
+def p_scaled_floor(t: float, bits: int) -> int:
+    """floor(p * 2^bits) for the set release's flip probability p =
+    1/(1 + e^t), from a plain mpmath value at 400 bits beyond `bits`."""
+    with mpmath.workprec(bits + 400):
+        return int(mpmath.floor(mpmath.mpf(2) ** bits / (1 + mpmath.exp(mpmath.mpf(t)))))
 
 
 def random_graph(rng, n, p):

@@ -19,11 +19,15 @@ from privebc import (
 from privebc.dpnum import (
     _SLICE,
     MAX_SCALE,
+    flip_cut,
+    flip_trials,
     geometric_scale,
     resolve_cell,
     two_sided_geometric,
 )
 from privebc.oracle import log_add, sample_neg_exp1
+
+from .conftest import p_scaled_floor
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +49,6 @@ def test_no_context_is_built_after_import(monkeypatch, mixed_pg):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(mpmath, "MPContext", CountingContext)
-    # every distribution below is a cache miss
-    forward._stratum_distribution.cache_clear()
     params = PrivacyParams(epsilon=1.0)
     rng = np.random.default_rng(0)
     for n in range(40, 60):
@@ -326,6 +328,61 @@ def test_resolve_cell_zero_cell():
     assert resolve_cell(3.0, 0, iter([0, 0, 1 << 63])) == _floor_image(3.0, 1 << 63, 245)
     # the top cell: U in [1 - 2^-53, 1] gives G = 0 at any scale below 2^52
     assert resolve_cell(1e6, 2**53 - 1, iter([])) == 0
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli trials of the set release
+# ---------------------------------------------------------------------------
+
+_TRIAL_EPS = (0.1, 0.5, 1.0, 1.5, 3.0, 7.0, 30.0, 80.0)
+
+
+@pytest.mark.parametrize("eps", _TRIAL_EPS)
+def test_flip_cut_is_the_floor_of_p_times_2_to_53(eps):
+    t = eps / 2.0
+    assert flip_cut(t) == p_scaled_floor(t, 53)
+    assert 0 <= flip_cut(t) < 2**52  # p < 1/2
+    if eps == 80.0:  # p = 4.2e-18: no 53-bit integer lies below p * 2^53
+        assert flip_cut(t) == 0
+
+
+@pytest.mark.parametrize("eps", _TRIAL_EPS)
+def test_flip_trials_tie_reads_words_against_p(eps):
+    # an integer at the cut is a tie: a next word just below
+    # floor(frac(p * 2^53) * 2^64) flips, one just above does not, and
+    # one equal to it reads a third word against the next 64 bits of p
+    t = eps / 2.0
+    cut = p_scaled_floor(t, 53)
+    frac_word = p_scaled_floor(t, 117) - (cut << 64)
+    next_word = p_scaled_floor(t, 181) - (p_scaled_floor(t, 117) << 64)
+    assert 0 < frac_word < 2**64 - 1 and 0 < next_word < 2**64 - 1
+    draws = np.array([cut, cut - 1, cut + 1] if cut else [cut, cut + 1], dtype=np.int64)
+    decided = [True, False] if cut else [False]  # entries below and above the cut
+    for words, tie_flips in (([frac_word - 1], True), ([frac_word + 1], False),
+                             ([frac_word, next_word - 1], True),
+                             ([frac_word, next_word + 1], False)):
+        # the independent comparison: U's first 53 + 64k bits against p's
+        num = (cut << 64 * len(words)) + sum(w << 64 * (len(words) - 1 - k)
+                                             for k, w in enumerate(words))
+        assert (num < p_scaled_floor(t, 53 + 64 * len(words))) is tie_flips
+        left = iter([*words, 12345])
+        got = flip_trials(draws, t, left)
+        assert got.tolist() == [tie_flips, *decided]
+        assert next(left) == 12345  # the tie read exactly its own words
+    # two ties read their words in entry order
+    got = flip_trials(np.array([cut, cut]), t, iter([frac_word - 1, frac_word + 1]))
+    assert got.tolist() == [True, False]
+
+
+def test_flip_trials_without_a_tie_reads_no_word():
+    rng = np.random.default_rng(5)
+    for eps in _TRIAL_EPS:
+        t = eps / 2.0
+        draws = rng.integers(0, 2**53, 1000)
+        draws = draws[draws != flip_cut(t)]
+        got = flip_trials(draws, t, iter([]))
+        assert np.array_equal(got, draws < p_scaled_floor(t, 53))
+
 
 
 def test_float_log_within_the_assumed_bound():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 from functools import lru_cache
@@ -11,15 +10,16 @@ from privebc import (
     DEFAULT_CONTEXT,
     ForwardMsg,
     PrivacyParams,
-    StratumDistribution,
+    ProtocolConfig,
     forward_message,
+    run_session,
     stratum_distribution,
 )
 from privebc import ego_context, forward, oracle
 from privebc.forward import forward_message_from_context, inverse_transform_sample, pick_and_flip
-from privebc.oracle import log_add, quality, sample_neg_exp1
+from privebc.oracle import quality
 
-from .conftest import make_pg
+from .conftest import make_pg, p_scaled_floor
 
 
 # ---------------------------------------------------------------- quality
@@ -133,32 +133,6 @@ def test_first_term_constant_is_the_inline_expression():
 
 # ------------------------------------------------ inverse transform sample
 
-def _point_mass_log_pmf(n: int, k: int) -> list:
-    """The log-pmf of a point mass at k over {0, ..., n}."""
-    logs = [DEFAULT_CONTEXT.ninf] * (n + 1)
-    logs[k] = DEFAULT_CONTEXT.mpf(0)
-    return logs
-
-
-def _point_mass_dist(n: int, k: int) -> StratumDistribution:
-    """A distribution whose stored scan state is the complete upper tail
-    of a point mass at k, P(I >= n) down to P(I >= 1), with its last
-    term P(I = 1), so no draw extends it."""
-    one, zero = DEFAULT_CONTEXT.mpf(1), DEFAULT_CONTEXT.mpf(0)
-    d = StratumDistribution(n=n, t=0.0, ctx=DEFAULT_CONTEXT)
-    d._scan = (tuple(one if j <= k else zero for j in range(n, 0, -1)),
-               one if k == 1 else zero)
-    return d
-
-
-def test_inverse_transform_point_mass():
-    rng = np.random.default_rng(0)
-    for n in (1, 3, 7):
-        for k in range(n + 1):
-            d = _point_mass_dist(n, k)
-            assert all(inverse_transform_sample(d, rng) == k for _ in range(25))
-
-
 def test_inverse_transform_two_point():
     d = stratum_distribution(1, PrivacyParams(epsilon=2.0))
     rng = np.random.default_rng(1)
@@ -202,19 +176,6 @@ def test_inverse_transform_chi_square_low_and_high_budget(eps):
     assert _chi_square_sf(counts, d.pmf_floats() * draws) > 1e-3
 
 
-def test_inverse_transform_tail_grows_to_the_drawn_stratum():
-    # a draw on a fresh distribution sums the upper tail from I = n down
-    # to the drawn stratum: n - I + 1 sums. I = 0 stores n, as the scan
-    # returns it once P(I >= 1) falls short, without a last sum
-    rng = np.random.default_rng(12)
-    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0), (0, 1.0)):
-        base = stratum_distribution(n, PrivacyParams(epsilon=eps))
-        for _ in range(40):
-            dist = dataclasses.replace(base)
-            i = inverse_transform_sample(dist, rng)
-            assert len(dist._scan[0]) == (n - i + 1 if i else n)
-
-
 @lru_cache(maxsize=None)
 def _bottom_up_log_pmf(n: int, eps: float) -> tuple:
     """The stratum log-pmf built from I = 0 up, with log C(n, i) and i*t
@@ -229,32 +190,25 @@ def _bottom_up_log_pmf(n: int, eps: float) -> tuple:
     return tuple(pmf)
 
 
-def _scan_reference(log_pmf, rng: np.random.Generator) -> int:
-    """The plain log-domain upper-tail scan: from u = log_pmf[n], iteration
-    k over 1..n returns n-k+1 the first time u >= psi holds at loop
-    entry, and 0 if the scan completes."""
-    ctx = DEFAULT_CONTEXT
-    psi = ctx.mpf(sample_neg_exp1(rng))
-    n = len(log_pmf) - 1
-    u = log_pmf[n]
-    for k in range(1, n + 1):
-        if u >= psi:
-            return n - k + 1
-        u = log_add(u, log_pmf[n - k], ctx)
-    return 0
+_scaled_floor = lru_cache(maxsize=None)(p_scaled_floor)
 
 
-def _same_draws_as_scan(dist: StratumDistribution, log_pmf, seed: int, draws: int,
-                        fresh=dataclasses.replace) -> None:
-    # a fresh copy starts with no stored tail prefix; the shared one may
-    # already hold some, so both paths are compared with the scan of an
-    # independently built log-pmf
-    for d in (fresh(dist), dist):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [inverse_transform_sample(d, rng_a) for _ in range(draws)]
-        want = [_scan_reference(log_pmf, rng_b) for _ in range(draws)]
-        assert got == want
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+def _trial_reference(t: float, u: int, words) -> bool:
+    """Whether U < p, for U with first 53 bits u and further bits the
+    64-bit words: compare U's cell with floor(p * 2^bits), one more word
+    while the two are equal."""
+    num, bits = u, 53
+    while num == _scaled_floor(t, bits):
+        num, bits = (num << 64) | next(words), bits + 64
+    return num < _scaled_floor(t, bits)
+
+
+def _stratum_reference(n: int, t: float, rng: np.random.Generator) -> int:
+    """n minus the nodes whose trial flips, each drawn integer compared
+    with p in pure Python."""
+    draws = rng.integers(0, 2**53, n).tolist()
+    words = iter(rng.bit_generator.random_raw, None)
+    return n - sum(_trial_reference(t, u, words) for u in draws)
 
 
 # 4989 is |X^-| of every ego in the CLI sweep on --synthetic n=10000,m=15
@@ -262,48 +216,42 @@ def _same_draws_as_scan(dist: StratumDistribution, log_pmf, seed: int, draws: in
     "eps,n", [(eps, n) for eps in (0.1, 0.5, 1.0, 1.5, 3.0, 4.0, 7.0, 30.0)
               for n in (0, 1, 2, 10, 49, 200)] + [(eps, 4989) for eps in (0.1, 1.0, 7.0)])
 def test_inverse_transform_matches_linear_scan(eps, n):
+    # draw for draw, the count of flipped trials equals a pure-Python
+    # scan over the same integers, and both read the same words
     d = stratum_distribution(n, PrivacyParams(epsilon=eps))
-    _same_draws_as_scan(d, _bottom_up_log_pmf(n, eps), seed=n * 1000 + int(eps * 10),
-                        draws=100 if n < 1000 else 10)
+    seed = n * 1000 + int(eps * 10)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = 100 if n < 1000 else 10
+    got = [inverse_transform_sample(d, rng_a) for _ in range(draws)]
+    want = [_stratum_reference(n, d.t, rng_b) for _ in range(draws)]
+    assert got == want
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def test_inverse_transform_point_mass_matches_linear_scan():
-    for n in (1, 3, 7):
-        for k in range(n + 1):
-            _same_draws_as_scan(_point_mass_dist(n, k), _point_mass_log_pmf(n, k),
-                                seed=10 * n + k, draws=50,
-                                fresh=lambda d: _point_mass_dist(d.n, k))
+@pytest.mark.parametrize("eps", [0.1, 1.0, 7.0])
+def test_private_session_does_no_default_context_arithmetic(eps, monkeypatch, mixed_pg):
+    # the stratum pmf's recurrence and the 300-bit context's number type
+    # raise if called: a private session draws I from integer trials
+    def refuse(*args, **kwargs):
+        raise AssertionError("a session used the 300-bit context")
 
-
-def test_fresh_draw_computes_only_the_terms_it_reaches():
-    # a draw on a fresh distribution stores the upper tail from I = n
-    # down to the drawn stratum, n - I + 1 sums, and the last term it
-    # computed, P(I = max(I, 1)). I = 0 takes n terms, as the scan
-    # returns it once P(I >= 1) falls short
-    rng = np.random.default_rng(13)
-    for n, eps in ((60, 0.1), (60, 1.0), (60, 7.0), (3, 0.1), (1, 1.0)):
-        base = stratum_distribution(n, PrivacyParams(epsilon=eps))
-        pmf = base.pmf()
-        for _ in range(40):
-            dist = dataclasses.replace(base)
-            i = inverse_transform_sample(dist, rng)
-            tail, term = dist._scan
-            assert len(tail) == (n - i + 1 if i else n)
-            assert term == pmf[max(i, 1)]
-    dist = dataclasses.replace(stratum_distribution(0, PrivacyParams(epsilon=1.0)))
-    assert inverse_transform_sample(dist, rng) == 0 and dist._scan == ((), None)
+    for name in ("_exp_neg", "_top_term", "_terms_below"):
+        monkeypatch.setattr(forward, name, refuse)
+    monkeypatch.setattr(DEFAULT_CONTEXT, "mpf", refuse)
+    for seed in range(5):
+        res = run_session(mixed_pg, "a", ProtocolConfig(epsilon=eps), np.random.default_rng(seed))
+        assert math.isfinite(res.value)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.5, 3.0, 7.0])
 def test_lazy_pmf_after_partial_draws_equals_bottom_up(eps):
-    # the full pmf, built on request after a few draws stored part of
-    # the tail, is the bottom-up pmf
+    # the full pmf, built on request after a few draws, is the bottom-up
+    # pmf
     for n in (0, 1, 2, 7, 31, 200, 4989):
-        d = dataclasses.replace(stratum_distribution(n, PrivacyParams(epsilon=eps)))
+        d = stratum_distribution(n, PrivacyParams(epsilon=eps))
         rng = np.random.default_rng(n)
         for _ in range(3):
             inverse_transform_sample(d, rng)
-        assert len(d._scan[0]) <= n
         want = _bottom_up_log_pmf(n, eps)
         got = [DEFAULT_CONTEXT.log(p) for p in d.pmf()]
         assert all(abs(float(a - b)) <= 1e-12 for a, b in zip(got, want, strict=True))

@@ -480,7 +480,7 @@ def test_seeded_frames_and_values_are_pinned():
                 for f in res.frames:
                     h.update(f)
                 h.update(repr(res.value).encode())
-    assert h.hexdigest() == "89e95d2e37d55f8ccc3eef2818ace70f692e911174d467de4b60d4c608cd87ee"
+    assert h.hexdigest() == "c7935a5beed94e66a4afe68bd70827d2eedc9d263f1d83c950fd19c9f417c7b0"
 
 
 def test_seeded_r_sets_and_noiseless_values_are_pinned():
@@ -488,7 +488,8 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
     # counts for each R and the values with noiseless replies. Wire
     # formats v2 and v3 and both changes of Y's noise sampler left it
     # as it was; the stratum scan's move to the upper tail moved it,
-    # since one uniform now maps to another stratum.
+    # since one uniform now maps to another stratum, and so did stage
+    # one's move to per-node trials, which read other words.
     rng = np.random.default_rng(31)
     h = hashlib.sha256()
     for n in (12, 30, 60):
@@ -512,7 +513,7 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
                 h.update(repr((exact.value, exact.parts.S_X, exact.parts.S_XY,
                                exact.parts.S_Y)).encode())
                 h.update(repr(core.shape).encode() + core.tobytes())
-    assert h.hexdigest() == "cda5c08cdcd04680bd4c7110185ff96cddc618cfb38bdf8c491727eedbcce75f"
+    assert h.hexdigest() == "9ec63f4186410a9b601e0936b8370cc5e76ded751fc1db403c7f93f966bbb782"
 
 
 def test_encode_rejects_unknown_type():
