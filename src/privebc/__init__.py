@@ -4,9 +4,9 @@ Two data holders split a graph's nodes; each sees its own internal
 edges plus the shared cross edges. The protocol lets party X estimate
 the egocentric betweenness of one of its nodes with edge differential
 privacy against the other party: X releases a perturbed neighbour set
-via a two-stage exponential-mechanism sampler, Y answers with 2-path
-counts and a partial sum under exact two-sided geometric noise, and X
-assembles the estimate. See README.md for the CLI and experiment harness.
+by per-node randomized response (the exponential mechanism's law), Y
+answers with 2-path counts and a partial sum under exact two-sided
+geometric noise, and X assembles the estimate. See README.md for the CLI and experiment harness.
 """
 
 from .backward import BackwardMsg, DegenerateEgoError, partial_ebc_y, spanning_counts

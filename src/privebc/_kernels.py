@@ -1,8 +1,6 @@
-"""Hot array kernels in numpy: dense blocks of a CSR adjacency and a
-partial shuffle.
+"""Hot array kernels in numpy: dense blocks of a CSR adjacency.
 
-The dense-block kernel is loop-free. None of the kernels consume
-randomness: the caller draws the shuffle offsets, so the kernels never
+The kernels are loop-free and consume no randomness, so they never
 touch a seeded stream.
 """
 
@@ -54,23 +52,4 @@ def induced_dense(indptr: np.ndarray, indices: np.ndarray,
     rows and columns follow that order. The adjacency is symmetric, so
     this is the membership matrix of `nodes` against themselves."""
     return bipartite_dense(indptr, indices, nodes, nodes)
-
-
-# ---------------------------------------------------------------------------
-# partial_shuffle: Fisher-Yates tail selection driven by pre-drawn offsets
-# ---------------------------------------------------------------------------
-
-def partial_shuffle(scratch: np.ndarray, offsets: np.ndarray) -> None:
-    """In-place partial Fisher-Yates: after the call the last len(offsets)
-    entries of `scratch` are a uniform without-replacement sample.
-
-    offsets[s] must lie in [0, n - s); the caller draws them in one
-    vectorized call.
-    """
-    # the swaps are sequential; a memoryview swaps raw integers in place
-    vals = memoryview(scratch)
-    n = len(vals)
-    for s, r in enumerate(offsets.tolist()):
-        j = n - 1 - s
-        vals[r], vals[j] = vals[j], vals[r]
 

@@ -4,11 +4,11 @@ extended-precision context of the stratum law.
 Both of the session's samplers are exact, and both decide in float64
 or integers except on a cell of probability about 2^-53, where they
 read further words of the generator and decide in interval arithmetic
-(mpmath.iv). Stage one of X's release counts per-node Bernoulli(p)
-trials, p = 1/(1 + e^t), each one 53-bit integer against the exact cut
-floor(p * 2^53) (`flip_trials`). Y's noise is the two-sided geometric
-mechanism (Ghosh, Roughgarden and Sundararajan, STOC 2009): every
-released value is an integer whose law is exactly P(z) ~
+(mpmath.iv). X's set release is one Bernoulli(p) trial per node, p =
+1/(1 + e^t): the top 53 bits of one raw 64-bit word against the exact
+cut floor(p * 2^53) (`flip_trials`). Y's noise is the two-sided
+geometric mechanism (Ghosh, Roughgarden and Sundararajan, STOC 2009):
+every released value is an integer whose law is exactly P(z) ~
 exp(-|z|/scale) at a scale rounded up, never down, so no floating-point
 artefact of the sampler reaches the output (Mironov, CCS 2012).
 DEFAULT_CONTEXT, at 300 significand bits, serves only the stratum law's
@@ -165,7 +165,7 @@ def resolve_cell(scale: float, cell: int, words: Iterator[int]) -> int:
 # Bernoulli trials of the set release
 # ---------------------------------------------------------------------------
 
-_TRIAL_BITS = 53  # each trial's first word: rng.integers(0, 2**53)
+_TRIAL_BITS = 53  # each trial's first word: a raw 64-bit word's top 53 bits
 
 
 def _scaled_floor(t: float, bits: int) -> int:

@@ -1,19 +1,20 @@
 """Party X's private release of its side of the ego network.
 
 The exponential mechanism over all subsets R of X^- (= V_X minus the
-ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| is sampled in two
-stages: first the quality stratum index I, whose law reduces to
-Binomial(|X^-|, sigma(t)) with t = eps/(2 delta), then a uniform member
-of that stratum via pick-and-flip. Stage one counts per-node trials: I
-is |X^-| minus the number of nodes whose Bernoulli(p) trial succeeds,
-p = 1 - sigma(t) = 1/(1 + e^t). The trials are exact outright
-(`dpnum.flip_trials`): one 53-bit integer per node against the exact
-cut floor(p * 2^53), and interval arithmetic only on a tie. So a draw
-of I costs O(|X^-|) integer work and no extended-precision arithmetic.
-Stage two is an exact partial Fisher-Yates over X^-. StratumDistribution
-keeps the law itself, whose pmf the checks of the two-stage form read.
-Releasing the trials' flip mask directly (ROADMAP item 3) would fuse
-the two stages.
+ego) with quality q(R) = |R n R*| + |X^- \\ (R u R*)| = |X^-| - |R delta
+R*| has a product law, because q is separable: each node of X^- flips
+its R* membership on its own with p = 1/(1 + e^t), t = eps/(2 delta).
+That is randomized response (Warner, 1965), and the release draws it
+directly: one raw 64-bit word per node, whose top 53 bits are set
+against the exact cut floor(p * 2^53), and interval arithmetic only on
+a tie (`dpnum.flip_trials`). So a release costs O(|X^-|) integer work
+and no extended-precision arithmetic.
+
+The paper samples the same law in two stages: the quality stratum index
+I ~ Binomial(|X^-|, 1 - p), then a uniform member of that stratum.
+StratumDistribution keeps that law, whose pmf the checks of the
+two-stage form read. inverse_transform_sample and pick_and_flip draw
+the two stages for the benchmark's trace only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterable
 import mpmath
 import numpy as np
 
-from . import _kernels
 from .dpnum import DEFAULT_CONTEXT, PrivacyParams, flip_trials
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
@@ -94,13 +94,18 @@ def _terms_below(dist: StratumDistribution, i: int, term):
         yield term
 
 
+def _exponent(params: PrivacyParams) -> float:
+    """The quality exponent t = eps/(2*delta0)."""
+    return float(params.epsilon) / (2.0 * float(params.delta0))
+
+
 def stratum_distribution(n: int, params: PrivacyParams,
                          ctx: mpmath.MPContext = DEFAULT_CONTEXT) -> StratumDistribution:
     """The stratum law for |X^-| = n, its pmf at the context's precision.
     Building one computes nothing."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return StratumDistribution(n=n, t=float(params.epsilon) / (2.0 * float(params.delta0)), ctx=ctx)
+    return StratumDistribution(n=n, t=_exponent(params), ctx=ctx)
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
@@ -108,30 +113,31 @@ def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator
     trial flips (see _flip_mask): the unflipped count of n independent
     Bernoulli(sigma) trials is Binomial(n, sigma), the law of I.
 
-    The draw is exact outright. The name is kept from the binomial
-    inversion this replaced, because perfbench's trace calls it by name
-    (ROADMAP item 2).
+    No session calls it: it stands in for stage one of the two-stage
+    sampler because perfbench's trace calls it by name (ROADMAP item 2).
     """
-    return dist.n - int(np.count_nonzero(_flip_mask(dist, rng)))
+    return dist.n - int(np.count_nonzero(_flip_mask(dist.n, dist.t, rng)))
 
 
-def _flip_mask(dist: StratumDistribution, rng: np.random.Generator) -> np.ndarray:
+def _flip_mask(n: int, t: float, rng: np.random.Generator) -> np.ndarray:
     """One exact Bernoulli(p) trial per node of X^-, p = 1/(1 + e^t):
-    True where the node's R* membership flips. It reads one word per
-    node, and further words only on a tie (`dpnum.flip_trials`)."""
-    return flip_trials(rng.integers(0, 2**53, dist.n), dist.t,
-                       iter(rng.bit_generator.random_raw, None))
+    True where the node's R* membership flips. Trial i reads the top 53
+    bits of the i-th raw 64-bit word, and further words only on a tie
+    (`dpnum.flip_trials`)."""
+    raw = rng.bit_generator.random_raw
+    return flip_trials(raw(n) >> 11, t, iter(raw, None))
 
 
 def pick_and_flip(X_minus: Iterable[int] | np.ndarray, R_star: Iterable[int] | np.ndarray,
                   I: int, rng: np.random.Generator) -> frozenset[int]:
-    """Uniform member of the quality-I stratum.
+    """Uniform member of the quality-I stratum: toggle the membership of
+    |X^-| - I distinct uniform nodes of X^-, starting from R*. Every
+    toggle grows the symmetric difference by one, so the result has
+    quality exactly I. An array X^- must be sorted; R* must be a subset
+    of X^-.
 
-    Samples |X^-| - I distinct nodes uniformly from X^- (partial
-    Fisher-Yates) and toggles each one's membership starting from R*.
-    Every toggle grows the symmetric difference by one, so the result
-    has quality exactly I. An array X^- must be sorted; R* must be a
-    subset of X^-.
+    No session calls it: it stands in for stage two of the two-stage
+    sampler because perfbench's trace calls it by name (ROADMAP item 2).
     """
     if isinstance(X_minus, np.ndarray):
         arr = X_minus
@@ -140,7 +146,10 @@ def pick_and_flip(X_minus: Iterable[int] | np.ndarray, R_star: Iterable[int] | n
     if not isinstance(R_star, np.ndarray):
         R_star = np.fromiter(R_star, dtype=np.int64)
     member = _membership(arr, R_star)
-    _flip(member, I, rng)
+    n = member.size
+    if not 0 <= I <= n:
+        raise ValueError(f"stratum index {I} out of range 0..{n}")
+    member[rng.choice(n, n - I, replace=False)] ^= True
     return frozenset(arr[member].tolist())
 
 
@@ -155,24 +164,10 @@ def _membership(x_minus: np.ndarray, subset: np.ndarray) -> np.ndarray:
     return member
 
 
-def _flip(member: np.ndarray, I: int, rng: np.random.Generator) -> None:
-    """Toggle |X^-| - I distinct uniform positions of member in place."""
-    n = member.size
-    if not 0 <= I <= n:
-        raise ValueError(f"stratum index {I} out of range 0..{n}")
-    k = n - I
-    offsets = rng.integers(0, np.arange(n, n - k, -1, dtype=np.int64))
-    # shuffle positions into X^-; the tail picks the same nodes as
-    # shuffling X^- itself would
-    picks = np.arange(n, dtype=np.int64)
-    _kernels.partial_shuffle(picks, offsets.astype(np.int64))
-    member[picks[n - k:]] ^= True
-
-
 def forward_message(pg: PartitionedGraph | PartyView, a: object, params: PrivacyParams,
                     ctx: mpmath.MPContext = DEFAULT_CONTEXT,
                     rng: np.random.Generator | None = None) -> ForwardMsg:
-    """X's private set release for ego a: the full two-stage sampler."""
+    """X's private set release for ego a (see forward_message_from_context)."""
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
     ectx = ego_context(pg, a)
@@ -182,9 +177,10 @@ def forward_message(pg: PartitionedGraph | PartyView, a: object, params: Privacy
 def forward_message_from_context(ectx: EgoContext, params: PrivacyParams,
                                  ctx: mpmath.MPContext,
                                  rng: np.random.Generator) -> ForwardMsg:
+    """Release R* with each node's membership flipped by its own trial.
+    ctx is unused: the release does no extended-precision arithmetic."""
     if params.delta0 != 1.0:
         raise ValueError("the set release runs with quality sensitivity 1")
-    dist = stratum_distribution(ectx.x_minus_sorted.size, params, ctx)
     member = _membership(ectx.x_minus_sorted, ectx.r_star_sorted)
-    _flip(member, inverse_transform_sample(dist, rng), rng)
+    member ^= _flip_mask(member.size, _exponent(params), rng)
     return ForwardMsg(member=member, x_minus=ectx.x_minus_sorted)

@@ -245,10 +245,13 @@ class PartyView(_PartyInfoMixin):
     view's graph, so code running against a view cannot read them.
     """
 
-    def __init__(self, party: str, graph: Graph, is_x_mask: np.ndarray):
+    def __init__(self, party: str, graph: Graph, is_x_mask: np.ndarray,
+                 vx_indices: np.ndarray | None = None):
         self.party = party
         self.graph = graph
         self._is_x = is_x_mask
+        if vx_indices is not None:  # X's indices, from the same roster
+            self.vx_indices = vx_indices
 
 
 class PartitionedGraph(_PartyInfoMixin):
@@ -274,24 +277,30 @@ class PartitionedGraph(_PartyInfoMixin):
         y, xy, x = np.bincount(ends, minlength=3).tolist()
         return {"X": x, "Y": y, "XY": xy}
 
+    @cached_property
+    def _entry_parties(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each CSR entry's party bits (True for X): its owner's, and its
+        neighbour's."""
+        indptr, indices = self.graph.csr()
+        return self._is_x.repeat(np.diff(indptr)), self._is_x[indices]
+
     def _filtered_graph(self, keep_party_x: bool) -> Graph:
         """The edges with at least one endpoint in the kept party."""
-        keep = self._is_x if keep_party_x else ~self._is_x
-        n = self.graph.n
+        x_own, x_nb = self._entry_parties
+        kept = x_own | x_nb if keep_party_x else ~(x_own & x_nb)
         indptr, indices = self.graph.csr()
-        owner = np.arange(n).repeat(indptr[1:] - indptr[:-1])
-        kept = keep[owner] | keep[indices]
-        sub_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.bincount(owner[kept], minlength=n).cumsum(out=sub_indptr[1:])
-        return Graph._from_csr(self.graph, sub_indptr, indices[kept])
+        # rows keep their entries in order: a row now starts at the count kept before it
+        kept_before = np.zeros(indices.size + 1, dtype=np.int64)
+        kept.cumsum(out=kept_before[1:])
+        return Graph._from_csr(self.graph, kept_before[indptr], indices[kept])
 
     @cached_property
     def _view_x(self) -> PartyView:
-        return PartyView(PARTY_X, self._filtered_graph(True), self._is_x)
+        return PartyView(PARTY_X, self._filtered_graph(True), self._is_x, self.vx_indices)
 
     @cached_property
     def _view_y(self) -> PartyView:
-        return PartyView(PARTY_Y, self._filtered_graph(False), self._is_x)
+        return PartyView(PARTY_Y, self._filtered_graph(False), self._is_x, self.vx_indices)
 
     def view_x(self) -> PartyView:
         """X's knowledge: all nodes, edges within X plus shared edges."""

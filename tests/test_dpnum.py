@@ -25,7 +25,6 @@ from privebc.dpnum import (
     resolve_cell,
     two_sided_geometric,
 )
-from privebc.oracle import log_add, sample_neg_exp1
 
 from .conftest import p_scaled_floor
 
@@ -73,64 +72,6 @@ def test_privacy_params_reject_non_finite_epsilon():
     for eps in (math.inf, math.nan):
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=eps)
-
-
-# ---------------------------------------------------------------------------
-# log_add
-# ---------------------------------------------------------------------------
-
-def _to_mpf(ctx, v):
-    # round-trip through mpmath's faithful repr
-    return mpmath.mpf(str(v))
-
-
-def test_log_add_neg_inf_identity():
-    ctx = DEFAULT_CONTEXT
-    y = ctx.mpf(2.5)
-    assert log_add(ctx.ninf, y) is y
-    assert log_add(y, ctx.ninf) is y
-    assert log_add(ctx.ninf, ctx.ninf) == ctx.ninf
-
-
-def test_log_add_exact_small_case():
-    got = float(log_add(math.log(2), math.log(3)))
-    assert got == pytest.approx(math.log(5), abs=1e-14)
-
-
-def test_log_add_matches_extended_precision_oracle():
-    ctx = DEFAULT_CONTEXT
-    rng = np.random.default_rng(0)
-    tol = mpmath.mpf(2) ** (-(ctx.prec - 10))  # 2 ulp plus decimal round-trip slack
-    with mpmath.workprec(ctx.prec + 100):
-        for _ in range(1000):
-            x, y = rng.uniform(-700, 700, size=2)
-            got = _to_mpf(ctx, log_add(x, y, ctx))
-            want = mpmath.log(mpmath.exp(mpmath.mpf(x)) + mpmath.exp(mpmath.mpf(y)))
-            assert abs(got - want) <= abs(want) * tol
-
-
-def test_log_add_commutative_and_monotone():
-    ctx = DEFAULT_CONTEXT
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        x, y, d = rng.uniform(-50, 50, size=3)
-        a = float(log_add(x, y, ctx))
-        b = float(log_add(y, x, ctx))
-        assert a == pytest.approx(b, rel=1e-15)
-        bigger = float(log_add(x + abs(d), y, ctx))
-        assert bigger >= a
-
-
-def test_log_add_associative_within_ulp():
-    ctx = DEFAULT_CONTEXT
-    rng = np.random.default_rng(2)
-    with mpmath.workprec(ctx.prec + 100):
-        tol = mpmath.mpf(2) ** (-(ctx.prec - 12))
-        for _ in range(100):
-            x, y, z = rng.uniform(-100, 100, size=3)
-            left = _to_mpf(ctx, log_add(log_add(x, y, ctx), ctx.mpf(z), ctx))
-            right = _to_mpf(ctx, log_add(ctx.mpf(x), log_add(y, z, ctx), ctx))
-            assert abs(left - right) <= abs(left) * tol
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +340,3 @@ def test_float_log_within_the_assumed_bound():
                 assert lg == 0.0
             else:
                 assert abs((mpmath.mpf(lg) - want) / want) <= mpmath.mpf(2) ** -44
-
-
-def test_neg_exp1_support():
-    rng = np.random.default_rng(8)
-    draws = np.array([sample_neg_exp1(rng) for _ in range(10**5)])
-    assert np.all(draws < 0.0)
-    assert np.all(np.isfinite(draws))
-
-
-def test_neg_exp1_mean_and_median():
-    rng = np.random.default_rng(9)
-    draws = np.array([sample_neg_exp1(rng) for _ in range(10**6)])
-    assert draws.mean() == pytest.approx(-1.0, abs=0.01)
-    assert abs(np.mean(draws >= -math.log(2)) - 0.5) < 0.01
-
-
-def test_neg_exp1_reproducible():
-    a = [sample_neg_exp1(np.random.default_rng(10)) for _ in range(50)]
-    b = [sample_neg_exp1(np.random.default_rng(10)) for _ in range(50)]
-    assert a == b

@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +17,7 @@ from privebc import (
     stratum_distribution,
 )
 from privebc import ego_context, forward, oracle
+from privebc.dpnum import flip_cut
 from privebc.forward import forward_message_from_context, inverse_transform_sample, pick_and_flip
 from privebc.oracle import quality
 
@@ -374,3 +376,98 @@ def test_forward_sampler_matches_exhaustive_law():
         counts[pick_and_flip(xm, rs, i, rng)] += 1
     empirical = {s: counts.get(s, 0) / draws for s in law.support}
     assert oracle.tv_distance(empirical, law) < 0.05
+
+
+# -------------------------------------------------------- fused release
+
+def _release_pg(n_minus: int, r_star: int):
+    """Ego a with |X^-| = n_minus, of which x0 .. x{r_star - 1} are a's
+    neighbours and every other X node hangs off a Y node; and R*'s
+    membership bits over X^- in index (label) order."""
+    edges = [("a", "y0"), ("a", "y1")]
+    edges += [("a", f"x{i}") if i < r_star else (f"x{i}", "y0") for i in range(n_minus)]
+    member = [i < r_star for i in sorted(range(n_minus), key=lambda i: f"x{i}")]
+    return make_pg(edges, {"a", *(f"x{i}" for i in range(n_minus))}), member
+
+
+def _release_reference(n: int, member: list[bool], t: float,
+                       rng: np.random.Generator) -> list[bool]:
+    """R*'s membership bits, each flipped where its node's trial succeeds:
+    node i's trial reads the top 53 bits of the i-th raw word, compared
+    with p in pure Python, then the words after all n on a tie."""
+    firsts = [int(w) >> 11 for w in rng.bit_generator.random_raw(n)]
+    words = iter(rng.bit_generator.random_raw, None)
+    return [m != _trial_reference(t, u, words) for m, u in zip(member, firsts)]
+
+
+def _tie_exponent(cut: int) -> float:
+    """A double t > 0 whose cut floor(2^53 / (1 + e^t)) is `cut`."""
+    with mpmath.workprec(200):
+        t = float(mpmath.log(mpmath.mpf(2) ** 53 / (cut + mpmath.mpf(0.5)) - 1))
+    for _ in range(256):
+        got = p_scaled_floor(t, 53)
+        if got == cut:
+            return t
+        t = math.nextafter(t, math.inf if got > cut else 0.0)
+    raise AssertionError(f"no double exponent has cut {cut}")
+
+
+@pytest.mark.parametrize("n,r_star", [(0, 0), (1, 1), (6, 2), (13, 0), (40, 17), (200, 90)])
+def test_release_matches_pure_python_reference(n, r_star):
+    # draw for draw, the released bits are R*'s bits XOR a pure-Python
+    # trial per raw word, and both read the same words
+    pg, member = _release_pg(n, r_star)
+    for eps in (0.1, 0.5, 1.0, 3.0, 7.0):
+        for seed in range(20):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = forward_message(pg, "a", PrivacyParams(epsilon=eps), rng=rng_a)
+            assert got.member.tolist() == _release_reference(n, member, eps / 2, rng_b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_release_tie_matches_pure_python_reference():
+    # an exponent whose cut equals one node's first 53 bits makes that
+    # node's trial a tie, which reads the word after all |X^-| of them
+    n, r_star = 9, 4
+    pg, member = _release_pg(n, r_star)
+    for seed in range(6):
+        firsts = np.random.default_rng(seed).bit_generator.random_raw(n) >> 11
+        node = int(np.argmin(firsts))
+        assert firsts[node] < 2**52  # so p < 1/2 and t > 0
+        t = _tie_exponent(int(firsts[node]))
+        assert flip_cut(t) == firsts[node]
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = forward_message(pg, "a", PrivacyParams(epsilon=2 * t), rng=rng_a)
+        assert got.member.tolist() == _release_reference(n, member, t, rng_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        ahead = np.random.default_rng(seed)
+        ahead.bit_generator.random_raw(n + 1)  # the tie read one more word
+        assert rng_a.bit_generator.state == ahead.bit_generator.state
+
+
+def test_release_without_a_tie_reads_one_word_per_node():
+    for n in (0, 1, 5, 64, 333):
+        pg, _ = _release_pg(n, n // 3)
+        for eps in (0.1, 1.0, 7.0):
+            rng, ahead = np.random.default_rng(n), np.random.default_rng(n)
+            cut = flip_cut(eps / 2)
+            assert cut not in (np.random.default_rng(n).bit_generator.random_raw(n) >> 11)
+            forward_message(pg, "a", PrivacyParams(epsilon=eps), rng=rng)
+            ahead.bit_generator.random_raw(n)
+            assert rng.bit_generator.state == ahead.bit_generator.state
+
+
+@pytest.mark.parametrize("eps", [0.5, 3.0])
+def test_release_chi_square_against_exhaustive_law(eps):
+    # 1e5 releases at |X^-| = 6, keyed by their membership bits, against
+    # the exponential mechanism's law over all 64 subsets
+    n, draws = 6, 100_000
+    pg, _ = _release_pg(n, 2)
+    ectx = ego_context(pg, "a")
+    law = oracle.enumerate_exp_pmf(ectx.x_minus_sorted.tolist(), ectx.R_star, eps)
+    rng = np.random.default_rng(9)
+    weights = 1 << np.arange(n)  # bit j is X^-'s j-th node, as in the law's masks
+    keys = [int(forward_message(pg, "a", PrivacyParams(epsilon=eps), rng=rng).member @ weights)
+            for _ in range(draws)]
+    counts = np.bincount(keys, minlength=1 << n)
+    assert _chi_square_sf(counts, np.array(law.mass) * draws) > 1e-3

@@ -350,3 +350,24 @@ def test_views_hide_other_party_internal_edges(mixed_pg):
 def test_view_keeps_all_nodes(mixed_pg):
     assert mixed_pg.view_x().graph.n == mixed_pg.graph.n
     assert mixed_pg.view_y().graph.n == mixed_pg.graph.n
+
+
+def test_view_csr_matches_a_per_row_filter():
+    # each view's CSR is the joint CSR with, row by row, the entries the
+    # party cannot see dropped; both views share the roster's X indices
+    rng = np.random.default_rng(17)
+    for seed in range(24):
+        g = random_graph(np.random.default_rng(500 + seed), 12, (0.0, 0.2, 0.5)[seed % 3])
+        pg = random_partition(rng, g, x_fraction=(0.0, 0.4, 1.0, 0.7)[seed % 4])
+        indptr, indices = g.csr()
+        for view, party_x in ((pg.view_x(), True), (pg.view_y(), False)):
+            sees = (lambda i, j: pg.is_x(i) or pg.is_x(j)) if party_x else \
+                (lambda i, j: not (pg.is_x(i) and pg.is_x(j)))
+            rows = [[j for j in indices[indptr[i]:indptr[i + 1]].tolist() if sees(i, j)]
+                    for i in range(g.n)]
+            v_indptr, v_indices = view.graph.csr()
+            assert v_indptr.tolist() == [0, *np.cumsum([len(r) for r in rows]).tolist()]
+            assert v_indices.tolist() == [j for r in rows for j in r]
+            assert view.graph.edge_count == v_indices.size // 2
+            assert view.vx_indices is pg.vx_indices
+            assert view.vx_indices.tolist() == [i for i in range(g.n) if pg.is_x(i)]

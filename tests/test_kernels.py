@@ -82,30 +82,3 @@ def test_locate_in_an_empty_array_finds_nothing():
         assert pos.size == 0
     hit, pos = _kernels._locate(np.array([2, 5, 9]), np.array([5, 3, 9, 10]))
     assert hit.tolist() == [True, False, True, False] and pos.tolist() == [1, 2]
-
-
-def test_partial_shuffle_backends_agree():
-    rng = np.random.default_rng(5)
-    base = np.arange(100, dtype=np.int64)
-    for k in (0, 1, 13, 100):
-        offsets = rng.integers(0, np.arange(100, 100 - k, -1, dtype=np.int64)) if k else np.empty(0, dtype=np.int64)
-        a = base.copy()
-        _kernels.partial_shuffle(a, offsets.astype(np.int64))
-        assert sorted(a.tolist()) == list(range(100))  # permutation
-        ref = base.copy()  # the plain swap loop
-        for s, r in enumerate(offsets.tolist()):
-            ref[r], ref[99 - s] = ref[99 - s], ref[r]
-        assert np.array_equal(a, ref)
-
-
-def test_partial_shuffle_tail_holds_selection():
-    # selecting k of n: the tail after the shuffle is the sample
-    rng = np.random.default_rng(6)
-    base = np.arange(10, dtype=np.int64)
-    k = 4
-    offsets = rng.integers(0, np.arange(10, 10 - k, -1, dtype=np.int64))
-    arr = base.copy()
-    _kernels.partial_shuffle(arr, offsets.astype(np.int64))
-    tail = arr[10 - k:]
-    assert len(set(tail.tolist())) == k
-

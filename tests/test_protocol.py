@@ -480,7 +480,7 @@ def test_seeded_frames_and_values_are_pinned():
                 for f in res.frames:
                     h.update(f)
                 h.update(repr(res.value).encode())
-    assert h.hexdigest() == "c7935a5beed94e66a4afe68bd70827d2eedc9d263f1d83c950fd19c9f417c7b0"
+    assert h.hexdigest() == "df7bb0d63a631228d7c95890d1f770349ea41a4156f07ae53cc9b743cfe484c7"
 
 
 def test_seeded_r_sets_and_noiseless_values_are_pinned():
@@ -489,7 +489,8 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
     # formats v2 and v3 and both changes of Y's noise sampler left it
     # as it was; the stratum scan's move to the upper tail moved it,
     # since one uniform now maps to another stratum, and so did stage
-    # one's move to per-node trials, which read other words.
+    # one's move to per-node trials, which read other words, and the
+    # release of the trials' own flips in place of a second stage.
     rng = np.random.default_rng(31)
     h = hashlib.sha256()
     for n in (12, 30, 60):
@@ -513,7 +514,7 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
                 h.update(repr((exact.value, exact.parts.S_X, exact.parts.S_XY,
                                exact.parts.S_Y)).encode())
                 h.update(repr(core.shape).encode() + core.tobytes())
-    assert h.hexdigest() == "9ec63f4186410a9b601e0936b8370cc5e76ded751fc1db403c7f93f966bbb782"
+    assert h.hexdigest() == "38459c1454a2c283a6187912069357d444d6ba3d1c396ceb9e77651b8f35df81"
 
 
 def test_encode_rejects_unknown_type():
