@@ -7,16 +7,17 @@ privacy against the other party: X releases a perturbed neighbour set
 by per-node randomized response (the exponential mechanism's law), Y
 answers with 2-path counts and a partial sum under exact two-sided
 geometric noise, and X assembles the estimate. See README.md for the CLI and experiment harness.
+
+Each release has one implementation, which the session runs. The
+two-stage stand-ins that perfbench's trace calls by name stay in their
+modules and out of __all__; the brute-force references of the checks,
+the stratum law's pmf among them, live in `privebc.oracle`, which no
+session imports.
 """
 
-from .backward import BackwardMsg, DegenerateEgoError, partial_ebc_y, spanning_counts
-from .dpnum import DEFAULT_CONTEXT, PrivacyParams
-from .forward import (
-    ForwardMsg,
-    StratumDistribution,
-    forward_message,
-    stratum_distribution,
-)
+from .backward import BackwardMsg, DegenerateEgoError
+from .dpnum import DEFAULT_CONTEXT, PrivacyParams  # DEFAULT_CONTEXT: read by perfbench's trace
+from .forward import ForwardMsg, forward_message
 from .graphs import (
     EgoContext,
     Graph,
@@ -54,7 +55,6 @@ __all__ = [
     "ALL_MECHS",
     "BackwardMsg",
     "BudgetLedger",
-    "DEFAULT_CONTEXT",
     "DecodeError",
     "DegenerateEgoError",
     "EbcAccumulator",
@@ -70,7 +70,6 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolError",
     "SessionResult",
-    "StratumDistribution",
     "UnknownNodeError",
     "WrongPartyError",
     "decode_msg",
@@ -80,12 +79,9 @@ __all__ = [
     "forward_message",
     "load_edge_list",
     "nonprivate_ebc_protocol",
-    "partial_ebc_y",
     "partition_nodes",
     "private_ebc",
     "run_session",
     "run_two_process",
-    "spanning_counts",
-    "stratum_distribution",
     "__version__",
 ]

@@ -12,6 +12,10 @@ grid, which moves it by at most half a grid step, and is noised in grid
 units at sensitivity (d_Y - 1) * 2^20 + 1, scale twice that over eps.
 Every scale is rounded up, never down. Noisy values are released raw
 (possibly negative); any clamping is X-side post-processing.
+
+A session computes the whole reply with one `_reply` call, which draws
+all of its noise at once. spanning_counts and partial_ebc_y name its
+two halves for the benchmark's trace, and compute nothing of their own.
 """
 
 from __future__ import annotations
@@ -61,24 +65,12 @@ def _core_blocks(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
 
 
 def _partial_sum_from_blocks(b: np.ndarray, m1: np.ndarray) -> float:
-    return _pair_sum(m1, 1.0 + b.T @ b + m1 @ m1)
-
-
-def _spanning_core_matrix(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
-                          y_ego: np.ndarray) -> np.ndarray:
-    """Noiseless counts: core[r, j] = #{k in y_ego : r~k and k~j}."""
-    b, m1 = _core_blocks(pg, r_sorted, y_ego)
-    return b @ m1
-
-
-def _partial_sum_core(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
-                      y_ego: np.ndarray) -> float:
     """Noiseless partial sum over non-adjacent pairs inside y_ego.
 
     Intermediates are restricted to R u {a} u y_ego; a itself always
     joins both endpoints, so every denominator is at least 1.
     """
-    return _partial_sum_from_blocks(*_core_blocks(pg, r_sorted, y_ego))
+    return _pair_sum(m1, 1.0 + b.T @ b + m1 @ m1)
 
 
 def _release(core: np.ndarray, s_y: float, params: PrivacyParams,
@@ -105,10 +97,6 @@ def _release(core: np.ndarray, s_y: float, params: PrivacyParams,
     return BackwardMsg(T=t, S_Y=s_y)
 
 
-def _sorted_ids(R: frozenset[int]) -> np.ndarray:
-    return np.array(sorted(R), dtype=np.int64)
-
-
 def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, r_sorted: np.ndarray,
            params: PrivacyParams, rng: np.random.Generator | None,
            noisy_t: bool, noisy_s: bool) -> BackwardMsg:
@@ -119,28 +107,26 @@ def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, r_sorted: np.nda
 
 def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
                     params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
-    """Noisy 2-path counts for every (i, j) in R x (N_a n V_Y), as the
-    |R| x d_Y matrix BackwardMsg.T carries (rows in ascending order of
-    R, columns in ascending order of N_a n V_Y).
+    """Noisy 2-path counts for every (i, j) in R x (N_a n V_Y): the T of
+    Y's reply with only the counts noised.
 
-    All pairs are released, adjacent ones included; filtering happens
-    on X's side. Fresh two-sided geometric noise of scale 4|R|/eps
-    (rounded up) per entry, drawn in row-major order. Empty R yields a
-    0 x d_Y matrix with no noise drawn.
+    No session calls it: it names the counts' half of `_reply` because
+    perfbench's trace calls it by name (ROADMAP item 2).
     """
     y_ego = ego_context(pg, a).y_ego_sorted
-    core = _spanning_core_matrix(pg, _sorted_ids(R), y_ego)
-    return _release(core, 0.0, params, rng, True, False).T
+    return _reply(pg, y_ego, np.array(sorted(R), dtype=np.int64), params, rng, True, False).T
 
 
 def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
                   params: PrivacyParams, rng: np.random.Generator) -> float:
     """Noisy partial EBC sum over Y's side of the ego network, on the
-    2^-20 grid."""
+    2^-20 grid: the S_Y of Y's reply with only the sum noised.
+
+    No session calls it: it names the sum's half of `_reply` because
+    perfbench's trace calls it by name (ROADMAP item 2).
+    """
     ectx = ego_context(pg, a)
     if ectx.flow:
         raise DegenerateEgoError("need at least two Y-side ego neighbours")
-    y_ego = ectx.y_ego_sorted
-    s_y = _partial_sum_core(pg, _sorted_ids(R), y_ego)
-    return _release(np.zeros((0, y_ego.size)), s_y, params, rng, False, True).S_Y
-
+    r_sorted = np.array(sorted(R), dtype=np.int64)
+    return _reply(pg, ectx.y_ego_sorted, r_sorted, params, rng, False, True).S_Y

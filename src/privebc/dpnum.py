@@ -1,5 +1,4 @@
-"""Numeric substrate: exact Bernoulli trials, exact noise and the
-extended-precision context of the stratum law.
+"""Numeric substrate: exact Bernoulli trials and exact noise.
 
 Both of the session's samplers are exact, and both decide in float64
 or integers except on a cell of probability about 2^-53, where they
@@ -11,11 +10,13 @@ geometric mechanism (Ghosh, Roughgarden and Sundararajan, STOC 2009):
 every released value is an integer whose law is exactly P(z) ~
 exp(-|z|/scale) at a scale rounded up, never down, so no floating-point
 artefact of the sampler reaches the output (Mironov, CCS 2012).
-DEFAULT_CONTEXT, at 300 significand bits, serves only the stratum law's
-pmf (`forward.StratumDistribution.pmf`), which the checks of that law
-read; no session step uses it. All randomness comes from a
-caller-supplied numpy Generator; the library never reads ambient
+mpmath serves only that interval arithmetic. All randomness comes from
+a caller-supplied numpy Generator; the library never reads ambient
 entropy.
+
+DEFAULT_CONTEXT, a 300-bit mpmath context, is read only by perfbench's
+trace, which passes it to calls that ignore it (ROADMAP item 2); no
+code of the package computes with it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_int
 
 
-# The mpmath context of the stratum law's pmf, at 300 significand bits,
-# the precision its checks were validated at.
+# Read only by perfbench's trace (see the module docstring).
 DEFAULT_CONTEXT = mpmath.MPContext()
 DEFAULT_CONTEXT.prec = 300
 

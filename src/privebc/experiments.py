@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("at least one mechanism mask is required")
         if self.parallel < 0:
             raise ConfigError("parallel must be 'off' (0) or a worker count")
+        if self.master_seed < 0 or self.partition_seed < 0:
+            raise ConfigError("seeds must be non-negative")
         if not 0.0 <= self.x_fraction <= 1.0:
             raise ConfigError("x_fraction must be in [0, 1]")
         if self.synthetic is not None:

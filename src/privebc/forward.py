@@ -11,22 +11,20 @@ a tie (`dpnum.flip_trials`). So a release costs O(|X^-|) integer work
 and no extended-precision arithmetic.
 
 The paper samples the same law in two stages: the quality stratum index
-I ~ Binomial(|X^-|, 1 - p), then a uniform member of that stratum.
-StratumDistribution keeps that law, whose pmf the checks of the
-two-stage form read. inverse_transform_sample and pick_and_flip draw
+I ~ Binomial(|X^-|, 1 - p), then a uniform member of that stratum. The
+stratum law's pmf is `oracle.stratum_pmf`, which only the checks read.
+StratumDistribution, inverse_transform_sample and pick_and_flip draw
 the two stages for the benchmark's trace only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
-import mpmath
 import numpy as np
 
-from .dpnum import DEFAULT_CONTEXT, PrivacyParams, flip_trials
+from .dpnum import PrivacyParams, flip_trials
 from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 
 
@@ -34,21 +32,11 @@ from .graphs import EgoContext, PartitionedGraph, PartyView, ego_context
 class StratumDistribution:
     """The law of the stratum index I over {0, ..., n}: Binomial(n,
     sigma) with sigma = 1/(1 + e^-t), where t is the quality exponent
-    eps/(2*delta0). ctx is the precision of its pmf.
+    eps/(2*delta0). Its pmf is `oracle.stratum_pmf(n, t)`.
     """
 
     n: int
     t: float
-    ctx: mpmath.MPContext
-
-    def pmf(self) -> list:
-        """All n + 1 terms, P(I = 0) first, at context precision, by one
-        linear recurrence down from P(I = n)."""
-        top = _top_term(self)
-        return [top, *_terms_below(self, self.n, top)][::-1]
-
-    def pmf_floats(self) -> np.ndarray:
-        return np.array([float(p) for p in self.pmf()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,40 +60,20 @@ class ForwardMsg:
         return frozenset(self.x_minus[self.member].tolist())
 
 
-@lru_cache(maxsize=8)
-def _exp_neg(t: float, ctx: mpmath.MPContext) -> tuple:
-    """e^-t and sigma = 1/(1 + e^-t) at the context's precision: every
-    distribution at one epsilon shares them."""
-    e = ctx.exp(ctx.fneg(ctx.mpf(t)))
-    return e, ctx.fdiv(1, ctx.fadd(1, e))
-
-
-def _top_term(dist: StratumDistribution):
-    """P(I = n) = sigma^n."""
-    return _exp_neg(dist.t, dist.ctx)[1] ** dist.n
-
-
-def _terms_below(dist: StratumDistribution, i: int, term):
-    """Yield P(I = i - 1), ..., P(I = 0) from term = P(I = i), each as
-    P(I = j - 1) = P(I = j) * j / ((n - j + 1) e^t)."""
-    e, n = _exp_neg(dist.t, dist.ctx)[0], dist.n
-    for j in range(i, 0, -1):
-        term = term * e * j / (n - j + 1)
-        yield term
-
-
 def _exponent(params: PrivacyParams) -> float:
     """The quality exponent t = eps/(2*delta0)."""
     return float(params.epsilon) / (2.0 * float(params.delta0))
 
 
-def stratum_distribution(n: int, params: PrivacyParams,
-                         ctx: mpmath.MPContext = DEFAULT_CONTEXT) -> StratumDistribution:
-    """The stratum law for |X^-| = n, its pmf at the context's precision.
-    Building one computes nothing."""
+def stratum_distribution(n: int, params: PrivacyParams, ctx=None) -> StratumDistribution:
+    """The stratum law for |X^-| = n.
+
+    ctx is ignored: perfbench's trace still passes a context (ROADMAP
+    item 2).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return StratumDistribution(n=n, t=_exponent(params), ctx=ctx)
+    return StratumDistribution(n=n, t=_exponent(params))
 
 
 def inverse_transform_sample(dist: StratumDistribution, rng: np.random.Generator) -> int:
@@ -165,20 +133,20 @@ def _membership(x_minus: np.ndarray, subset: np.ndarray) -> np.ndarray:
 
 
 def forward_message(pg: PartitionedGraph | PartyView, a: object, params: PrivacyParams,
-                    ctx: mpmath.MPContext = DEFAULT_CONTEXT,
-                    rng: np.random.Generator | None = None) -> ForwardMsg:
-    """X's private set release for ego a (see forward_message_from_context)."""
+                    ctx=None, rng: np.random.Generator | None = None) -> ForwardMsg:
+    """X's private set release for ego a (see forward_message_from_context).
+
+    ctx is ignored: perfbench's trace still passes a context (ROADMAP
+    item 2).
+    """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
-    ectx = ego_context(pg, a)
-    return forward_message_from_context(ectx, params, ctx, rng)
+    return forward_message_from_context(ego_context(pg, a), params, rng)
 
 
 def forward_message_from_context(ectx: EgoContext, params: PrivacyParams,
-                                 ctx: mpmath.MPContext,
                                  rng: np.random.Generator) -> ForwardMsg:
-    """Release R* with each node's membership flipped by its own trial.
-    ctx is unused: the release does no extended-precision arithmetic."""
+    """Release R* with each node's membership flipped by its own trial."""
     if params.delta0 != 1.0:
         raise ValueError("the set release runs with quality sensitivity 1")
     member = _membership(ectx.x_minus_sorted, ectx.r_star_sorted)

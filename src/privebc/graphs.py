@@ -165,12 +165,14 @@ def load_edge_list(source: str | Path | TextIO | bytes) -> Graph:
     Lines starting with a COMMENT_PREFIXES entry are skipped; data lines
     need at least two tokens (extra columns such as weights are ignored).
     Self-loops and duplicate edges are dropped and counted in the
-    returned graph's ``load_report``.
+    returned graph's ``load_report``. A path or bytes source must be
+    UTF-8: the first line that is not raises GraphParseError.
     """
+    # undecodable bytes become lone surrogates, which the line check finds
     if isinstance(source, bytes):
-        stream: TextIO = io.StringIO(source.decode("utf-8"))
+        stream: TextIO = io.StringIO(source.decode("utf-8", "surrogateescape"))
     elif isinstance(source, (str, Path)):
-        stream = open(source, "r", encoding="utf-8")
+        stream = open(source, "r", encoding="utf-8", errors="surrogateescape")
     else:
         stream = source
     try:
@@ -178,6 +180,11 @@ def load_edge_list(source: str | Path | TextIO | bytes) -> Graph:
         edges: set[tuple[str, str]] = set()
         self_loops = dups = comments = data_lines = 0
         for line_no, raw in enumerate(stream, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise GraphParseError(line_no, "not valid UTF-8") from None
             line = raw.strip()
             if not line:
                 continue
@@ -231,10 +238,6 @@ class _PartyInfoMixin:
     @cached_property
     def vx_indices(self) -> np.ndarray:
         return np.flatnonzero(self._is_x).astype(np.int64)
-
-    @cached_property
-    def vy_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self._is_x).astype(np.int64)
 
 
 class PartyView(_PartyInfoMixin):

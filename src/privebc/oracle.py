@@ -2,8 +2,8 @@
 
 Everything here recomputes what the production modules compute, by a
 deliberately different route: the quality function on sets instead of
-membership bits, direct-space probabilities via mpmath instead of the
-sampler's pmf recurrence, exhaustive subset enumeration instead of
+membership bits, direct-space probabilities via mpmath, the stratum
+law's pmf by its closed form, exhaustive subset enumeration instead of
 sampling, dense pure-python matrix walks instead of CSR kernels. These
 paths are exponential or cubic by design and guarded against large
 inputs; they exist to be obviously correct, not fast.
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import mpmath
+import numpy as np
 
 from .graphs import Graph
 
@@ -166,6 +167,22 @@ def normalizer_routes(n: int, t: float) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.
                               for i in range(n + 1))
         closed = (1 + mpmath.e ** tt) ** n
         return direct, stratum, closed
+
+
+def stratum_pmf(n: int, t: float) -> np.ndarray:
+    """P(I = i) for i = 0, ..., n, as floats, of the stratum law
+    Binomial(n, sigma), sigma = 1/(1 + e^-t), where t = eps/(2*delta0):
+    each term by the closed form C(n, i) sigma^i (1 - sigma)^(n - i) at
+    _PREC_BITS, with C(n, i) an exact integer."""
+    terms = []
+    choose = 1  # C(n, i)
+    with mpmath.workprec(_PREC_BITS):
+        e = mpmath.exp(-mpmath.mpf(t))
+        sigma, rest = 1 / (1 + e), e / (1 + e)
+        for i in range(n + 1):
+            terms.append(float(choose * sigma**i * rest**(n - i)))
+            choose = choose * (n - i) // (i + 1)
+    return np.array(terms)
 
 
 def _edge_pairs(g: Graph) -> set[tuple[int, int]]:

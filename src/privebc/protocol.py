@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .backward import BackwardMsg, DegenerateEgoError, _reply
-from .dpnum import DEFAULT_CONTEXT, PrivacyParams
+from .dpnum import PrivacyParams
 from .forward import ForwardMsg, _membership, forward_message_from_context
 from .graphs import (
     EgoContext,
@@ -251,7 +251,7 @@ def _forward_stage(ectx: EgoContext, config: ProtocolConfig,
                    rng: np.random.Generator | None, ledger: BudgetLedger) -> ForwardMsg:
     if "mech1" in config.mech_mask:
         params = PrivacyParams(epsilon=config.epsilon, delta0=1.0)
-        msg = forward_message_from_context(ectx, params, DEFAULT_CONTEXT, rng)
+        msg = forward_message_from_context(ectx, params, rng)
         ledger.charge("X", "set-release", config.epsilon)
         return msg
     return ForwardMsg(member=_membership(ectx.x_minus_sorted, ectx.r_star_sorted),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from privebc import Graph, PartitionedGraph
+from privebc.backward import _core_blocks, _partial_sum_from_blocks
 
 
 def make_pg(edges, x_labels, isolated=()):
@@ -12,6 +13,13 @@ def make_pg(edges, x_labels, isolated=()):
     g = Graph.from_edges(edges, isolated=isolated)
     mask = np.array([lab in set(x_labels) for lab in g.labels])
     return PartitionedGraph(g, mask)
+
+
+def noiseless_cores(pg, r_sorted, y_ego):
+    """Y's noiseless reply to R: the |R| x d_Y 2-path counts, as floats,
+    and the partial sum, from the two blocks the session's reply uses."""
+    b, m1 = _core_blocks(pg, r_sorted, y_ego)
+    return b @ m1, _partial_sum_from_blocks(b, m1)
 
 
 def p_scaled_floor(t: float, bits: int) -> int:

@@ -31,15 +31,14 @@ from privebc import (
     nonprivate_ebc_protocol,
     private_ebc,
     run_session,
-    stratum_distribution,
 )
 from privebc import oracle
-from privebc.backward import SUM_GRID_BITS, _partial_sum_core, _spanning_core_matrix
+from privebc.backward import SUM_GRID_BITS
 from privebc.dpnum import geometric_scale
 from privebc.experiments import ExperimentConfig, load_experiment_graph, parse_csv, run_error_sweep
 from privebc.graphs import _ego_context_idx, partition_nodes
 
-from .conftest import random_graph, random_partition
+from .conftest import noiseless_cores, random_graph, random_partition
 
 
 def _x_star(n_x_minus: int, r_star_size: int) -> tuple[PartitionedGraph, list[int], list[int]]:
@@ -118,7 +117,7 @@ def test_criterion_2_sampler_distribution():
             law = oracle.enumerate_exp_pmf(xm, rs, eps)
 
             # analytic two-stage law vs exhaustive, pointwise
-            pmf = stratum_distribution(n, PrivacyParams(epsilon=eps)).pmf_floats()
+            pmf = oracle.stratum_pmf(n, eps / 2.0)
             for s, m in zip(law.support, law.mass):
                 q = oracle.quality(s, rs, xm)
                 analytic = pmf[q] / math.comb(n, q)
@@ -174,10 +173,10 @@ def test_criterion_3_stratum_identities():
     worst_pmf = 0.0
     for n in range(16):
         for eps in (0.1, 1.0, 5.0):
-            d = stratum_distribution(n, PrivacyParams(epsilon=eps))
             sigma = 1.0 / (1.0 + math.exp(-eps / 2.0))
             want = stats.binom.pmf(np.arange(n + 1), n, sigma)
-            worst_pmf = max(worst_pmf, float(np.max(np.abs(d.pmf_floats() - want))))
+            got = oracle.stratum_pmf(n, eps / 2.0)
+            worst_pmf = max(worst_pmf, float(np.max(np.abs(got - want))))
     assert worst_pmf <= 1e-9
 
     # normalizing constant by three routes within 1e-9 relative
@@ -224,15 +223,15 @@ def _sweep_flips(x_labels, y_labels):
         a_idx = g.index_of("a")
         y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
         r_sorted = np.array(sorted(g.index_of(r) for r in r_labels), dtype=np.int64)
-        c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
-        s1 = _partial_sum_core(pg, r_sorted, y_ego) if y_ego.size >= 2 else None
+        c1, s1 = noiseless_cores(pg, r_sorted, y_ego)
+        s1 = s1 if y_ego.size >= 2 else None
         edge_set = {tuple(sorted(e)) for e in edges}
         for yp in y_pairs:
             flipped = list(edge_set ^ {tuple(sorted(yp))})
             pg2 = PartitionedGraph(Graph(labels, flipped), mask)
             assert np.array_equal(_ego_context_idx(pg2, a_idx).y_ego_sorted, y_ego)
-            c2 = _spanning_core_matrix(pg2, r_sorted, y_ego)
-            s2 = _partial_sum_core(pg2, r_sorted, y_ego) if s1 is not None else None
+            c2, s2 = noiseless_cores(pg2, r_sorted, y_ego)
+            s2 = s2 if s1 is not None else None
             yield r_sorted, y_ego, (c1, s1), (c2, s2)
 
 
@@ -299,16 +298,15 @@ def test_criterion_4_sensitivity_sweeps():
         a_idx = g.index_of("a")
         y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
         r_sorted = np.array(sorted(g.index_of(x) for x in x_labels[1:]), dtype=np.int64)
-        c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
-        s1 = _partial_sum_core(pg, r_sorted, y_ego) if y_ego.size >= 2 else None
+        c1, s1 = noiseless_cores(pg, r_sorted, y_ego)
+        s1 = s1 if y_ego.size >= 2 else None
         edge_set = {tuple(sorted(e)) for e in edges}
         for yp in y_pairs:
             flipped = list(edge_set ^ {tuple(sorted(yp))})
             pg2 = PartitionedGraph(Graph(labels, flipped), mask)
-            c2 = _spanning_core_matrix(pg2, r_sorted, y_ego)
+            c2, s2 = noiseless_cores(pg2, r_sorted, y_ego)
             worst_t3 = max(worst_t3, float(np.abs(c1 - c2).sum()) / (2.0 * r_sorted.size))
             if s1 is not None:
-                s2 = _partial_sum_core(pg2, r_sorted, y_ego)
                 worst_s3 = max(worst_s3, abs(s1 - s2) / (y_ego.size - 1))
             n3 += 1
 

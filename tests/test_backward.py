@@ -4,22 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from privebc import (
-    BackwardMsg,
-    DegenerateEgoError,
-    PrivacyParams,
-    ProtocolConfig,
-    oracle,
-    partial_ebc_y,
-    spanning_counts,
-)
+from privebc import BackwardMsg, DegenerateEgoError, PrivacyParams, ProtocolConfig, oracle
 from privebc import _kernels
 from privebc.backward import (
     SUM_GRID_BITS,
     _core_blocks,
-    _partial_sum_core,
     _release,
-    _spanning_core_matrix,
+    partial_ebc_y,
+    spanning_counts,
 )
 from privebc.dpnum import geometric_scale
 from privebc.forward import ForwardMsg, _membership
@@ -27,7 +19,7 @@ from privebc.graphs import _ego_context_idx
 from privebc.oracle import _edge_pairs, _has
 from privebc.protocol import BudgetLedger, _backward_stage
 
-from .conftest import make_pg, random_graph, random_partition
+from .conftest import make_pg, noiseless_cores, random_graph, random_partition
 
 BIG_EPS = PrivacyParams(epsilon=1e9)
 
@@ -82,7 +74,7 @@ def test_spanning_core_matches_reference_counts():
             if not xm:
                 continue
             r_sorted = np.array(xm, dtype=np.int64)
-            core = _spanning_core_matrix(pg, r_sorted, y_ego)
+            core = noiseless_cores(pg, r_sorted, y_ego)[0]
             mids = [g.label_of(int(v)) for v in y_ego]
             for ri, i in enumerate(r_sorted):
                 for ci, j in enumerate(y_ego):
@@ -176,7 +168,7 @@ def test_partial_sum_core_brute_force():
                 continue
             xm = [v for v in g.neighbors(a_idx) if pg.is_x(v)]
             r_sorted = np.array(sorted(xm), dtype=np.int64)
-            got = _partial_sum_core(pg, r_sorted, y_ego)
+            got = noiseless_cores(pg, r_sorted, y_ego)[1]
             want = 0.0
             mids = set(int(v) for v in r_sorted) | set(int(v) for v in y_ego)
             for p in range(y_ego.size):
@@ -211,11 +203,10 @@ def test_backward_message_key_set_and_high_budget(mixed_pg):
     assert isinstance(msg, BackwardMsg)
     assert msg.T.shape == (len(xm), y_ego.size)
     r_sorted = np.array(sorted(xm), dtype=np.int64)
-    core = _spanning_core_matrix(mixed_pg, r_sorted, y_ego)
+    core, want_s = noiseless_cores(mixed_pg, r_sorted, y_ego)
     for ri, i in enumerate(r_sorted):
         for ci, j in enumerate(y_ego):
             assert msg.T[ri, ci] == pytest.approx(core[ri, ci], abs=1e-6)
-    want_s = _partial_sum_core(mixed_pg, r_sorted, y_ego)
     assert msg.S_Y == pytest.approx(want_s, abs=1e-6)
 
 
@@ -275,7 +266,7 @@ def test_count_sensitivity_bound_over_y_edges():
         pg = random_partition(rng, g)
         mask = np.array([pg.is_x(i) for i in range(g.n)])
         labelled = [(g.label_of(i), g.label_of(j)) for i, j in g.edges_iter()]
-        ys = [int(v) for v in pg.vy_indices]
+        ys = np.flatnonzero(~mask).tolist()
         for a_idx in (int(v) for v in pg.vx_indices):
             y_ego = _ego_context_idx(pg, a_idx).y_ego_sorted
             xm = sorted(v for v in g.neighbors(a_idx) if pg.is_x(v))
@@ -287,11 +278,9 @@ def test_count_sensitivity_bound_over_y_edges():
                 flipped = _toggle_y_edge(labelled, g.label_of(u), g.label_of(v))
                 pg2 = PartitionedGraph(Graph(g.labels, flipped), mask)
                 assert np.array_equal(_ego_context_idx(pg2, a_idx).y_ego_sorted, y_ego)
-                c1 = _spanning_core_matrix(pg, r_sorted, y_ego)
-                c2 = _spanning_core_matrix(pg2, r_sorted, y_ego)
+                c1, s1 = noiseless_cores(pg, r_sorted, y_ego)
+                c2, s2 = noiseless_cores(pg2, r_sorted, y_ego)
                 assert np.abs(c1 - c2).sum() <= 2 * len(xm) + 1e-9
-                s1 = _partial_sum_core(pg, r_sorted, y_ego)
-                s2 = _partial_sum_core(pg2, r_sorted, y_ego)
                 assert abs(s1 - s2) <= (y_ego.size - 1) + 1e-9
                 checked += 1
     assert checked >= 40
@@ -314,10 +303,11 @@ def test_density_ratio_bounded_by_budget():
     eps = 1.3
     scale_t = geometric_scale(4 * len(r), eps)
     scale_s = geometric_scale(2 * ((y_ego.size - 1) * 2**SUM_GRID_BITS + 1), eps)
-    c1 = _spanning_core_matrix(pg1, r_sorted, y_ego).ravel()
-    c2 = _spanning_core_matrix(pg2, r_sorted, y_ego).ravel()
-    g1 = round(_partial_sum_core(pg1, r_sorted, y_ego) * 2**SUM_GRID_BITS)
-    g2 = round(_partial_sum_core(pg2, r_sorted, y_ego) * 2**SUM_GRID_BITS)
+    c1, s1 = noiseless_cores(pg1, r_sorted, y_ego)
+    c2, s2 = noiseless_cores(pg2, r_sorted, y_ego)
+    c1, c2 = c1.ravel(), c2.ravel()
+    g1 = round(s1 * 2**SUM_GRID_BITS)
+    g2 = round(s2 * 2**SUM_GRID_BITS)
 
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -344,10 +334,9 @@ def test_noiseless_flags_bypass_sampling():
     rng = np.random.default_rng(9)
     before = copy.deepcopy(rng.bit_generator.state)
     r_sorted = np.array(sorted(r), dtype=np.int64)
-    core = _spanning_core_matrix(pg, r_sorted, y_ego)
-    s_core = _partial_sum_core(pg, r_sorted, y_ego)
+    core, s_core = noiseless_cores(pg, r_sorted, y_ego)
     # flags off is the noiseless route: the generator is never read
     msg = _release(core, s_core, params, rng, False, False)
     assert rng.bit_generator.state == before
     assert msg.T[0, 0] == core[0, 0] and msg.T.dtype == np.int64
-    assert msg.S_Y == _partial_sum_core(pg, r_sorted, y_ego)
+    assert msg.S_Y == s_core

@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privebc import (
-    DEFAULT_CONTEXT,
-    PrivacyParams,
-    ProtocolConfig,
-    forward,
-    run_session,
-    stratum_distribution,
-)
+from privebc import PrivacyParams, ProtocolConfig, forward, oracle, run_session
 from privebc.dpnum import (
     _SLICE,
+    DEFAULT_CONTEXT,
     MAX_SCALE,
     flip_cut,
     flip_trials,
@@ -34,12 +28,12 @@ from .conftest import p_scaled_floor
 # ---------------------------------------------------------------------------
 
 def test_default_context_precision():
-    # one precision for every session
+    # the context perfbench's trace reads keeps its precision
     assert DEFAULT_CONTEXT.prec == 300
 
 
 def test_no_context_is_built_after_import(monkeypatch, mixed_pg):
-    # every pmf and every session runs on DEFAULT_CONTEXT
+    # no stratum draw, pmf or session builds an mpmath context
     built = []
 
     class CountingContext(mpmath.MPContext):
@@ -51,9 +45,9 @@ def test_no_context_is_built_after_import(monkeypatch, mixed_pg):
     params = PrivacyParams(epsilon=1.0)
     rng = np.random.default_rng(0)
     for n in range(40, 60):
-        d = stratum_distribution(n, params)
+        d = forward.stratum_distribution(n, params)
         forward.inverse_transform_sample(d, rng)
-        d.pmf_floats()
+        oracle.stratum_pmf(n, d.t)
     config = ProtocolConfig(epsilon=1.0)
     for seed in (0, 1):
         run_session(mixed_pg, "a", config, np.random.default_rng(seed))

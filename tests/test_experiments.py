@@ -341,9 +341,12 @@ def test_cli_out_file(tmp_path):
     assert len(rows) == 3  # 2 detail + 1 summary
 
 
-def test_cli_exit_code_config_error(capsys):
-    rc = cli.main(["sweep", "--synthetic", "n=40,m=2", "--egos", "400",
-                   "--eps", "1"])
+@pytest.mark.parametrize("args", [["--egos", "400"],
+                                  ["--egos", "2", "--seed", "-1"],
+                                  ["--egos", "2", "--partition-seed", "-1"]],
+                         ids=["egos", "seed", "partition-seed"])
+def test_cli_exit_code_config_error(args, capsys):
+    rc = cli.main(["sweep", "--synthetic", "n=40,m=2", *args, "--eps", "1"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
 
@@ -354,9 +357,11 @@ def test_cli_exit_code_missing_graph(capsys):
     assert rc == 3
 
 
-def test_cli_exit_code_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("data", [b"a b\njustone\n", b"a b\nc \xff\n"],
+                         ids=["one-token", "not-utf8"])
+def test_cli_exit_code_parse_error(data, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("a b\njustone\n")
+    bad.write_bytes(data)
     rc = cli.main(["sweep", "--graph", str(bad), "--egos", "1", "--eps", "1"])
     assert rc == 3
     assert "cannot parse" in capsys.readouterr().err

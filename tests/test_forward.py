@@ -8,18 +8,21 @@ import pytest
 from scipy import stats
 
 from privebc import (
-    DEFAULT_CONTEXT,
     ForwardMsg,
     PrivacyParams,
     ProtocolConfig,
     forward_message,
     run_session,
+)
+from privebc import ego_context, oracle
+from privebc.dpnum import DEFAULT_CONTEXT, flip_cut
+from privebc.forward import (
+    forward_message_from_context,
+    inverse_transform_sample,
+    pick_and_flip,
     stratum_distribution,
 )
-from privebc import ego_context, forward, oracle
-from privebc.dpnum import flip_cut
-from privebc.forward import forward_message_from_context, inverse_transform_sample, pick_and_flip
-from privebc.oracle import quality
+from privebc.oracle import quality, stratum_pmf
 
 from .conftest import make_pg, p_scaled_floor
 
@@ -54,14 +57,12 @@ def test_quality_rejects_non_subsets():
 
 def test_stratum_pmf_closed_form_small():
     # eps=2, delta0=1 -> t=1
-    d = stratum_distribution(1, PrivacyParams(epsilon=2.0))
-    p = d.pmf_floats()
+    p = stratum_pmf(1, 1.0)
     e = math.e
     assert p == pytest.approx([1 / (1 + e), e / (1 + e)], rel=1e-12)
 
-    d2 = stratum_distribution(2, PrivacyParams(epsilon=2.0))
     z = (1 + e) ** 2
-    assert d2.pmf_floats() == pytest.approx([1 / z, 2 * e / z, e * e / z], rel=1e-12)
+    assert stratum_pmf(2, 1.0) == pytest.approx([1 / z, 2 * e / z, e * e / z], rel=1e-12)
 
 
 def test_stratum_pmf_is_binomial():
@@ -72,7 +73,7 @@ def test_stratum_pmf_is_binomial():
             t = eps / 2.0
             sigma = math.exp(t) / (1 + math.exp(t))
             want = stats.binom.pmf(np.arange(n + 1), n, sigma)
-            got = d.pmf_floats()
+            got = stratum_pmf(n, d.t)
             assert d.t == pytest.approx(t, rel=1e-15)
             assert np.allclose(got, want, rtol=0, atol=1e-9)
             assert math.fsum(got) == pytest.approx(1.0, abs=1e-9)
@@ -83,7 +84,7 @@ def test_stratum_pmf_matches_exhaustive_totals():
         elems = list(range(n))
         law = oracle.enumerate_exp_pmf(elems, elems[: n // 2], eps)
         totals = law.stratum_totals(elems[: n // 2])
-        got = stratum_distribution(n, PrivacyParams(epsilon=eps)).pmf_floats()
+        got = stratum_pmf(n, eps / 2.0)
         for i in range(n + 1):
             assert got[i] == pytest.approx(totals[i], rel=1e-9, abs=1e-30)
 
@@ -99,7 +100,7 @@ def test_two_stage_product_law():
     elems = list(range(n))
     rs = [0, 1]
     law = oracle.enumerate_exp_pmf(elems, rs, eps)
-    pmf = stratum_distribution(n, PrivacyParams(epsilon=eps)).pmf_floats()
+    pmf = stratum_pmf(n, eps / 2.0)
     for s, m in zip(law.support, law.mass):
         q = quality(s, rs, elems)
         assert pmf[q] / math.comb(n, q) == pytest.approx(m, rel=1e-9)
@@ -110,27 +111,12 @@ def test_subset_law_pointwise():
     for n, eps in [(5, 0.2), (9, 2.0), (12, 6.0)]:
         elems = list(range(n))
         law = oracle.enumerate_exp_pmf(elems, [], eps)
-        d = stratum_distribution(n, PrivacyParams(epsilon=eps))
+        pmf = stratum_pmf(n, eps / 2.0)
         for i in range(n + 1):
-            per_set = float(d.pmf()[i]) / math.comb(n, i)
+            per_set = pmf[i] / math.comb(n, i)
             # with R* empty, quality i means |S| = n - i
             member = frozenset(range(n - i))
             assert per_set == pytest.approx(law.mass_of(member), rel=1e-9)
-
-
-def test_first_term_constant_is_the_inline_expression():
-    # the constants e^-t and sigma = 1/(1 + e^-t) are computed once per
-    # (t, context), by the same operations in the same order as the
-    # inline expressions, and the first term is sigma^n
-    ctx = DEFAULT_CONTEXT
-    for eps in (0.1, 0.5, 1.0, 2.0, 7.0):
-        t = eps / 2.0
-        e = ctx.exp(ctx.fneg(ctx.mpf(t)))
-        sigma = ctx.fdiv(1, ctx.fadd(1, e))
-        assert forward._exp_neg(t, ctx) == (e, sigma)
-        assert forward._exp_neg(t, ctx) is forward._exp_neg(t, ctx)
-        dist = stratum_distribution(40, PrivacyParams(epsilon=eps))
-        assert dist.pmf()[40] == sigma ** 40
 
 
 # ------------------------------------------------ inverse transform sample
@@ -163,7 +149,7 @@ def test_inverse_transform_chi_square():
     counts = np.zeros(n + 1)
     for _ in range(draws):
         counts[inverse_transform_sample(d, rng)] += 1
-    assert _chi_square_sf(counts, d.pmf_floats() * draws) > 1e-3
+    assert _chi_square_sf(counts, stratum_pmf(n, d.t) * draws) > 1e-3
 
 
 @pytest.mark.parametrize("eps", [0.1, 7.0])
@@ -175,14 +161,19 @@ def test_inverse_transform_chi_square_low_and_high_budget(eps):
     rng = np.random.default_rng(3)
     counts = np.bincount([inverse_transform_sample(d, rng) for _ in range(draws)],
                          minlength=n + 1)
-    assert _chi_square_sf(counts, d.pmf_floats() * draws) > 1e-3
+    assert _chi_square_sf(counts, stratum_pmf(n, d.t) * draws) > 1e-3
+
+
+_MP300 = mpmath.MPContext()
+_MP300.prec = 300
 
 
 @lru_cache(maxsize=None)
 def _bottom_up_log_pmf(n: int, eps: float) -> tuple:
-    """The stratum log-pmf built from I = 0 up, with log C(n, i) and i*t
-    accumulated term by term, independently of forward's recurrence."""
-    mp = DEFAULT_CONTEXT
+    """The stratum log-pmf built from I = 0 up, at 300 bits, with log
+    C(n, i) and i*t accumulated term by term, independently of
+    oracle.stratum_pmf's closed form."""
+    mp = _MP300
     t = mp.fdiv(mp.mpf(eps), 2)
     norm = mp.fmul(n, mp.log1p(mp.exp(t)))
     pmf, log_choose = [mp.fneg(norm)], mp.mpf(0)
@@ -232,13 +223,11 @@ def test_inverse_transform_matches_linear_scan(eps, n):
 
 @pytest.mark.parametrize("eps", [0.1, 1.0, 7.0])
 def test_private_session_does_no_default_context_arithmetic(eps, monkeypatch, mixed_pg):
-    # the stratum pmf's recurrence and the 300-bit context's number type
-    # raise if called: a private session draws I from integer trials
+    # the 300-bit context's number type raises if called: a private
+    # session draws I from integer trials
     def refuse(*args, **kwargs):
         raise AssertionError("a session used the 300-bit context")
 
-    for name in ("_exp_neg", "_top_term", "_terms_below"):
-        monkeypatch.setattr(forward, name, refuse)
     monkeypatch.setattr(DEFAULT_CONTEXT, "mpf", refuse)
     for seed in range(5):
         res = run_session(mixed_pg, "a", ProtocolConfig(epsilon=eps), np.random.default_rng(seed))
@@ -247,18 +236,12 @@ def test_private_session_does_no_default_context_arithmetic(eps, monkeypatch, mi
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.5, 3.0, 7.0])
 def test_lazy_pmf_after_partial_draws_equals_bottom_up(eps):
-    # the full pmf, built on request after a few draws, is the bottom-up
-    # pmf
+    # the closed-form pmf is the bottom-up pmf (the name is older than
+    # the closed form, and kept so that the test's id is stable)
     for n in (0, 1, 2, 7, 31, 200, 4989):
-        d = stratum_distribution(n, PrivacyParams(epsilon=eps))
-        rng = np.random.default_rng(n)
-        for _ in range(3):
-            inverse_transform_sample(d, rng)
         want = _bottom_up_log_pmf(n, eps)
-        got = [DEFAULT_CONTEXT.log(p) for p in d.pmf()]
-        assert all(abs(float(a - b)) <= 1e-12 for a, b in zip(got, want, strict=True))
-        floats = np.array([float(DEFAULT_CONTEXT.exp(b)) for b in want])
-        assert np.allclose(d.pmf_floats(), floats, rtol=1e-12, atol=0)
+        floats = np.array([float(_MP300.exp(b)) for b in want])
+        assert np.allclose(stratum_pmf(n, eps / 2.0), floats, rtol=1e-12, atol=0)
 
 
 def test_inverse_transform_zero_nodes():
@@ -348,7 +331,7 @@ def test_forward_message_rejects_tampered_sensitivity():
     ectx = ego_context(pg, "a")
     with pytest.raises(ValueError):
         forward_message_from_context(ectx, PrivacyParams(epsilon=1.0, delta0=2.0),
-                                     DEFAULT_CONTEXT, np.random.default_rng(0))
+                                     np.random.default_rng(0))
 
 
 def test_forward_message_deterministic_under_seed():

@@ -62,6 +62,18 @@ def test_load_malformed_line_reports_number():
     assert exc.value.line_no == 2
 
 
+def test_load_rejects_non_utf8_line(tmp_path):
+    # line 2 is UTF-8 but not ASCII; byte 0xff on line 3 is the first
+    # that does not decode, from bytes and from a path alike
+    data = "1 2\n2 \u00e9\n".encode("utf-8") + b"3 \xff\n4 \xfe\n"
+    p = tmp_path / "g.txt"
+    p.write_bytes(data)
+    for source in (data, p):
+        with pytest.raises(GraphParseError, match="UTF-8") as exc:
+            load_edge_list(source)
+        assert exc.value.line_no == 3
+
+
 def test_load_from_path(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("1 2\n2 3\n")
@@ -102,7 +114,7 @@ def test_unknown_node_lookup():
 def test_partition_extreme_fractions():
     g = random_graph(np.random.default_rng(0), 30, 0.2)
     all_x = partition_nodes(g, seed=1, x_fraction=1.0)
-    assert all_x.vy_indices.size == 0
+    assert all_x.vx_indices.size == g.n
     counts = all_x.edge_class_counts()
     assert counts["Y"] == 0 and counts["XY"] == 0 and counts["X"] == g.edge_count
     all_y = partition_nodes(g, seed=1, x_fraction=0.0)
@@ -195,7 +207,7 @@ def test_party_contexts_agree_on_what_both_hold():
         for a_idx in pg.vx_indices.tolist():
             cx, cy = _ego_context_idx(view_x, a_idx), _ego_context_idx(view_y, a_idx)
             y_ego = sorted(v for v in g.neighbors(a_idx) if not pg.is_x(v))
-            want_flow = ("no-y-nodes" if pg.vy_indices.size == 0
+            want_flow = ("no-y-nodes" if pg.vx_indices.size == g.n
                          else "small-y-ego" if len(y_ego) < 2 else "")
             for ctx in (cx, cy):
                 assert ctx.a == a_idx

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privebc import Graph, PrivacyParams, _kernels, stratum_distribution
+from privebc import Graph, _kernels
 from privebc.oracle import (
     ExhaustivePmf,
     OracleSizeError,
@@ -11,6 +11,7 @@ from privebc.oracle import (
     enumerate_exp_pmf,
     enumerate_stratum,
     normalizer_routes,
+    stratum_pmf,
     tv_distance,
     two_path_reference,
 )
@@ -64,7 +65,7 @@ def test_stratum_totals_match_sampler_pmf():
     n = 10
     law = enumerate_exp_pmf(range(n), range(4), epsilon=1.0)
     totals = law.stratum_totals(range(4))
-    pmf = stratum_distribution(n, PrivacyParams(epsilon=1.0)).pmf_floats()
+    pmf = stratum_pmf(n, 0.5)
     assert set(totals) == set(range(n + 1))
     for i in range(n + 1):
         assert totals[i] == pytest.approx(pmf[i], rel=1e-9, abs=1e-30)

@@ -34,7 +34,6 @@ from privebc import (
     run_two_process,
 )
 from privebc import _kernels, protocol
-from privebc.backward import _partial_sum_core, _spanning_core_matrix
 from privebc.dpnum import geometric_scale, two_sided_geometric
 from privebc.graphs import _ego_context_idx, _ego_local, _pair_sum
 from privebc.oracle import _edge_pairs, _has
@@ -46,7 +45,7 @@ from privebc.protocol import (
     _assemble_x,
 )
 
-from .conftest import make_pg, random_graph, random_partition
+from .conftest import make_pg, noiseless_cores, random_graph, random_partition
 
 
 # ----------------------------------------------------------------- config
@@ -509,7 +508,7 @@ def test_seeded_r_sets_and_noiseless_values_are_pinned():
                 exact = run_session(pg, label,
                                     ProtocolConfig(epsilon=eps, mech_mask=frozenset({"mech1"})),
                                     np.random.default_rng(seed))
-                core = _spanning_core_matrix(pg.view_y(), np.array(r_sorted, dtype=np.int64), y_ego)
+                core = noiseless_cores(pg.view_y(), np.array(r_sorted, dtype=np.int64), y_ego)[0]
                 h.update(repr(r_sorted).encode())
                 h.update(repr((exact.value, exact.parts.S_X, exact.parts.S_XY,
                                exact.parts.S_Y)).encode())
@@ -1001,7 +1000,7 @@ def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
     assert r_sorted.size == 2  # so Y's reply holds count noise
     y_ego = ectx.y_ego_sorted
     back = decode_msg(tx[1][1])
-    noise = back.T - _spanning_core_matrix(mixed_pg.view_y(), r_sorted, y_ego).astype(np.int64)
+    noise = back.T - noiseless_cores(mixed_pg.view_y(), r_sorted, y_ego)[0].astype(np.int64)
     scale = np.full(noise.size, geometric_scale(4 * r_sorted.size, cfg.epsilon))
     for guess in (np.random.default_rng(seed_x), *_children(seed_x), np.random.default_rng(seed_y),
                   _children(seed_y)[0]):
@@ -1085,7 +1084,7 @@ def test_y_refuses_forward_set_outside_x_minus(mixed_pg):
                                     np.random.default_rng(0), BudgetLedger())
     assert back.T.shape == (2, y_ego.size)
     # the rows are e and g, the ascending ids of X^-'s first and last node
-    core = _spanning_core_matrix(view_y, np.array([g.index_of("e"), g.index_of("g")]), y_ego)
+    core = noiseless_cores(view_y, np.array([g.index_of("e"), g.index_of("g")]), y_ego)[0]
     noiseless = protocol._backward_stage(view_y, ectx, ForwardMsg(member=_bits(1, 0, 1)),
                                          ProtocolConfig(epsilon=1.0, mech_mask=frozenset()),
                                          None, BudgetLedger())
