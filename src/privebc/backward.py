@@ -49,28 +49,30 @@ class DegenerateEgoError(ValueError):
 
 
 def _core_blocks(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
-                 y_ego: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float 0/1 blocks: b[r, k] = r~k for k in y_ego, m1 = adjacency
-    inside y_ego. Both noiseless releases are products of these.
-
-    One pass over y_ego's neighbour lists fills both, as the two row
-    slices of one (|R| + d_Y) x d_Y array."""
+                 y_ego: np.ndarray) -> np.ndarray:
+    """The float 0/1 (|R| + d_Y) x d_Y block over y_ego's columns: its
+    first |R| rows are b, b[r, k] = r~k, and its last d_Y rows are m1,
+    the adjacency inside y_ego. Both noiseless releases are products of
+    it. One pass over y_ego's neighbour lists fills it."""
     indptr, indices = pg.graph.csr()
     out = np.zeros((r_sorted.size + y_ego.size, y_ego.size))
     owner, neigh = _kernels._gather(indptr, indices, y_ego)
     for first, rows in ((0, r_sorted), (r_sorted.size, y_ego)):
         hit, pos = _kernels._locate(rows, neigh)
         out[first + pos, owner[hit]] = 1.0
-    return out[:r_sorted.size], out[r_sorted.size:]
+    return out
 
 
-def _partial_sum_from_blocks(b: np.ndarray, m1: np.ndarray) -> float:
-    """Noiseless partial sum over non-adjacent pairs inside y_ego.
+def _partial_sum_from_blocks(block: np.ndarray, r_size: int) -> float:
+    """Noiseless partial sum over non-adjacent pairs inside y_ego, from
+    the block of _core_blocks over an R of r_size nodes.
 
     Intermediates are restricted to R u {a} u y_ego; a itself always
-    joins both endpoints, so every denominator is at least 1.
+    joins both endpoints, so every denominator is at least 1. The other
+    paths number b.T b + m1 m1, which is block.T @ block because m1 is
+    symmetric; every entry is a small integer, so the product is exact.
     """
-    return _pair_sum(m1, 1.0 + b.T @ b + m1 @ m1)
+    return _pair_sum(block[r_size:], 1.0 + block.T @ block)
 
 
 def _release(core: np.ndarray, s_y: float, params: PrivacyParams,
@@ -100,9 +102,12 @@ def _release(core: np.ndarray, s_y: float, params: PrivacyParams,
 def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, r_sorted: np.ndarray,
            params: PrivacyParams, rng: np.random.Generator | None,
            noisy_t: bool, noisy_s: bool) -> BackwardMsg:
-    """Y's reply from one pair of blocks, noised from rng as flagged."""
-    b, m1 = _core_blocks(pg, r_sorted, y_ego)
-    return _release(b @ m1, _partial_sum_from_blocks(b, m1), params, rng, noisy_t, noisy_s)
+    """Y's reply from one block, in two dense products, noised from rng
+    as flagged."""
+    block = _core_blocks(pg, r_sorted, y_ego)
+    b, m1 = block[:r_sorted.size], block[r_sorted.size:]
+    return _release(b @ m1, _partial_sum_from_blocks(block, r_sorted.size),
+                    params, rng, noisy_t, noisy_s)
 
 
 def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],

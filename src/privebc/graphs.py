@@ -285,7 +285,7 @@ class PartitionedGraph(_PartyInfoMixin):
         """Each CSR entry's party bits (True for X): its owner's, and its
         neighbour's."""
         indptr, indices = self.graph.csr()
-        return self._is_x.repeat(np.diff(indptr)), self._is_x[indices]
+        return self._is_x.repeat(indptr[1:] - indptr[:-1]), self._is_x[indices]
 
     def _filtered_graph(self, keep_party_x: bool) -> Graph:
         """The edges with at least one endpoint in the kept party."""

@@ -133,16 +133,20 @@ class SessionResult:
 
 
 # ---------------------------------------------------------------------------
-# Wire format v3
+# Wire format v4
 # ---------------------------------------------------------------------------
-# frame   = u32 length | u8 version | u8 type | payload   (big-endian)
-# length counts every byte after the length field itself.
-# type 1 (forward):  u32 n | ceil(n / 8) bytes: R's membership bits over
-#                    X^- in ascending index order, most significant bit
-#                    first; padding bits zero
-# type 2 (backward): u32 rows | u32 cols | u8 width code |
-#                    rows * cols integers of that width, row-major |
-#                    S_Y as an f8
+# frame   = varint length | u8 version | u8 type | payload
+# length counts every byte after the length field itself. A varint is
+# an unsigned LEB128 integer below 2^32: seven bits a byte, least
+# significant group first, the top bit set on every byte but the last.
+# It takes 1 to 5 bytes, and only its shortest form is accepted, so each
+# value has exactly one encoding.
+# type 1 (forward):  varint n | ceil(n / 8) bytes: R's membership bits
+#                    over X^- in ascending index order, most significant
+#                    bit first; padding bits zero
+# type 2 (backward): varint rows | varint cols | u8 width code |
+#                    rows * cols big-endian integers of that width,
+#                    row-major | S_Y as a big-endian f8
 # Width codes 1, 2, 4 and 8 give the matrix as >i1, >i2, >i4 or >i8, the
 # narrowest that holds its values, so a frame's length depends on the
 # released values only. A noisy S_Y is its grid count times 2^-20,
@@ -151,22 +155,66 @@ class SessionResult:
 # Both parties know X^-, and the backward matrix's rows and columns are
 # the ascending ids of R and of the ego's Y-side neighbours, so no id is
 # ever sent.
+# Example: the forward frame over |X^-| = 3 with bits 101 is the five
+# bytes 04 04 01 03 a0: length 4, version 4, type 1, n = 3, then the
+# bits 1010 0000.
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 TYPE_FORWARD = 1
 TYPE_BACKWARD = 2
 HANDSHAKE_MAGIC = b"PEBC"
-HANDSHAKE_VERSION = 4
+HANDSHAKE_VERSION = 5
 
 _WIDTHS = (1, 2, 4, 8)
+_VARINT_MAX = 5  # bytes in the longest varint, that of 2^32 - 1
+
+
+def _varint(value: int) -> bytes:
+    """value, below 2^32, as a varint."""
+    if value >> 32:
+        raise ValueError(f"{value} does not fit a 32-bit varint")
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _varint_size(value: int) -> int:
+    """Bytes in value's varint."""
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def _read_varint(data: bytes, at: int) -> tuple[int, int]:
+    """The varint starting at byte `at` of data, and the offset after it."""
+    value = 0
+    for i in range(_VARINT_MAX):
+        if at + i >= len(data):
+            raise DecodeError(at + i, "truncated varint")
+        byte = data[at + i]
+        value |= (byte & 0x7F) << 7 * i
+        if byte < 0x80:
+            if i and not byte:
+                raise DecodeError(at + i, "overlong varint: its last byte is zero")
+            if value >> 32:
+                raise DecodeError(at, "varint exceeds 32 bits")
+            return value, at + i + 1
+    raise DecodeError(at + _VARINT_MAX - 1, f"varint unterminated after {_VARINT_MAX} bytes")
+
+
+def _frame_size(payload: int) -> int:
+    """Bytes in a frame whose payload holds `payload` bytes."""
+    return _varint_size(2 + payload) + 2 + payload
 
 
 def _forward_frame_size(n: int) -> int:
-    return 10 + (n + 7) // 8
+    return _frame_size(_varint_size(n) + (n + 7) // 8)
 
 
 def _backward_frame_size(rows: int, cols: int) -> int:
-    return 23 + 8 * rows * cols
+    """The largest backward frame: every count at width 8."""
+    return _frame_size(_varint_size(rows) + _varint_size(cols) + 9 + 8 * rows * cols)
 
 
 def _width(t: np.ndarray) -> int:
@@ -182,9 +230,8 @@ def _width(t: np.ndarray) -> int:
 def encode_msg(msg: ForwardMsg | BackwardMsg) -> bytes:
     """Serialize one message as a single wire frame."""
     if isinstance(msg, ForwardMsg):
-        bits = np.packbits(msg.member).tobytes()
-        head = struct.pack(">IBBI", 6 + len(bits), WIRE_VERSION, TYPE_FORWARD, msg.member.size)
-        return head + bits
+        payload = _varint(msg.member.size) + np.packbits(msg.member).tobytes()
+        return _varint(2 + len(payload)) + bytes((WIRE_VERSION, TYPE_FORWARD)) + payload
     if not isinstance(msg, BackwardMsg):
         raise TypeError(f"cannot encode {type(msg).__name__}")
     t = np.asarray(msg.T)
@@ -194,53 +241,52 @@ def encode_msg(msg: ForwardMsg | BackwardMsg) -> bytes:
         raise ValueError(f"T must hold signed integers, got {t.dtype}")
     width = _width(t)
     body = t.astype(f">i{width}")
-    head = struct.pack(">IBBIIB", 19 + body.nbytes, WIRE_VERSION, TYPE_BACKWARD, *t.shape, width)
+    shape = _varint(t.shape[0]) + _varint(t.shape[1]) + bytes((width,))
+    head = _varint(2 + len(shape) + body.nbytes + 8) + bytes((WIRE_VERSION, TYPE_BACKWARD)) + shape
     # one join copies the body once, however large the frame
     return b"".join((head, body, struct.pack(">d", msg.S_Y)))
 
 
 def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
     """Parse exactly one frame; raises DecodeError with a byte offset."""
-    if len(data) < 4:
-        raise DecodeError(0, "truncated length field")
-    (length,) = struct.unpack_from(">I", data, 0)
+    length, at = _read_varint(data, 0)
     if length < 2:
         raise DecodeError(0, f"frame length {length} below header size")
-    if len(data) != 4 + length:
-        raise DecodeError(4 + min(length, len(data) - 4),
-                          f"frame claims {4 + length} bytes, got {len(data)}")
-    version, mtype = struct.unpack_from(">BB", data, 4)
+    if len(data) != at + length:
+        raise DecodeError(at + min(length, len(data) - at),
+                          f"frame claims {at + length} bytes, got {len(data)}")
+    version, mtype = data[at], data[at + 1]
     if version != WIRE_VERSION:
-        raise DecodeError(4, f"unsupported version {version}")
-    payload = data[6:]
+        raise DecodeError(at, f"unsupported version {version}")
     if mtype == TYPE_FORWARD:
-        if len(payload) < 4:
-            raise DecodeError(6, "truncated count field")
-        (n,) = struct.unpack_from(">I", payload, 0)
+        n, at = _read_varint(data, at + 2)
         size = (n + 7) // 8
-        if len(payload) != 4 + size:
-            raise DecodeError(10, f"{n} membership bits need {size} bytes, got {len(payload) - 4}")
-        bits = np.frombuffer(payload, dtype=np.uint8, offset=4)
+        if len(data) != at + size:
+            raise DecodeError(at, f"{n} membership bits need {size} bytes, got {len(data) - at}")
+        bits = np.frombuffer(data, dtype=np.uint8, offset=at)
         if n % 8 and bits[-1] & (0xFF >> n % 8):
-            raise DecodeError(9 + size, "padding bit set")
+            raise DecodeError(len(data) - 1, "padding bit set")
         return ForwardMsg(member=np.unpackbits(bits, count=n).view(bool))
     if mtype == TYPE_BACKWARD:
-        if len(payload) < 9:
-            raise DecodeError(6, "truncated shape field")
-        rows, cols, width = struct.unpack_from(">IIB", payload, 0)
+        rows, at = _read_varint(data, at + 2)
+        cols, at = _read_varint(data, at)
+        if at == len(data):
+            raise DecodeError(at, "truncated width field")
+        width = data[at]
         if width not in _WIDTHS:
-            raise DecodeError(14, f"unknown width code {width:#x}")
-        need = 17 + rows * cols * width
-        if len(payload) != need:
-            raise DecodeError(15, f"{rows} x {cols} matrix of width {width} needs a "
-                                  f"{need}-byte payload, got {len(payload)}")
-        t = np.frombuffer(payload, dtype=f">i{width}", count=rows * cols, offset=9)
+            raise DecodeError(at, f"unknown width code {width:#x}")
+        at += 1
+        need = at + rows * cols * width + 8
+        if len(data) != need:
+            raise DecodeError(at, f"{rows} x {cols} matrix of width {width} needs a "
+                                  f"{need}-byte frame, got {len(data)}")
+        t = np.frombuffer(data, dtype=f">i{width}", count=rows * cols, offset=at)
         t = t.astype(np.int64).reshape(rows, cols)
-        (s_y,) = struct.unpack_from(">d", payload, need - 8)
+        (s_y,) = struct.unpack_from(">d", data, need - 8)
         if not math.isfinite(s_y):
-            raise DecodeError(6 + need - 8, "S_Y is not finite")
+            raise DecodeError(need - 8, "S_Y is not finite")
         return BackwardMsg(T=t, S_Y=s_y)
-    raise DecodeError(5, f"unknown message type {mtype}")
+    raise DecodeError(at + 1, f"unknown message type {mtype}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +442,9 @@ def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig
             n = ectx_y.x_minus_sorted.size
             fwd = _receive(sock, ForwardMsg, _forward_frame_size(n), log)
             if fwd.member.size != n:
-                raise DecodeError(6, f"forward bits cover {fwd.member.size} nodes, X^- has {n}")
+                count_at = _read_varint(log[-1][1], 0)[1] + 2  # after length, version, type
+                raise DecodeError(count_at, f"forward bits cover {fwd.member.size} nodes, "
+                                            f"X^- has {n}")
     if flow == "":
         view_y = _held(held, "Y")
         if view_y is not None:
@@ -456,11 +504,13 @@ def nonprivate_ebc_protocol(pg: PartitionedGraph, a: object) -> float:
 # Longest wait, in seconds, for a connection or for the peer's next bytes.
 IO_TIMEOUT_S = 10.0
 
-# hello v4 = magic | u8 version | u32 ego's dense index | f8 epsilon |
+# hello v5 = magic | u8 version | u32 ego's dense index | f8 epsilon |
 #            u8 mechanism mask | 32-byte SHA-256 of the node roster
 # (big-endian, 50 bytes). Each side sends its own and refuses a peer's
 # that differs in any field: the two halves then run the same session
-# on the same roster, or none.
+# on the same roster, or none. The hello's version names the frames'
+# too: v5 is the hello of wire v4, so a peer with v3 frames (hello v4)
+# is refused here, before it can send a u32 length.
 _HELLO = struct.Struct(">4sBIdB32s")
 _HELLO_FIELDS = ("magic", "version", "ego", "epsilon", "mechanisms", "roster")
 _MECH_BITS = {"mech1": 1, "mech2": 2, "mech3": 4}
@@ -478,11 +528,14 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
 
 def _recv_frame(sock: socket.socket, max_size: int) -> bytes:
     """One frame of at most max_size bytes; a longer one is refused
-    before any of its body is read."""
-    head = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", head)
-    if 4 + length > max_size:
-        raise ProtocolError(f"peer announced a {4 + length}-byte frame, at most {max_size} allowed")
+    before any of its body is read. The length varint is read a byte at
+    a time, and refused once it runs past _VARINT_MAX bytes."""
+    head = _recv_exact(sock, 1)
+    while head[-1] & 0x80 and len(head) < _VARINT_MAX:
+        head += _recv_exact(sock, 1)
+    length, at = _read_varint(head, 0)
+    if at + length > max_size:
+        raise ProtocolError(f"peer announced a {at + length}-byte frame, at most {max_size} allowed")
     return head + _recv_exact(sock, length)
 
 

@@ -17,9 +17,10 @@ def make_pg(edges, x_labels, isolated=()):
 
 def noiseless_cores(pg, r_sorted, y_ego):
     """Y's noiseless reply to R: the |R| x d_Y 2-path counts, as floats,
-    and the partial sum, from the two blocks the session's reply uses."""
-    b, m1 = _core_blocks(pg, r_sorted, y_ego)
-    return b @ m1, _partial_sum_from_blocks(b, m1)
+    and the partial sum, from the block the session's reply uses."""
+    block = _core_blocks(pg, r_sorted, y_ego)
+    return (block[:r_sorted.size] @ block[r_sorted.size:],
+            _partial_sum_from_blocks(block, r_sorted.size))
 
 
 def p_scaled_floor(t: float, bits: int) -> int:

@@ -119,7 +119,8 @@ def test_core_blocks_match_the_dense_kernels():
             ectx = _ego_context_idx(view_y, int(a))
             x_minus, y_ego = ectx.x_minus_sorted, ectx.y_ego_sorted
             for r in (x_minus[rng.random(x_minus.size) < 0.5], x_minus[:0]):
-                b, m1 = _core_blocks(view_y, r, y_ego)
+                block = _core_blocks(view_y, r, y_ego)
+                b, m1 = block[:r.size], block[r.size:]
                 assert b.dtype == m1.dtype == np.float64
                 assert b.shape == (r.size, y_ego.size) and m1.shape == (y_ego.size,) * 2
                 assert np.array_equal(b, _kernels.bipartite_dense(indptr, indices, r, y_ego))

@@ -382,25 +382,50 @@ def _bits(*flags) -> np.ndarray:
     return np.array(flags, dtype=bool)
 
 
+def _leb128(value: int) -> bytes:
+    """Unsigned LEB128, written apart from the codec's own encoder."""
+    groups = [value >> shift & 0x7F for shift in range(0, max(value.bit_length(), 1), 7)]
+    return bytes(g | 0x80 for g in groups[:-1]) + bytes(groups[-1:])
+
+
 def test_forward_frame_bytes_empty():
+    # length 3 | version 4 | type 1 | n = 0, and no bitmap
     frame = encode_msg(ForwardMsg(member=_bits()))
-    assert frame == struct.pack(">IBBI", 6, 3, 1, 0)
-    assert len(frame) == 10
+    assert frame == bytes.fromhex("03" "04" "01" "00")
+    assert len(frame) == 4
     assert decode_msg(frame).member.size == 0
 
 
 def test_forward_frame_bytes_single_node():
     # X^- of nine nodes, R its first and its last: bits 1000 0000 1(000 0000)
     frame = encode_msg(ForwardMsg(member=_bits(1, 0, 0, 0, 0, 0, 0, 0, 1)))
-    assert frame == struct.pack(">IBBIBB", 8, 3, 1, 9, 0x80, 0x80)
-    assert len(frame) == 12
+    assert frame == bytes.fromhex("05" "04" "01" "09" "80" "80")
+    assert len(frame) == 6
     assert decode_msg(frame).member.tolist() == [True] + [False] * 7 + [True]
     with pytest.raises(ValueError):  # only the sender knows which ids the bits name
         decode_msg(frame).R
-    # the sender's message resolves its bits against its own X^-
+    # the sender's message resolves its bits against its own X^-; the
+    # README's example: three nodes, bits 101, five bytes (v3 took 11)
     msg = ForwardMsg(member=_bits(0, 1, 0), x_minus=np.array([2, 5, 7]))
     assert msg.R == frozenset({5})
-    assert encode_msg(msg) == struct.pack(">IBBIB", 7, 3, 1, 3, 0x40)
+    assert encode_msg(msg) == bytes.fromhex("04" "04" "01" "03" "40")
+    assert encode_msg(ForwardMsg(member=_bits(1, 0, 1))) == bytes.fromhex("04 04 01 03 a0")
+
+
+def test_frame_headers_are_four_and_six_bytes_below_128():
+    # a forward frame over |X^-| < 128 spends 4 bytes on its header
+    for n in (0, 1, 8, 100, 127):
+        frame = encode_msg(ForwardMsg(member=np.ones(n, dtype=bool)))
+        assert len(frame) - (n + 7) // 8 == 4
+        assert frame[:4] == bytes((2 + 1 + (n + 7) // 8, 4, 1, n))
+    # at 128 the count takes two bytes
+    assert len(encode_msg(ForwardMsg(member=np.ones(128, dtype=bool)))) - 16 == 5
+    # a backward frame whose rows, cols and length are below 128 spends
+    # 6 bytes before its counts, and 8 after them on S_Y
+    for rows, cols in ((0, 0), (1, 3), (3, 1), (0, 127), (127, 0), (10, 11)):
+        frame = encode_msg(BackwardMsg(T=np.zeros((rows, cols), dtype=np.int64), S_Y=0.0))
+        assert len(frame) - rows * cols - 8 == 6
+        assert frame[:6] == bytes((len(frame) - 1, 4, 2, rows, cols, 1))
 
 
 def _same_msg(a: BackwardMsg, b: BackwardMsg) -> bool:
@@ -413,11 +438,11 @@ def test_backward_frame_bytes_three_entries():
     # every count fits one byte; S_Y follows as an f8
     msg = BackwardMsg(T=np.array([[5, -2, 127]]), S_Y=1.25)
     frame = encode_msg(msg)
-    want = struct.pack(">IBBIIB", 22, 3, 2, 1, 3, 1)
+    want = bytes((16, 4, 2, 1, 3, 1))
     want += struct.pack(">bbb", 5, -2, 127)
     want += struct.pack(">d", 1.25)
     assert frame == want
-    assert len(frame) == 26
+    assert len(frame) == 17
     assert _same_msg(decode_msg(frame), msg)
 
 
@@ -426,11 +451,11 @@ def test_backward_frame_bytes_two_by_two():
     msg = BackwardMsg(T=np.array([[5, -129], [4, 0]]), S_Y=-0.75)
     frame = encode_msg(msg)
     want = bytes.fromhex(
-        "0000001b" "03" "02" "00000002" "00000002" "02"
+        "15" "04" "02" "02" "02" "02"
         "0005" "ff7f" "0004" "0000"
         "bfe8000000000000")
     assert frame == want
-    assert len(frame) == 31
+    assert len(frame) == 22
     got = decode_msg(frame)
     assert _same_msg(got, msg)
     assert got.T.dtype == np.int64 and got.T.flags.c_contiguous
@@ -440,8 +465,8 @@ def test_backward_frame_bytes_empty_r():
     # R empty: a 0 x d_Y matrix, so only the shape and S_Y travel
     msg = BackwardMsg(T=np.zeros((0, 3), dtype=np.int64), S_Y=2.0)
     frame = encode_msg(msg)
-    assert frame == struct.pack(">IBBIIBd", 19, 3, 2, 0, 3, 1, 2.0)
-    assert len(frame) == 23
+    assert frame == bytes((13, 4, 2, 0, 3, 1)) + struct.pack(">d", 2.0)
+    assert len(frame) == 14
     got = decode_msg(frame)
     assert got.T.shape == (0, 3) and got.S_Y == 2.0
 
@@ -451,8 +476,8 @@ def test_backward_frame_widths_follow_the_largest_magnitude():
                        (-(2**31), 4), (2**31, 8), (-(2**63), 8), (2**63 - 1, 8)):
         msg = BackwardMsg(T=np.array([[0, big]], dtype=np.int64), S_Y=0.0)
         frame = encode_msg(msg)
-        assert frame[14] == width
-        assert len(frame) == 23 + 2 * width
+        assert frame[5] == width
+        assert len(frame) == 14 + 2 * width
         assert _same_msg(decode_msg(frame), msg)
 
 
@@ -479,7 +504,7 @@ def test_seeded_frames_and_values_are_pinned():
                 for f in res.frames:
                     h.update(f)
                 h.update(repr(res.value).encode())
-    assert h.hexdigest() == "df7bb0d63a631228d7c95890d1f770349ea41a4156f07ae53cc9b743cfe484c7"
+    assert h.hexdigest() == "0843057ed0a06c8b55d24ed1b85a25d7c071f7c8c1f5a2b9f26a1edf23b789df"
 
 
 def test_seeded_r_sets_and_noiseless_values_are_pinned():
@@ -521,11 +546,16 @@ def test_encode_rejects_unknown_type():
         encode_msg("hello")
 
 
-@given(st.lists(st.booleans(), max_size=70))
+@given(st.lists(st.booleans(), max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_forward_roundtrip(flags):
+    # past 127 nodes the count takes two bytes, and past 125 bytes of
+    # frame the length does too
+    n = len(flags)
     frame = encode_msg(ForwardMsg(member=np.array(flags, dtype=bool)))
-    assert len(frame) == 10 + (len(flags) + 7) // 8
+    payload = _leb128(n) + np.packbits(np.array(flags, dtype=bool)).tobytes()
+    assert frame == _leb128(2 + len(payload)) + bytes((4, 1)) + payload
+    assert len(frame) == protocol._forward_frame_size(n)
     assert decode_msg(frame).member.tolist() == flags
 
 
@@ -541,7 +571,32 @@ def test_backward_roundtrip(rows, cols, data, s_y):
                                 min_size=rows * cols, max_size=rows * cols))
     msg = BackwardMsg(T=np.array(values, dtype=np.int64).reshape(rows, cols), S_Y=s_y)
     frame = encode_msg(msg)
-    assert len(frame) == 23 + frame[14] * rows * cols
+    # the narrowest width that holds every value
+    code = next(w for w in (1, 2, 4, 8) if all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1
+                                               for v in values))
+    assert frame == _backward_frame(rows, cols, values, s_y, code)
+    assert len(frame) <= protocol._backward_frame_size(rows, cols)
+    assert _same_msg(decode_msg(frame), msg)
+    assert encode_msg(decode_msg(frame)) == frame
+
+
+@given(st.sampled_from((1, 2, 4, 8)), st.integers(0, 140), st.integers(0, 140),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_backward_roundtrip_at_each_width(width, rows, cols, seed, low):
+    # random counts of width `width`, one of them at its extreme, low
+    # (-2^(8w-1)) or high (2^(8w-1) - 1), so the frame takes that width
+    lo, hi = -(1 << 8 * width - 1), (1 << 8 * width - 1) - 1
+    rng = np.random.default_rng(seed)
+    t = rng.integers(lo, hi, size=(rows, cols), dtype=np.int64, endpoint=True)
+    if t.size:
+        t.flat[rng.integers(t.size)] = lo if low else hi
+    msg = BackwardMsg(T=t, S_Y=float(rng.normal()))
+    frame = encode_msg(msg)
+    # an empty matrix goes at width 1
+    assert frame == _backward_frame(rows, cols, t.ravel().tolist(), msg.S_Y,
+                                    width if t.size else 1)
+    assert len(frame) <= protocol._backward_frame_size(rows, cols)
     assert _same_msg(decode_msg(frame), msg)
     assert encode_msg(decode_msg(frame)) == frame
 
@@ -551,9 +606,47 @@ def _offset_of(exc_info) -> int:
 
 
 def test_decode_error_truncated_header():
-    with pytest.raises(DecodeError) as e:
-        decode_msg(b"\x00\x00")
-    assert _offset_of(e) == 0
+    # a length below the version and type bytes, then a length varint
+    # cut short: at its first byte, or after a byte that says more follow
+    for frame, offset in ((b"\x00\x00", 0), (b"\x01\x04", 0), (b"", 0), (b"\x80", 1)):
+        with pytest.raises(DecodeError) as e:
+            decode_msg(frame)
+        assert _offset_of(e) == offset
+
+
+def test_varints_at_group_boundaries():
+    for value, want in ((0, "00"), (127, "7f"), (128, "8001"), (16383, "ff7f"),
+                        (16384, "808001"), (2**32 - 1, "ffffffff0f")):
+        assert protocol._varint(value) == bytes.fromhex(want) == _leb128(value)
+        # read from inside a buffer, with a byte after it
+        assert protocol._read_varint(b"\xee" + bytes.fromhex(want) + b"\xee", 1) == (
+            value, 1 + len(want) // 2)
+    with pytest.raises(ValueError):
+        protocol._varint(2**32)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_varint_roundtrip(value):
+    code = protocol._varint(value)
+    assert code == _leb128(value)
+    assert protocol._varint_size(value) == len(code) <= protocol._VARINT_MAX
+    assert protocol._read_varint(code, 0) == (value, len(code))
+
+
+def test_varint_refuses_overlong_unterminated_and_oversized():
+    # a zero final byte (0 as two bytes, 127 as three), five bytes that
+    # all say more follow, and a five-byte value of 2^32 or more
+    for code, offset in (("8000", 1), ("ff8000", 2), ("8080808080", 4),
+                         ("ffffffffff01", 4), ("8080808010", 0), ("ffffffff1f", 0)):
+        with pytest.raises(DecodeError) as e:
+            protocol._read_varint(bytes.fromhex(code), 0)
+        assert _offset_of(e) == offset
+    # the frame's length field is read the same way
+    for frame, offset in ((bytes.fromhex("830004010300"), 1), (b"\x80" * 6, 4)):
+        with pytest.raises(DecodeError) as e:
+            decode_msg(frame)
+        assert _offset_of(e) == offset
 
 
 def test_decode_error_trailing_garbage():
@@ -572,46 +665,51 @@ def test_decode_error_truncated_body():
 
 def test_decode_error_bad_version():
     frame = bytearray(encode_msg(ForwardMsg(member=_bits())))
-    frame[4] = 9
-    with pytest.raises(DecodeError) as e:
-        decode_msg(bytes(frame))
-    assert _offset_of(e) == 4
+    for version in (3, 9):  # a v3 frame's length would start 00 00
+        frame[1] = version
+        with pytest.raises(DecodeError) as e:
+            decode_msg(bytes(frame))
+        assert _offset_of(e) == 1
 
 
 def test_decode_error_bad_type():
     frame = bytearray(encode_msg(ForwardMsg(member=_bits())))
-    frame[5] = 7
+    frame[2] = 7
     with pytest.raises(DecodeError) as e:
         decode_msg(bytes(frame))
-    assert _offset_of(e) == 5
+    assert _offset_of(e) == 2
 
 
 def test_decode_error_forward_padding_bit_set():
-    # 11 bits in two bytes: the last five bits of byte 11 are padding
+    # 11 bits in two bytes: the last five bits of byte 5 are padding
     for pad in (0x01, 0x10):
-        frame = struct.pack(">IBBIBB", 8, 3, 1, 11, 0xFF, 0xE0 | pad)
+        frame = bytes((5, 4, 1, 11, 0xFF, 0xE0 | pad))
         with pytest.raises(DecodeError) as e:
             decode_msg(frame)
-        assert _offset_of(e) == 11
-    assert decode_msg(struct.pack(">IBBIBB", 8, 3, 1, 11, 0xFF, 0xE0)).member.all()
+        assert _offset_of(e) == 5
+    assert decode_msg(bytes((5, 4, 1, 11, 0xFF, 0xE0))).member.all()
 
 
 def test_decode_error_forward_bitmap_length():
     # the bitmap must be exactly ceil(n / 8) bytes
     for n, nbytes in ((9, 1), (8, 2), (0, 1)):
-        frame = struct.pack(">IBBI", 6 + nbytes, 3, 1, n) + b"\x00" * nbytes
+        frame = bytes((3 + nbytes, 4, 1, n)) + b"\x00" * nbytes
         with pytest.raises(DecodeError) as e:
             decode_msg(frame)
-        assert _offset_of(e) == 10
+        assert _offset_of(e) == 4
+    # no count at all
+    with pytest.raises(DecodeError) as e:
+        decode_msg(bytes((2, 4, 1)))
+    assert _offset_of(e) == 3
 
 
 def _backward_frame(rows: int, cols: int, values: list[int], s_y: float = 0.0,
                     code: int = 8) -> bytes:
-    """A hand-built v3 backward frame: `values` as width-`code` integers,
+    """A hand-built v4 backward frame: `values` as width-`code` integers,
     then S_Y as an f8."""
     body = b"".join(v.to_bytes(code, "big", signed=True) for v in values)
-    payload = struct.pack(">IIB", rows, cols, code) + body + struct.pack(">d", s_y)
-    return struct.pack(">IBB", 2 + len(payload), 3, 2) + payload
+    payload = _leb128(rows) + _leb128(cols) + bytes((code,)) + body + struct.pack(">d", s_y)
+    return _leb128(2 + len(payload)) + bytes((4, 2)) + payload
 
 
 def test_decode_error_backward_shape_count_mismatch():
@@ -621,39 +719,41 @@ def test_decode_error_backward_shape_count_mismatch():
                                      (2, 2, [1, 2, 3, 4], 4), (1, 3, [1, 2, 3, 4], 1)):
         frame = _backward_frame(rows, cols, values, code=code)
         if code != 8:  # announce a wider code than the values were packed at
-            frame = frame[:14] + bytes([code * 2]) + frame[15:]
+            frame = frame[:5] + bytes([code * 2]) + frame[6:]
         with pytest.raises(DecodeError) as e:
             decode_msg(frame)
-        assert _offset_of(e) == 15
+        assert _offset_of(e) == 6
 
 
 def test_decode_error_backward_unknown_width_code():
     frame = bytearray(_backward_frame(1, 2, [1, 2], code=2))
     for code in (0, 3, 5, 16, 0x81, 0x88, 0xFF):
-        frame[14] = code
+        frame[5] = code
         with pytest.raises(DecodeError) as e:
             decode_msg(bytes(frame))
-        assert _offset_of(e) == 14
+        assert _offset_of(e) == 5
 
 
 def test_decode_error_backward_truncated_and_oversized():
     frame = encode_msg(BackwardMsg(T=np.full((2, 3), 1000), S_Y=0.5))
     with pytest.raises(DecodeError) as e:  # cut inside the matrix
-        decode_msg(frame[:20])
-    assert _offset_of(e) == 20
+        decode_msg(frame[:12])
+    assert _offset_of(e) == 12
     with pytest.raises(DecodeError) as e:  # trailing bytes after the frame
         decode_msg(frame + b"\x00" * 8)
     assert _offset_of(e) == len(frame)
     with pytest.raises(DecodeError) as e:  # a frame with a value too many
         decode_msg(_backward_frame(2, 3, [1] * 7))
-    assert _offset_of(e) == 15
-    with pytest.raises(DecodeError) as e:  # no room for the shape field
-        decode_msg(struct.pack(">IBBIB", 7, 3, 2, 1, 0))
     assert _offset_of(e) == 6
+    # no room for the shape field: no rows, no cols, no width code
+    for short, offset in (((2, 4, 2), 3), ((3, 4, 2, 1), 4), ((4, 4, 2, 1, 3), 5)):
+        with pytest.raises(DecodeError) as e:
+            decode_msg(bytes(short))
+        assert _offset_of(e) == offset
     # rows * cols beyond any frame is only a mismatch, never an allocation
     with pytest.raises(DecodeError) as e:
         decode_msg(_backward_frame(2**32 - 1, 2**32 - 1, [0]))
-    assert _offset_of(e) == 15
+    assert _offset_of(e) == 14
 
 
 def test_decode_error_backward_non_finite():
@@ -903,15 +1003,21 @@ def test_two_process_handshake_rejects_v1_peer(mixed_pg):
 
 
 def test_two_process_handshake_rejects_v2_peer(mixed_pg):
-    # v2 sent R as ids and Y's reply as floats; a v3 party speaks neither
-    assert WIRE_VERSION == 3
+    # v2 sent R as ids and Y's reply as floats; a v4 party speaks neither
+    assert WIRE_VERSION == 4
     _handshake_refuses(mixed_pg, 2)
 
 
 def test_two_process_handshake_rejects_v3_peer(mixed_pg):
-    # a v3 hello binds nothing of the session; the frames keep version 3
-    assert HANDSHAKE_VERSION == 4
+    # a v3 hello binds nothing of the session
+    assert HANDSHAKE_VERSION == 5
     _handshake_refuses(mixed_pg, 3)
+
+
+def test_two_process_handshake_rejects_v4_peer(mixed_pg):
+    # a hello-v4 peer sends wire-v3 frames, whose u32 length a v4 party
+    # would misread as a varint: it is refused at the hello instead
+    _handshake_refuses(mixed_pg, 4)
 
 
 def test_hello_binds_the_session(mixed_pg):
@@ -920,7 +1026,7 @@ def test_hello_binds_the_session(mixed_pg):
     hello = protocol._hello(mixed_pg.view_x(), a_idx, cfg)
     assert len(hello) == 50
     assert hello == protocol._hello(mixed_pg.view_y(), a_idx, cfg)
-    assert hello[:9] == HANDSHAKE_MAGIC + struct.pack(">BI", 4, a_idx)
+    assert hello[:9] == HANDSHAKE_MAGIC + struct.pack(">BI", 5, a_idx)
     assert struct.unpack(">dB", hello[9:18]) == (0.9, 7)
     assert protocol._hello(mixed_pg.view_x(), a_idx, ProtocolConfig(
         epsilon=0.9, mech_mask=frozenset({"mech1", "mech3"})))[17] == 5
@@ -1092,47 +1198,63 @@ def test_y_refuses_forward_set_outside_x_minus(mixed_pg):
 
 
 def test_y_refuses_forward_set_outside_x_minus_over_tcp(mixed_pg):
-    # n != |V_X| - 1 on Y's side, and a bitmap with a padding bit set
-    cfg = ProtocolConfig(epsilon=1.0)
-    frames = [(encode_msg(ForwardMsg(member=bits)), 6) for bits in _bad_forward_bits(mixed_pg)[:3]]
-    frames.append((struct.pack(">IBBIB", 7, 3, 1, 3, 0b10110000), 10))
-    hello = protocol._hello(mixed_pg.view_x(), mixed_pg.graph.index_of("a"), cfg)
+    # n != |V_X| - 1 on Y's side, refused at the count field (byte 3),
+    # and a bitmap with a padding bit set (byte 4)
+    frames = [(encode_msg(ForwardMsg(member=bits)), 3) for bits in _bad_forward_bits(mixed_pg)[:3]]
+    frames.append((bytes((4, 4, 1, 3, 0b10110000)), 4))
     for frame, offset in frames:
-        address = ("127.0.0.1", _free_port())
-        box: list = []
-        yt = threading.Thread(target=_run_y,
-                              args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
-        yt.start()
-        assert _fake_x(address, hello, frame) == b""  # no backward frame
-        yt.join(timeout=30)
-        assert len(box) == 1 and isinstance(box[0], DecodeError)
-        assert box[0].offset == offset
+        exc = _y_refusal(mixed_pg, frame)  # no backward frame
+        assert isinstance(exc, DecodeError) and exc.offset == offset
+
+
+def _y_refusal(pg, payload: bytes) -> Exception:
+    """What Y raises against a stand-in X that sends `payload` after
+    its hello; Y must send no frame back."""
+    cfg = ProtocolConfig(epsilon=1.0)
+    hello = protocol._hello(pg.view_x(), pg.graph.index_of("a"), cfg)
+    address = ("127.0.0.1", _free_port())
+    box: list = []
+    yt = threading.Thread(target=_run_y, args=(pg.view_y(), "a", cfg, 1, address, None, box))
+    yt.start()
+    assert _fake_x(address, hello, payload) == b""
+    yt.join(timeout=30)
+    assert not yt.is_alive()
+    assert len(box) == 1
+    return box[0]
 
 
 def test_y_refuses_oversized_frame_before_reading_it(mixed_pg):
-    # Y's bound is the forward frame over |X^-| = 3 nodes, 10 + 1 = 11
-    # bytes here: a length field of 8 is one byte over
-    cfg = ProtocolConfig(epsilon=1.0)
-    hello = protocol._hello(mixed_pg.view_x(), mixed_pg.graph.index_of("a"), cfg)
-    for length in (0xFFFFFFFF, 8):
-        address = ("127.0.0.1", _free_port())
-        box: list = []
-        yt = threading.Thread(target=_run_y,
-                              args=(mixed_pg.view_y(), "a", cfg, 1, address, None, box))
-        yt.start()
-        assert _fake_x(address, hello, struct.pack(">I", length)) == b""
-        yt.join(timeout=30)
-        assert not yt.is_alive()
-        assert len(box) == 1 and isinstance(box[0], ProtocolError)
+    # Y's bound is the forward frame over |X^-| = 3 nodes, 1 + 4 = 5
+    # bytes here: a length field of 5 is one byte over. Only the length
+    # is sent, so a refusal that named anything but the length would
+    # have waited for a body that never comes
+    assert protocol._forward_frame_size(3) == 5
+    for length in (0xFFFFFFFF, 5):
+        exc = _y_refusal(mixed_pg, _leb128(length))
+        assert isinstance(exc, ProtocolError) and "announced" in str(exc)
+
+
+def test_y_refuses_unterminated_length_varint(mixed_pg):
+    # six bytes that each say another follows: Y reads five and refuses
+    exc = _y_refusal(mixed_pg, b"\x80" * 6)
+    assert isinstance(exc, DecodeError) and exc.offset == 4
+
+
+def test_x_accepts_a_frame_of_exactly_its_bound(mixed_pg):
+    # R = R* = {e} without mech1: X's bound is the 1 x 3 frame at width 8,
+    # 1 + 2 + 3 + 24 + 8 = 38 bytes, which a width-8 reply fills exactly
+    cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
+    frame = _backward_frame(1, 3, [0, 0, 0], 0.5, code=8)
+    assert len(frame) == protocol._backward_frame_size(1, 3) == 38
+    _fake_y_session(mixed_pg, cfg, lambda fwd: frame)
 
 
 def test_x_refuses_oversized_frame_before_reading_it(mixed_pg):
-    # R = R* = {e} without mech1: X's bound is the 1 x 3 frame at width 8,
-    # 23 + 24 = 47 bytes, so a length field of 44 is one byte over
+    # the bound above is 38 bytes, so a length field of 38 is one byte over
     cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
-    for length in (0xFFFFFFFF, 44):
-        with pytest.raises(ProtocolError):
-            _fake_y_session(mixed_pg, cfg, lambda fwd, length=length: struct.pack(">I", length))
+    for length in (0xFFFFFFFF, 38):
+        with pytest.raises(ProtocolError, match="announced"):
+            _fake_y_session(mixed_pg, cfg, lambda fwd, length=length: _leb128(length))
 
 
 def test_x_refuses_backward_matrix_of_wrong_shape(mixed_pg):
