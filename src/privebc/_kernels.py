@@ -18,10 +18,11 @@ def _gather(indptr: np.ndarray, indices: np.ndarray,
     """Concatenated neighbour lists of `nodes`, with each entry's
     position in `nodes`: (owner positions, neighbour ids)."""
     starts = indptr[nodes]
-    counts = indptr[1:][nodes] - starts
+    ends = indptr[1:][nodes]
+    counts = ends - starts
     owner = np.arange(nodes.size).repeat(counts)
     # entry e of owner o sits at starts[o] + (e - first entry of o)
-    flat = np.arange(owner.size) + (starts + counts - counts.cumsum()).repeat(counts)
+    flat = np.arange(owner.size) + (ends - counts.cumsum()).repeat(counts)
     return owner, indices[flat]
 
 
@@ -35,15 +36,23 @@ def _locate(sorted_nodes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
     return hit, pos[hit]
 
 
-def bipartite_dense(indptr: np.ndarray, indices: np.ndarray,
-                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Edge-membership matrix between sorted `rows` and node list `cols`."""
-    out = np.zeros((rows.size, cols.size), dtype=np.uint8)
+def _block(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+           cols: np.ndarray, dtype: type) -> np.ndarray:
+    """The 0/1 edge-membership matrix between sorted `rows` and node
+    list `cols`, of the given dtype: one pass over cols' neighbour lists
+    and one lookup in rows."""
+    out = np.zeros((rows.size, cols.size), dtype=dtype)
     if rows.size and cols.size:
         owner, neigh = _gather(indptr, indices, cols)
         hit, pos = _locate(rows, neigh)
         out[pos, owner[hit]] = 1
     return out
+
+
+def bipartite_dense(indptr: np.ndarray, indices: np.ndarray,
+                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Edge-membership matrix (uint8) between sorted `rows` and node list `cols`."""
+    return _block(indptr, indices, rows, cols, np.uint8)
 
 
 def induced_dense(indptr: np.ndarray, indices: np.ndarray,

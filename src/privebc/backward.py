@@ -25,17 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dpnum import PrivacyParams, geometric_scale, two_sided_geometric
+from .dpnum import PrivacyParams, geometric_runs, geometric_scale
 from .graphs import PartitionedGraph, PartyView, _pair_sum, ego_context
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class BackwardMsg:
     """Y's reply. T is the |R| x d_Y integer matrix of noisy counts: row
     r holds the r-th node of R and column c the c-th node of N_a n V_Y,
     both in ascending index order, so the ids themselves are never sent.
     S_Y is the noisy partial sum, a multiple of 2^-SUM_GRID_BITS (a
-    noiseless one is exact)."""
+    noiseless one is exact). Nothing writes to a message once it is
+    built; like graphs.EgoContext, it is not frozen for speed."""
 
     T: np.ndarray
     S_Y: float
@@ -53,13 +54,15 @@ def _core_blocks(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
     """The float 0/1 (|R| + d_Y) x d_Y block over y_ego's columns: its
     first |R| rows are b, b[r, k] = r~k, and its last d_Y rows are m1,
     the adjacency inside y_ego. Both noiseless releases are products of
-    it. One pass over y_ego's neighbour lists fills it."""
+    it. One pass over y_ego's neighbour lists and one id lookup, over
+    R and y_ego together, fill it."""
     indptr, indices = pg.graph.csr()
     out = np.zeros((r_sorted.size + y_ego.size, y_ego.size))
     owner, neigh = _kernels._gather(indptr, indices, y_ego)
-    for first, rows in ((0, r_sorted), (r_sorted.size, y_ego)):
-        hit, pos = _kernels._locate(rows, neigh)
-        out[first + pos, owner[hit]] = 1.0
+    rows = np.concatenate((r_sorted, y_ego))
+    order = rows.argsort()
+    hit, pos = _kernels._locate(rows[order], neigh)
+    out[order[pos], owner[hit]] = 1.0
     return out
 
 
@@ -75,24 +78,24 @@ def _partial_sum_from_blocks(block: np.ndarray, r_size: int) -> float:
     return _pair_sum(block[r_size:], 1.0 + block.T @ block)
 
 
-def _release(core: np.ndarray, s_y: float, params: PrivacyParams,
+def _release(core: np.ndarray, s_y: float, epsilon: float,
              rng: np.random.Generator | None, noisy_t: bool, noisy_s: bool) -> BackwardMsg:
     """Y's reply from its noiseless counts `core` (|R| x d_Y) and partial
-    sum `s_y`. One draw noises every value flagged noisy: the counts in
-    row-major order, then S_Y's grid count. A value left noiseless is
-    exact: the counts as integers, S_Y as the float it is."""
+    sum `s_y`, at budget epsilon. One draw noises every value flagged
+    noisy: the counts in row-major order, one run at their scale, then
+    S_Y's grid count at its own. A value left noiseless is exact: the
+    counts as integers, S_Y as the float it is."""
     t = core.astype(np.int64)
     rows, d_y = t.shape
-    n_t = t.size if noisy_t else 0
-    scale = np.empty(n_t + noisy_s)
-    if n_t:
-        scale[:n_t] = geometric_scale(4 * rows, params.epsilon)
+    runs = []
+    if noisy_t and t.size:
+        runs.append((t.size, geometric_scale(4 * rows, epsilon)))
     if noisy_s:
-        scale[-1] = geometric_scale(2 * (((d_y - 1) << SUM_GRID_BITS) + 1), params.epsilon)
-    if scale.size:
-        z = two_sided_geometric(scale, rng)
-        if n_t:
-            t += z[:n_t].reshape(t.shape)
+        runs.append((1, geometric_scale(2 * (((d_y - 1) << SUM_GRID_BITS) + 1), epsilon)))
+    if runs:
+        z = geometric_runs(runs, rng)
+        if noisy_t:
+            t += z[:t.size].reshape(t.shape)
         if noisy_s:
             grid = round(s_y * 2.0**SUM_GRID_BITS) + int(z[-1])
             s_y = grid * 2.0**-SUM_GRID_BITS
@@ -100,14 +103,14 @@ def _release(core: np.ndarray, s_y: float, params: PrivacyParams,
 
 
 def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, r_sorted: np.ndarray,
-           params: PrivacyParams, rng: np.random.Generator | None,
+           epsilon: float, rng: np.random.Generator | None,
            noisy_t: bool, noisy_s: bool) -> BackwardMsg:
     """Y's reply from one block, in two dense products, noised from rng
     as flagged."""
     block = _core_blocks(pg, r_sorted, y_ego)
     b, m1 = block[:r_sorted.size], block[r_sorted.size:]
     return _release(b @ m1, _partial_sum_from_blocks(block, r_sorted.size),
-                    params, rng, noisy_t, noisy_s)
+                    epsilon, rng, noisy_t, noisy_s)
 
 
 def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
@@ -119,7 +122,8 @@ def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[in
     perfbench's trace calls it by name (ROADMAP item 2).
     """
     y_ego = ego_context(pg, a).y_ego_sorted
-    return _reply(pg, y_ego, np.array(sorted(R), dtype=np.int64), params, rng, True, False).T
+    return _reply(pg, y_ego, np.array(sorted(R), dtype=np.int64), params.epsilon, rng,
+                  True, False).T
 
 
 def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],
@@ -134,4 +138,4 @@ def partial_ebc_y(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int]
     if ectx.flow:
         raise DegenerateEgoError("need at least two Y-side ego neighbours")
     r_sorted = np.array(sorted(R), dtype=np.int64)
-    return _reply(pg, ectx.y_ego_sorted, r_sorted, params, rng, False, True).S_Y
+    return _reply(pg, ectx.y_ego_sorted, r_sorted, params.epsilon, rng, False, True).S_Y

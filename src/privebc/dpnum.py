@@ -21,10 +21,11 @@ code of the package computes with it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import mpmath
 import numpy as np
@@ -85,8 +86,9 @@ def geometric_scale(numerator: int, epsilon: float) -> float:
     return scale
 
 
-def two_sided_geometric(scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One exact draw of G1 - G2 per entry of `scale`, as int64.
+def geometric_runs(runs: Sequence[tuple[int, float]], rng: np.random.Generator) -> np.ndarray:
+    """One exact draw of G1 - G2 per entry, as int64, for entries given
+    as runs of (count, scale): a run's entries share its scale.
 
     G1 and G2 are independent with P(G = g) = (1 - q) q^g, q =
     exp(-1/scale), so P(G1 - G2 = z) = (1 - q)/(1 + q) q^|z|. Each G is
@@ -100,40 +102,66 @@ def two_sided_geometric(scale: np.ndarray, rng: np.random.Generator) -> np.ndarr
     Drawing n entries and then m therefore equals drawing n + m at once
     only if none of the first n has an open cell: the words such a cell
     reads shift the second draw. The arithmetic runs in slices of
-    _SLICE uniforms, which stay in cache however long the reply.
+    _SLICE uniforms, which stay in cache however long the draw. A slice
+    inside one run takes its scale as a scalar, one that spans runs as
+    an array filled run by run; the float operations are the same.
     """
-    u = rng.random(2 * scale.size)  # G1, G2 of entry i read u[2i], u[2i + 1]
-    z = np.empty(scale.size, dtype=np.int64)
+    shrunks = [scale * -(1.0 - _WIDEN) for _, scale in runs]
+    ends = []  # each run's end: the uniform after its last
+    end = 0
+    for count, _ in runs:
+        end += 2 * count
+        ends.append(end)
+    u = rng.random(end)  # entry i reads u[2i] for G1 and u[2i + 1] for G2
+    z = np.empty(end // 2, dtype=np.int64)
     words = None
-    for start in range(0, u.size, _SLICE):
+    first = 0  # the run that reads the slice's first uniform
+    for start in range(0, end, _SLICE):
         cells = u[start:start + _SLICE]
-        first = start // 2
-        zs = z[first:first + cells.size // 2]
-        c = np.empty(cells.size)  # each entry's scale, once per uniform
-        np.multiply(scale[first:first + zs.size], -(1.0 - _WIDEN), out=c[0::2])
-        c[1::2] = c[0::2]
+        stop = start + cells.size
+        while ends[first] <= start:
+            first += 1
+        if ends[first] >= stop:
+            shrunk = shrunks[first]
+        else:
+            shrunk = np.empty(cells.size)
+            at, run = start, first
+            while at < stop:
+                shrunk[at - start:ends[run] - start] = shrunks[run]
+                at = ends[run]
+                run += 1
         lo = cells + _CELL
         np.log(lo, out=lo)  # ln of the cell's upper end
-        lo *= c  # the image's lower end, shrunk
+        lo *= shrunk  # the image's lower end, shrunk
         # cell k's image is at most scale / k wide; the zero cell's is unbounded
-        c *= _CELL
-        with np.errstate(divide="ignore"):
-            np.divide(c, cells, out=c)
-        hi = np.subtract(lo, c, out=c)
+        zero_cell = np.count_nonzero(cells) < cells.size
+        with np.errstate(divide="ignore") if zero_cell else contextlib.nullcontext():
+            hi = np.divide(shrunk * _CELL, cells)
+        np.subtract(lo, hi, out=hi)
         hi *= _GROW  # the image's upper end, grown
         np.floor(lo, out=lo)
         np.floor(hi, out=hi)
+        zs = z[start // 2:stop // 2]
         # a decided G is below 2^53, so the float difference is exact
-        np.subtract(lo[0::2], lo[1::2], out=zs, casting="unsafe")
+        zs[:] = lo[0::2] - lo[1::2]
         open_cells = lo != hi
-        if open_cells.any():
+        if np.count_nonzero(open_cells):  # cheaper than .any() on short arrays
             if words is None:
                 words = iter(rng.bit_generator.random_raw, None)
             for i in np.unique(np.flatnonzero(open_cells) // 2).tolist():
-                g1, g2 = (resolve_cell(float(scale[first + i]), int(cells[k] * 2.0**53), words)
-                          if open_cells[k] else int(lo[k]) for k in (2 * i, 2 * i + 1))
+                g1, g2 = (resolve_cell(_scale_at(runs, start + j), int(cells[j] * 2.0**53), words)
+                          if open_cells[j] else int(lo[j]) for j in (2 * i, 2 * i + 1))
                 zs[i] = g1 - g2
     return z
+
+
+def _scale_at(runs: Sequence[tuple[int, float]], uniform: int) -> float:
+    """The scale of the run that reads the given uniform."""
+    for count, scale in runs:
+        if uniform < 2 * count:
+            return scale
+        uniform -= 2 * count
+    raise IndexError("uniform beyond the runs")
 
 
 def resolve_cell(scale: float, cell: int, words: Iterator[int]) -> int:

@@ -39,13 +39,15 @@ class StratumDistribution:
     t: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ForwardMsg:
     """The set release: R as membership bits over X^- = V_X minus the
     ego, in ascending index order, which is all the wire carries.
 
     x_minus is X^- itself, which the sender's message holds; a decoded
     frame has none, and its receiver reads the bits against its own X^-.
+    Nothing writes to a message once it is built; like
+    graphs.EgoContext, it is not frozen for speed.
     """
 
     member: np.ndarray
@@ -149,6 +151,13 @@ def forward_message_from_context(ectx: EgoContext, params: PrivacyParams,
     """Release R* with each node's membership flipped by its own trial."""
     if params.delta0 != 1.0:
         raise ValueError("the set release runs with quality sensitivity 1")
-    member = _membership(ectx.x_minus_sorted, ectx.r_star_sorted)
-    member ^= _flip_mask(member.size, _exponent(params), rng)
+    return _release_set(ectx, _exponent(params), rng)
+
+
+def _release_set(ectx: EgoContext, t: float, rng: np.random.Generator) -> ForwardMsg:
+    """R*'s membership bits over X^-, each flipped by its own trial at
+    quality exponent t."""
+    member = _flip_mask(ectx.x_minus_sorted.size, t, rng)
+    at = ectx.r_star_at
+    member[at] = ~member[at]
     return ForwardMsg(member=member, x_minus=ectx.x_minus_sorted)

@@ -2,8 +2,8 @@
 
 Node labels are opaque strings internalized to dense integer indices in
 sorted-label order. Adjacency is kept once, as per-node sorted index
-arrays (CSR). All structures are immutable after construction and safe
-to share across concurrent readers.
+arrays (CSR). Graphs, partitions and party views are immutable after
+construction and safe to share across concurrent readers.
 """
 
 from __future__ import annotations
@@ -12,13 +12,32 @@ import hashlib
 import io
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from . import _kernels
+
+
+class _lazy:
+    """A computed attribute, kept in the instance's __dict__ on first
+    read: functools.cached_property without the per-property lock that
+    Python 3.11 takes on every first read. A party's session reads a
+    handful of these on fresh objects, where that lock costs more than
+    the values; two concurrent first reads may each compute one, and
+    both get the same value."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._fn(obj)
+        return value
 
 
 class GraphParseError(ValueError):
@@ -227,7 +246,7 @@ class _PartyInfoMixin:
     def is_x(self, idx: int) -> bool:
         return bool(self._is_x[idx])
 
-    @cached_property
+    @_lazy
     def roster_digest(self) -> bytes:
         """SHA-256 of the roster both parties hold: every label, length-
         prefixed in index order, then the party mask's bits."""
@@ -235,9 +254,9 @@ class _PartyInfoMixin:
         sha.update(np.packbits(self._is_x).tobytes())
         return sha.digest()
 
-    @cached_property
+    @_lazy
     def vx_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._is_x).astype(np.int64)
+        return self._is_x.nonzero()[0]
 
 
 class PartyView(_PartyInfoMixin):
@@ -280,7 +299,7 @@ class PartitionedGraph(_PartyInfoMixin):
         y, xy, x = np.bincount(ends, minlength=3).tolist()
         return {"X": x, "Y": y, "XY": xy}
 
-    @cached_property
+    @_lazy
     def _entry_parties(self) -> tuple[np.ndarray, np.ndarray]:
         """Each CSR entry's party bits (True for X): its owner's, and its
         neighbour's."""
@@ -293,15 +312,14 @@ class PartitionedGraph(_PartyInfoMixin):
         kept = x_own | x_nb if keep_party_x else ~(x_own & x_nb)
         indptr, indices = self.graph.csr()
         # rows keep their entries in order: a row now starts at the count kept before it
-        kept_before = np.zeros(indices.size + 1, dtype=np.int64)
-        kept.cumsum(out=kept_before[1:])
-        return Graph._from_csr(self.graph, kept_before[indptr], indices[kept])
+        kept_at = kept.nonzero()[0]
+        return Graph._from_csr(self.graph, kept_at.searchsorted(indptr), indices[kept_at])
 
-    @cached_property
+    @_lazy
     def _view_x(self) -> PartyView:
         return PartyView(PARTY_X, self._filtered_graph(True), self._is_x, self.vx_indices)
 
-    @cached_property
+    @_lazy
     def _view_y(self) -> PartyView:
         return PartyView(PARTY_Y, self._filtered_graph(False), self._is_x, self.vx_indices)
 
@@ -327,10 +345,12 @@ def partition_nodes(g: Graph, seed: int, x_fraction: float) -> PartitionedGraph:
     return PartitionedGraph(g, mask)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class EgoContext:
     """All one party derives about ego a from the view it holds, as
-    dense indices in sorted arrays.
+    dense indices in sorted arrays. Nothing writes to one once it is
+    built; it is not frozen only because a frozen dataclass sets each
+    field through object.__setattr__, a cost every session pays twice.
 
     x_minus_sorted is X^- = V_X minus {a} and y_ego_sorted is N_a n V_Y;
     both come from the node roster and a's cross edges, which either
@@ -348,9 +368,14 @@ class EgoContext:
     y_ego_sorted: np.ndarray
     flow: str
 
-    @cached_property
+    @_lazy
     def R_star(self) -> frozenset[int]:
         return frozenset(self.r_star_sorted.tolist())
+
+    @_lazy
+    def r_star_at(self) -> np.ndarray:
+        """R*'s positions in X^-: R* lies inside X^-, both sorted."""
+        return self.x_minus_sorted.searchsorted(self.r_star_sorted)
 
 
 def ego_context(pg: PartitionedGraph | PartyView, a: object) -> EgoContext:
@@ -371,7 +396,6 @@ def _ego_context_idx(pg: PartitionedGraph | PartyView, a_idx: int) -> EgoContext
     in_x = pg._is_x[nbrs]
     y_ego = nbrs[~in_x]
     vx = pg.vx_indices
-    pos = int(vx.searchsorted(a_idx))
     if vx.size == pg.graph.n:
         flow = "no-y-nodes"  # X holds every edge
     elif y_ego.size < 2:
@@ -379,7 +403,7 @@ def _ego_context_idx(pg: PartitionedGraph | PartyView, a_idx: int) -> EgoContext
     else:
         flow = ""
     return EgoContext(a=a_idx, r_star_sorted=nbrs[in_x],
-                      x_minus_sorted=np.concatenate((vx[:pos], vx[pos + 1:])),
+                      x_minus_sorted=vx[vx != a_idx],
                       y_ego_sorted=y_ego, flow=flow)
 
 
@@ -396,15 +420,14 @@ def _ego_local(g: Graph, a_idx: int) -> tuple[np.ndarray, np.ndarray]:
     pos = int(nbrs.searchsorted(a_idx))
     local = np.concatenate((nbrs[:pos], [a_idx], nbrs[pos:]))
     indptr, indices = g.csr()
-    return local, _kernels.induced_dense(indptr, indices, local).astype(np.float64)
+    return local, _kernels._block(indptr, indices, local, local, np.float64)
 
 
 def _pair_sum(adj: np.ndarray, paths: np.ndarray) -> float:
     """Sum of 1 / paths[i, j] over the pairs i < j with adj[i, j] == 0,
     taken in row-major pair order."""
-    rows, cols = np.nonzero(adj == 0)
-    upper = rows < cols
-    return float((1.0 / paths[rows[upper], cols[upper]]).sum())
+    rows, cols = (adj == 0).nonzero()
+    return float(np.add.reduce(1.0 / paths[rows, cols][rows < cols]))
 
 
 def exact_ebc(g: Graph, a: object) -> float:

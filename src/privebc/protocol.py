@@ -21,13 +21,13 @@ import socket
 import struct
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import _kernels
 from .backward import BackwardMsg, DegenerateEgoError, _reply
-from .dpnum import PrivacyParams
-from .forward import ForwardMsg, _membership, forward_message_from_context
+from .forward import ForwardMsg, _release_set
 from .graphs import (
     EgoContext,
     PartitionedGraph,
@@ -148,10 +148,12 @@ class SessionResult:
 #                    rows * cols big-endian integers of that width,
 #                    row-major | S_Y as a big-endian f8
 # Width codes 1, 2, 4 and 8 give the matrix as >i1, >i2, >i4 or >i8, the
-# narrowest that holds its values, so a frame's length depends on the
-# released values only. A noisy S_Y is its grid count times 2^-20,
-# which an f8 holds exactly for any count below 2^53 in magnitude; a
-# noiseless S_Y travels as the float it is. S_Y must be finite.
+# narrowest that holds its values (1 for an empty matrix), and no other
+# width is accepted: a frame's length depends on the released values
+# only, and every accepted frame is the one encoding of its message. A
+# noisy S_Y is its grid count times 2^-20, which an f8 holds exactly for
+# any count below 2^53 in magnitude; a noiseless S_Y travels as the
+# float it is. S_Y must be finite.
 # Both parties know X^-, and the backward matrix's rows and columns are
 # the ascending ids of R and of the ego's Y-side neighbours, so no id is
 # ever sent.
@@ -166,11 +168,19 @@ HANDSHAKE_MAGIC = b"PEBC"
 HANDSHAKE_VERSION = 5
 
 _WIDTHS = (1, 2, 4, 8)
+_BIG_ENDIAN = {w: np.dtype(f">i{w}") for w in _WIDTHS}  # the counts' type at each width
 _VARINT_MAX = 5  # bytes in the longest varint, that of 2^32 - 1
 
 
 def _varint(value: int) -> bytes:
     """value, below 2^32, as a varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
+    return _varint_loop(value)
+
+
+def _varint_loop(value: int) -> bytes:
+    """value, below 2^32, as a varint, seven bits at a time."""
     if value >> 32:
         raise ValueError(f"{value} does not fit a 32-bit varint")
     out = bytearray()
@@ -181,6 +191,9 @@ def _varint(value: int) -> bytes:
     return bytes(out)
 
 
+_ONE_BYTE = tuple(bytes((v,)) for v in range(0x80))  # every one-byte varint
+
+
 def _varint_size(value: int) -> int:
     """Bytes in value's varint."""
     return max(1, (value.bit_length() + 6) // 7)
@@ -188,6 +201,13 @@ def _varint_size(value: int) -> int:
 
 def _read_varint(data: bytes, at: int) -> tuple[int, int]:
     """The varint starting at byte `at` of data, and the offset after it."""
+    if at < len(data) and data[at] < 0x80:
+        return data[at], at + 1
+    return _read_varint_loop(data, at)
+
+
+def _read_varint_loop(data: bytes, at: int) -> tuple[int, int]:
+    """_read_varint a byte at a time, with every refusal and its offset."""
     value = 0
     for i in range(_VARINT_MAX):
         if at + i >= len(data):
@@ -220,7 +240,8 @@ def _backward_frame_size(rows: int, cols: int) -> int:
 def _width(t: np.ndarray) -> int:
     """Bytes per entry of the narrowest signed integer type holding t."""
     if t.size:
-        big = max(int(t.max()), -1 - int(t.min()))
+        top, bottom = np.maximum.reduce(t, axis=None), np.minimum.reduce(t, axis=None)
+        big = max(int(top), -1 - int(bottom))
         for w in _WIDTHS:
             if big < 1 << (8 * w - 1):
                 return w
@@ -240,7 +261,7 @@ def encode_msg(msg: ForwardMsg | BackwardMsg) -> bytes:
     if t.dtype.kind != "i":
         raise ValueError(f"T must hold signed integers, got {t.dtype}")
     width = _width(t)
-    body = t.astype(f">i{width}")
+    body = t.astype(_BIG_ENDIAN[width])
     shape = _varint(t.shape[0]) + _varint(t.shape[1]) + bytes((width,))
     head = _varint(2 + len(shape) + body.nbytes + 8) + bytes((WIRE_VERSION, TYPE_BACKWARD)) + shape
     # one join copies the body once, however large the frame
@@ -275,17 +296,17 @@ def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
         width = data[at]
         if width not in _WIDTHS:
             raise DecodeError(at, f"unknown width code {width:#x}")
-        at += 1
-        need = at + rows * cols * width + 8
+        need = at + 1 + rows * cols * width + 8
         if len(data) != need:
-            raise DecodeError(at, f"{rows} x {cols} matrix of width {width} needs a "
-                                  f"{need}-byte frame, got {len(data)}")
-        t = np.frombuffer(data, dtype=f">i{width}", count=rows * cols, offset=at)
-        t = t.astype(np.int64).reshape(rows, cols)
+            raise DecodeError(at + 1, f"{rows} x {cols} matrix of width {width} needs a "
+                                      f"{need}-byte frame, got {len(data)}")
+        t = np.frombuffer(data, dtype=_BIG_ENDIAN[width], count=rows * cols, offset=at + 1)
+        if _width(t) != width:  # one encoding per frame, as for the varints
+            raise DecodeError(at, f"width {width} is wider than the counts need")
         (s_y,) = struct.unpack_from(">d", data, need - 8)
         if not math.isfinite(s_y):
             raise DecodeError(need - 8, "S_Y is not finite")
-        return BackwardMsg(T=t, S_Y=s_y)
+        return BackwardMsg(T=t.astype(np.int64).reshape(rows, cols), S_Y=s_y)
     raise DecodeError(at + 1, f"unknown message type {mtype}")
 
 
@@ -296,12 +317,12 @@ def decode_msg(data: bytes) -> ForwardMsg | BackwardMsg:
 def _forward_stage(ectx: EgoContext, config: ProtocolConfig,
                    rng: np.random.Generator | None, ledger: BudgetLedger) -> ForwardMsg:
     if "mech1" in config.mech_mask:
-        params = PrivacyParams(epsilon=config.epsilon, delta0=1.0)
-        msg = forward_message_from_context(ectx, params, rng)
+        msg = _release_set(ectx, config.epsilon / 2.0, rng)  # quality sensitivity 1
         ledger.charge("X", "set-release", config.epsilon)
         return msg
-    return ForwardMsg(member=_membership(ectx.x_minus_sorted, ectx.r_star_sorted),
-                      x_minus=ectx.x_minus_sorted)
+    member = np.zeros(ectx.x_minus_sorted.size, dtype=bool)
+    member[ectx.r_star_at] = True
+    return ForwardMsg(member=member, x_minus=ectx.x_minus_sorted)
 
 
 def _backward_stage(view_y: PartyView, ectx: EgoContext, fwd: ForwardMsg,
@@ -319,8 +340,8 @@ def _backward_stage(view_y: PartyView, ectx: EgoContext, fwd: ForwardMsg,
         raise ProtocolError(f"forward bits cover {fwd.member.size} nodes, X^- has {x_minus.size}")
     noisy_t = "mech2" in config.mech_mask
     noisy_sy = "mech3" in config.mech_mask
-    back = _reply(view_y, ectx.y_ego_sorted, x_minus[fwd.member],
-                  PrivacyParams(epsilon=config.epsilon), rng, noisy_t, noisy_sy)
+    back = _reply(view_y, ectx.y_ego_sorted, x_minus[fwd.member], config.epsilon, rng,
+                  noisy_t, noisy_sy)
     if noisy_t:
         ledger.charge("Y", "count-vector", config.epsilon / 2.0)
     if noisy_sy:
@@ -328,14 +349,15 @@ def _backward_stage(view_y: PartyView, ectx: EgoContext, fwd: ForwardMsg,
     return back
 
 
-def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
+def _assemble_x(view_x: PartyView, ectx: EgoContext, member: np.ndarray | None,
                 back: BackwardMsg | None, config: ProtocolConfig) -> tuple[EbcAccumulator, int]:
     """X-side completion: S_XY over cross pairs, S_X over X-side pairs.
 
-    r_sorted is R in ascending order. A reply must be the |R| x d_Y
-    matrix. Received counts for i outside
-    R* are discarded; counts for i in R* \\ R start from zero. The
-    X-side path increment counts intermediates in R* u {a}; S_X counts
+    member is R's bits over X^-, as X sent them (None if X sent none,
+    and then no reply came). A reply must be the |R| x d_Y matrix, whose
+    rows are R in ascending order. Received counts for i outside R* are
+    discarded; counts for i in R* \\ R start from zero. The X-side path
+    increment counts intermediates in R* u {a}; S_X counts
     intermediates anywhere in N_a u {a}, all through edges X knows.
 
     Both come from one block of X's view, R* against R* then N_a n V_Y.
@@ -343,34 +365,37 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, r_sorted: np.ndarray,
     adds exactly one path to every pair, and no pair it joins is open.
     """
     r_star, y_ego = ectx.r_star_sorted, ectx.y_ego_sorted
-    shape = (r_sorted.size, y_ego.size)
-    if back is not None and back.T.shape != shape:
-        raise ProtocolError(f"backward matrix has shape {back.T.shape}, expected {shape}")
-    acc = EbcAccumulator(S_Y=back.S_Y if back is not None else 0.0)
+    acc = EbcAccumulator()
     skipped = 0
+    if back is not None:
+        r_at = member.nonzero()[0]  # R's positions in X^-: the reply's rows
+        if back.T.shape != (r_at.size, y_ego.size):
+            raise ProtocolError(f"backward matrix has shape {back.T.shape}, "
+                                f"expected {(r_at.size, y_ego.size)}")
+        acc.S_Y = back.S_Y
     if not r_star.size:
         return acc, skipped
     indptr, indices = view_x.graph.csr()
-    block = _kernels.bipartite_dense(indptr, indices, r_star,
-                                     np.concatenate((r_star, y_ego))).astype(np.float64)
+    block = _kernels._block(indptr, indices, r_star, np.concatenate((r_star, y_ego)), np.float64)
     xx, xy = block[:, :r_star.size], block[:, r_star.size:]
 
     if y_ego.size:
-        k_x = xx @ xy + 1.0  # X-side 2-path counts through R* u {a}
-        t_recv = np.zeros(k_x.shape, dtype=np.float64)
-        if back is not None:
-            # back.T's rows are R in ascending order; take those of R n R*
-            hit, pos = _kernels._locate(r_sorted, r_star)
-            t_recv[hit] = back.T[pos]
-        if config.clamp_mode == "clamp_nonneg":
-            np.maximum(t_recv, 0.0, out=t_recv)
-        denom = t_recv + k_x
-        # one rule for both modes: clamped counts leave every open pair
-        # usable, since k_x counts the path through a (denom >= 1)
+        denom = xx @ xy + 1.0  # k_x: X-side 2-path counts through R* u {a}
+        if back is not None and r_at.size:
+            at = ectx.r_star_at
+            # the reply's row of each node of R*, zeroed where X did not send it
+            t = back.T.take(r_at.searchsorted(at), 0, mode="clip") * member[at, None]
+            if config.clamp_mode == "clamp_nonneg":
+                np.maximum(t, 0, out=t)
+            denom += t
         open_pairs = xy == 0
-        usable = open_pairs & (denom > 0.0)
-        skipped = int(np.count_nonzero(open_pairs & ~usable))
-        acc.S_XY = float((1.0 / denom[usable]).sum())
+        # clamped counts leave every open pair usable, since k_x counts the
+        # path through a (denom >= 1); raw ones may leave some unusable
+        if config.clamp_mode == "raw":
+            usable = open_pairs & (denom > 0.0)
+            skipped = int(np.count_nonzero(open_pairs)) - int(np.count_nonzero(usable))
+            open_pairs = usable
+        acc.S_XY = float(np.add.reduce(1.0 / denom[open_pairs]))
 
     if r_star.size >= 2:
         acc.S_X = _pair_sum(xx, block @ block.T + 1.0)
@@ -413,7 +438,8 @@ def _receive(sock: socket.socket, cls: type, max_size: int,
 
 
 def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig,
-          rng_x: np.random.Generator | None, rng_y: np.random.Generator | None,
+          rng_x: Callable[[], np.random.Generator] | None,
+          rng_y: Callable[[], np.random.Generator] | None,
           sock: socket.socket | None, log: list[tuple[str, bytes]]) -> SessionResult | None:
     """One session: forward stage, backward stage, X's assembly.
 
@@ -425,18 +451,20 @@ def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig
     joint graph's edges are never read. Where X is held, X's context
     gives the flow and Y's is built only when Y replies; where only Y
     is, Y's gives it. Returns X's result, or None where X is not held.
-    A party's generator may be None only if none of its mechanisms is
-    randomized.
+    rng_x and rng_y give each party's generator, and are called only
+    when that party draws; either may be None only if none of its
+    party's mechanisms is randomized.
     """
     view_x = _held(held, "X")
     ectx_x = _ego_context_idx(view_x, a_idx) if view_x is not None else None
     ectx_y = _ego_context_idx(held, a_idx) if view_x is None else None  # held is Y's view
     flow = (ectx_x or ectx_y).flow
+    mechs = config.mech_mask
     ledger = BudgetLedger()
     fwd = back = None
     if flow != "no-y-nodes":
         if ectx_x is not None:
-            fwd = _forward_stage(ectx_x, config, rng_x, ledger)
+            fwd = _forward_stage(ectx_x, config, rng_x() if "mech1" in mechs else None, ledger)
             _send(sock, fwd, log)
         else:
             n = ectx_y.x_minus_sorted.size
@@ -450,7 +478,9 @@ def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig
         if view_y is not None:
             if ectx_y is None:
                 ectx_y = _ego_context_idx(view_y, a_idx)
-            back = _backward_stage(view_y, ectx_y, fwd, config, rng_y, ledger)
+            draws = "mech2" in mechs or "mech3" in mechs
+            back = _backward_stage(view_y, ectx_y, fwd, config, rng_y() if draws else None,
+                                   ledger)
             _send(sock, back, log)
         else:
             rows = int(np.count_nonzero(fwd.member))
@@ -458,12 +488,13 @@ def _play(held: PartitionedGraph | PartyView, a_idx: int, config: ProtocolConfig
                             _backward_frame_size(rows, ectx_x.y_ego_sorted.size), log)
     if ectx_x is None:
         return None
-    r_sorted = ectx_x.r_star_sorted if fwd is None else ectx_x.x_minus_sorted[fwd.member]
-    acc, skipped = _assemble_x(view_x, ectx_x, r_sorted, back, config)
+    member = None if fwd is None else fwd.member
+    acc, skipped = _assemble_x(view_x, ectx_x, member, back, config)
     return SessionResult(value=acc.total, parts=acc, skipped_terms=skipped,
                          degenerate=flow, non_private=config.non_private,
-                         budget=ledger, frames=tuple(frame for _, frame in log),
-                         r_size=r_sorted.size)
+                         budget=ledger, frames=tuple([frame for _, frame in log]),
+                         r_size=(ectx_x.r_star_sorted.size if member is None
+                                 else int(np.count_nonzero(member))))
 
 
 def run_session(pg: PartitionedGraph, a: object, config: ProtocolConfig,
@@ -472,11 +503,15 @@ def run_session(pg: PartitionedGraph, a: object, config: ProtocolConfig,
 
     X draws from rng's first spawned child and Y from its second;
     handing those children to the two halves of run_two_process replays
-    the session bit for bit.
+    the session bit for bit. Like rng.spawn(2), this spawns both
+    children's seed sequences from rng's, but it seeds a child's bit
+    generator only if its party draws.
     """
     a_idx = _x_ego_index(pg, a)
-    rng_x, rng_y = rng.spawn(2)
-    return _play(pg, a_idx, config, rng_x, rng_y, None, [])
+    bits = type(rng.bit_generator)
+    seq_x, seq_y = rng.bit_generator.seed_seq.spawn(2)
+    return _play(pg, a_idx, config, lambda: np.random.Generator(bits(seq_x)),
+                 lambda: np.random.Generator(bits(seq_y)), None, [])
 
 
 def private_ebc(pg: PartitionedGraph, a: object, config: ProtocolConfig,
@@ -620,7 +655,7 @@ def run_two_process(role: str, address: tuple[str, int], view: PartyView, a: obj
     if not isinstance(seed, np.random.Generator):
         seed = np.random.SeedSequence(seed, spawn_key=(0 if role == "X" else 1,))
     rng = np.random.default_rng(seed)
-    rng_x, rng_y = (rng, None) if role == "X" else (None, rng)
+    rng_x, rng_y = (lambda: rng, None) if role == "X" else (None, lambda: rng)
     hello = _hello(view, a_idx, config)
     open_link = _connect if role == "X" else _accept
     try:

@@ -1,15 +1,17 @@
 import copy
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from privebc import BackwardMsg, DegenerateEgoError, PrivacyParams, ProtocolConfig, oracle
-from privebc import _kernels
+from privebc import _kernels, dpnum
 from privebc.backward import (
     SUM_GRID_BITS,
     _core_blocks,
     _release,
+    _reply,
     partial_ebc_y,
     spanning_counts,
 )
@@ -337,7 +339,147 @@ def test_noiseless_flags_bypass_sampling():
     r_sorted = np.array(sorted(r), dtype=np.int64)
     core, s_core = noiseless_cores(pg, r_sorted, y_ego)
     # flags off is the noiseless route: the generator is never read
-    msg = _release(core, s_core, params, rng, False, False)
+    msg = _release(core, s_core, params.epsilon, rng, False, False)
     assert rng.bit_generator.state == before
     assert msg.T[0, 0] == core[0, 0] and msg.T.dtype == np.int64
     assert msg.S_Y == s_core
+
+
+# ------------------------------------------- the reply against its reference
+
+def _reference_core_blocks(view_y, r_sorted, y_ego):
+    """The reply's block as it was first written: y_ego's neighbour lists
+    gathered, then located in R and in y_ego by two separate lookups."""
+    indptr, indices = view_y.graph.csr()
+    out = np.zeros((r_sorted.size + y_ego.size, y_ego.size))
+    starts, ends = indptr[y_ego], indptr[y_ego + 1]
+    owner = np.repeat(np.arange(y_ego.size), ends - starts)
+    neigh = np.concatenate([indices[s:e] for s, e in zip(starts, ends)] + [indices[:0]])
+    for first, rows in ((0, r_sorted), (r_sorted.size, y_ego)):
+        pos = np.searchsorted(rows, neigh)
+        hit = np.zeros(neigh.size, dtype=bool)
+        inside = pos < rows.size
+        hit[inside] = rows[pos[inside]] == neigh[inside]
+        out[first + pos[hit], owner[hit]] = 1.0
+    return out
+
+
+def _reference_geometric(scale, rng):
+    """The two-sided geometric sampler as it was first written: one
+    scale per entry, expanded to one per uniform."""
+    u = rng.random(2 * scale.size)
+    z = np.empty(scale.size, dtype=np.int64)
+    words = None
+    for start in range(0, u.size, dpnum._SLICE):
+        cells = u[start:start + dpnum._SLICE]
+        first = start // 2
+        zs = z[first:first + cells.size // 2]
+        c = np.empty(cells.size)
+        np.multiply(scale[first:first + zs.size], -(1.0 - dpnum._WIDEN), out=c[0::2])
+        c[1::2] = c[0::2]
+        lo = cells + dpnum._CELL
+        np.log(lo, out=lo)
+        lo *= c
+        c *= dpnum._CELL
+        with np.errstate(divide="ignore"):
+            np.divide(c, cells, out=c)
+        hi = np.subtract(lo, c, out=c)
+        hi *= dpnum._GROW
+        np.floor(lo, out=lo)
+        np.floor(hi, out=hi)
+        np.subtract(lo[0::2], lo[1::2], out=zs, casting="unsafe")
+        open_cells = lo != hi
+        if open_cells.any():
+            if words is None:
+                words = iter(rng.bit_generator.random_raw, None)
+            for i in np.unique(np.flatnonzero(open_cells) // 2).tolist():
+                g1, g2 = (dpnum.resolve_cell(float(scale[first + i]), int(cells[k] * 2.0**53),
+                                             words)
+                          if open_cells[k] else int(lo[k]) for k in (2 * i, 2 * i + 1))
+                zs[i] = g1 - g2
+    return z
+
+
+def _reference_reply(view_y, y_ego, r_sorted, epsilon, rng, noisy_t, noisy_s):
+    """Y's reply from the reference block, its two products and a
+    per-entry scale array."""
+    block = _reference_core_blocks(view_y, r_sorted, y_ego)
+    b, m1 = block[:r_sorted.size], block[r_sorted.size:]
+    paths = 1.0 + block.T @ block
+    rows, cols = np.nonzero(m1 == 0)
+    upper = rows < cols
+    s_y = float((1.0 / paths[rows[upper], cols[upper]]).sum())
+    t = (b @ m1).astype(np.int64)
+    n_t = t.size if noisy_t else 0
+    scale = np.empty(n_t + noisy_s)
+    if n_t:
+        scale[:n_t] = geometric_scale(4 * t.shape[0], epsilon)
+    if noisy_s:
+        scale[-1] = geometric_scale(2 * (((y_ego.size - 1) << SUM_GRID_BITS) + 1), epsilon)
+    if scale.size:
+        z = _reference_geometric(scale, rng)
+        if n_t:
+            t += z[:n_t].reshape(t.shape)
+        if noisy_s:
+            s_y = (round(s_y * 2.0**SUM_GRID_BITS) + int(z[-1])) * 2.0**-SUM_GRID_BITS
+    return t, s_y
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator(seed, zero_at):
+    """A PCG64 generator, whose uniform number zero_at (if not None) is
+    exactly 0.0, so that its cell is resolved from further words."""
+    rng = np.random.default_rng(seed)
+    if zero_at is not None:
+        st = rng.bit_generator.state
+        state = 0
+        for _ in range(zero_at + 1):
+            state = (state - st["state"]["inc"]) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+        st["state"]["state"] = state
+        rng.bit_generator.state = st
+    return rng
+
+
+def test_reply_matches_its_reference_bit_for_bit():
+    # T, S_Y and the generator's end state equal the reference's for R =
+    # R*, parts of R*, sets reaching outside R* and the empty set, at a
+    # low and a high budget, with each noise flag on and off, and with
+    # a uniform of 0.0 among the draws
+    rng = np.random.default_rng(41)
+    seen = set()
+    for seed in range(40):
+        g = random_graph(np.random.default_rng(900 + seed), int(rng.integers(4, 31)),
+                         float(rng.uniform(0.1, 0.5)))
+        pg = random_partition(rng, g)
+        view_y = pg.view_y()
+        for a in pg.vx_indices[:3].tolist():
+            ectx_x = _ego_context_idx(pg.view_x(), a)
+            y_ego = _ego_context_idx(view_y, a).y_ego_sorted
+            if y_ego.size < 2:
+                continue
+            x_minus, r_star = ectx_x.x_minus_sorted, ectx_x.r_star_sorted
+            outside = np.setdiff1d(x_minus, r_star)
+            picks = {"R*": r_star, "part of R*": r_star[rng.random(r_star.size) < 0.5],
+                     "outside R*": np.union1d(r_star[rng.random(r_star.size) < 0.5],
+                                              outside[rng.random(outside.size) < 0.5]),
+                     "empty": x_minus[:0]}
+            for kind, r in picks.items():
+                for eps in (0.1, 7.0):
+                    for noisy_t in (False, True):
+                        for noisy_s in (False, True):
+                            draws = 2 * ((r.size * y_ego.size if noisy_t else 0) + noisy_s)
+                            zero_at = int(rng.integers(draws)) if draws and seed % 4 == 0 else None
+                            mine, ref = _generator(seed, zero_at), _generator(seed, zero_at)
+                            got = _reply(view_y, y_ego, r, eps, mine, noisy_t, noisy_s)
+                            want_t, want_s = _reference_reply(view_y, y_ego, r, eps, ref,
+                                                              noisy_t, noisy_s)
+                            assert got.T.dtype == want_t.dtype == np.int64
+                            assert got.T.shape == want_t.shape
+                            assert got.T.tolist() == want_t.tolist()
+                            assert struct.pack(">d", got.S_Y) == struct.pack(">d", want_s)
+                            assert mine.bit_generator.state == ref.bit_generator.state
+                            seen.add((kind, r.size > 0, zero_at is not None))
+    assert {k for k, _, _ in seen} == {"R*", "part of R*", "outside R*", "empty"}
+    assert (True, True) in {(nonempty, zero) for _, nonempty, zero in seen}

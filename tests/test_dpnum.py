@@ -15,9 +15,9 @@ from privebc.dpnum import (
     MAX_SCALE,
     flip_cut,
     flip_trials,
+    geometric_runs,
     geometric_scale,
     resolve_cell,
-    two_sided_geometric,
 )
 
 from .conftest import p_scaled_floor
@@ -105,7 +105,7 @@ def test_laplace_scale_rounds_up():
 
 def test_laplace_moments_and_median():
     rng = np.random.default_rng(4)
-    draws = two_sided_geometric(np.full(10**6, 1.0), rng)
+    draws = geometric_runs([(10**6, 1.0)], rng)
     assert draws.dtype == np.int64
     assert abs(draws.mean()) < 0.01
     # P(Z = 0) = (1 - q)/(1 + q), and the law is symmetric
@@ -115,7 +115,7 @@ def test_laplace_moments_and_median():
 
 def test_laplace_variance_scale_two():
     rng = np.random.default_rng(5)
-    draws = two_sided_geometric(np.full(10**6, 2.0), rng)
+    draws = geometric_runs([(10**6, 2.0)], rng)
     assert draws.var() == pytest.approx(_variance(2.0), rel=0.01)
 
 
@@ -124,7 +124,7 @@ def test_laplace_ks_against_closed_form():
     # bound at p = 1e-3: F(z) = q^-z / (1 + q) below 0, 1 - q^(z+1) / (1 + q) from 0
     n, scale = 10**6, 1.5
     rng = np.random.default_rng(6)
-    draws = np.sort(two_sided_geometric(np.full(n, scale), rng))
+    draws = np.sort(geometric_runs([(n, scale)], rng))
     q = math.exp(-1.0 / scale)
     z = np.arange(draws[0], draws[-1] + 1)
     cdf = np.where(z < 0, np.power(q, -z) / (1.0 + q), 1.0 - np.power(q, z + 1) / (1.0 + q))
@@ -135,7 +135,7 @@ def test_laplace_ks_against_closed_form():
 @pytest.mark.parametrize("scale", [0.5, 3.0, 240.0])
 def test_laplace_chi_square_against_pmf(scale):
     rng = np.random.default_rng(6)
-    draws = two_sided_geometric(np.full(10**5, scale), rng)
+    draws = geometric_runs([(10**5, scale)], rng)
     # bins: every z whose expected count is at least 5, plus both tails
     zmax = 0
     while 10**5 * _pmf(zmax + 1, scale) >= 5:
@@ -154,10 +154,16 @@ def test_laplace_chi_square_against_pmf(scale):
     assert res.pvalue > 1e-3
 
 
+def _each(scale):
+    """One run per entry of a scale array, so that every entry may have
+    its own scale."""
+    return [(1, float(s)) for s in scale]
+
+
 def test_laplace_reproducible():
     scale = np.linspace(0.5, 500.0, 50)
-    a = two_sided_geometric(scale, np.random.default_rng(7))
-    b = two_sided_geometric(scale, np.random.default_rng(7))
+    a = geometric_runs(_each(scale), np.random.default_rng(7))
+    b = geometric_runs(_each(scale), np.random.default_rng(7))
     assert a.tolist() == b.tolist()
 
 
@@ -168,22 +174,22 @@ def test_laplace_array_matches_scalar_draws():
         for n, m in ((0, 1), (1, 1), (17, 1), (2500, 1)):
             scale = np.random.default_rng(100 + seed).uniform(0.5, 4096.0, n + m)
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            whole = two_sided_geometric(scale, a)
-            parts = np.concatenate((two_sided_geometric(scale[:n], b),
-                                    two_sided_geometric(scale[n:], b)))
+            whole = geometric_runs(_each(scale), a)
+            parts = np.concatenate((geometric_runs(_each(scale[:n]), b),
+                                    geometric_runs(_each(scale[n:]), b)))
             assert whole.tolist() == parts.tolist()
             assert a.bit_generator.state == b.bit_generator.state
     # an open cell reads further words right after its own batch's
     # uniforms, so a split draw then shifts the second batch: entry 0's
     # G2 reads U's zero cell here
     scale = np.full(5, 2.0)
-    whole = two_sided_geometric(scale, _zero_uniform_at(11, 1))
+    whole = geometric_runs(_each(scale), _zero_uniform_at(11, 1))
     b = _zero_uniform_at(11, 1)
-    first, second = two_sided_geometric(scale[:3], b), two_sided_geometric(scale[3:], b)
+    first, second = geometric_runs(_each(scale[:3]), b), geometric_runs(_each(scale[3:]), b)
     c = _zero_uniform_at(11, 1)
     c.random(6)
     resolve_cell(2.0, 0, iter(c.bit_generator.random_raw, None))
-    assert second.tolist() == two_sided_geometric(scale[3:], c).tolist()
+    assert second.tolist() == geometric_runs(_each(scale[3:]), c).tolist()
     assert first[1:].tolist() == whole[1:3].tolist()
     assert first[0] != whole[0] and second.tolist() != whole[3:].tolist()
 
@@ -211,7 +217,7 @@ def test_laplace_array_skips_zero_uniforms_like_scalar():
     # later slice of the sampler's arithmetic
     for n, k in ((3, 1), (_SLICE, _SLICE + 3)):  # uniform k is entry k // 2's G2
         scale = 2.0 + np.arange(n) % 7
-        got = two_sided_geometric(scale, _zero_uniform_at(11, k))
+        got = geometric_runs(_each(scale), _zero_uniform_at(11, k))
         rng = _zero_uniform_at(11, k)
         cells = rng.random((n, 2))
         assert cells[k // 2, 1] == 0.0 and np.count_nonzero(cells) == 2 * n - 1

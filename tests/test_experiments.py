@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import os
 import shutil
 import statistics
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +420,25 @@ def test_cli_explicit_ego_ids(capsys):
     assert rc == 0
     _, rows = parse_csv(capsys.readouterr().out)
     assert {r.ego_id for r in rows if not r.is_summary} <= {"0", "1", "2"}
+
+
+def test_console_script_entry_point_runs_from_the_checkout():
+    # the entry point pyproject.toml declares, imported from src/ without
+    # installing the package: it must name an importable callable that
+    # prints the CLI's help
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    module, _, attr = scripts["priv-ebc"].partition(":")
+    assert (module, attr) == ("privebc.cli", "main")
+    code = (f"import sys, importlib; sys.argv[0] = 'priv-ebc'; "
+            f"sys.exit(getattr(importlib.import_module({module!r}), {attr!r})())")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-c", code, "--help"], capture_output=True,
+                         text=True, env=env, cwd=root, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "sweep" in res.stdout and "degree" in res.stdout
 
 
 @pytest.mark.skipif(shutil.which("priv-ebc") is None, reason="priv-ebc console script not installed")

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from privebc import (
@@ -34,12 +34,15 @@ from privebc import (
     run_two_process,
 )
 from privebc import _kernels, protocol
-from privebc.dpnum import geometric_scale, two_sided_geometric
+from privebc.dpnum import geometric_runs, geometric_scale
+from privebc.forward import _membership
 from privebc.graphs import _ego_context_idx, _ego_local, _pair_sum
 from privebc.oracle import _edge_pairs, _has
 from privebc.protocol import (
     HANDSHAKE_MAGIC,
     HANDSHAKE_VERSION,
+    TYPE_BACKWARD,
+    TYPE_FORWARD,
     WIRE_VERSION,
     BudgetLedger,
     _assemble_x,
@@ -248,11 +251,16 @@ def _assembly_fixture():
     return view_x, ectx, x1, y1, y2
 
 
+def _r_bits(ectx, r_sorted):
+    """R's bits over X^-, as X's assembly reads R."""
+    return _membership(ectx.x_minus_sorted, np.asarray(r_sorted, dtype=np.int64))
+
+
 def test_clamp_mode_restores_denominators():
     view_x, ectx, x1, y1, y2 = _assembly_fixture()
     assert y1 < y2  # columns in ascending id order
     back = BackwardMsg(T=np.array([[-5, 1]]), S_Y=0.25)
-    acc, skipped = _assemble_x(view_x, ectx, np.array([x1]), back,
+    acc, skipped = _assemble_x(view_x, ectx, _r_bits(ectx, [x1]), back,
                                ProtocolConfig(epsilon=1.0))
     # K_x = 1 for both pairs (the path through a); clamp zeroes the -5
     assert skipped == 0
@@ -264,13 +272,13 @@ def test_clamp_mode_restores_denominators():
 def test_raw_mode_skips_nonpositive_denominators():
     view_x, ectx, x1, y1, y2 = _assembly_fixture()
     back = BackwardMsg(T=np.array([[-5, 1]]), S_Y=0.25)
-    acc, skipped = _assemble_x(view_x, ectx, np.array([x1]), back,
+    acc, skipped = _assemble_x(view_x, ectx, _r_bits(ectx, [x1]), back,
                                ProtocolConfig(epsilon=1.0, clamp_mode="raw"))
     assert skipped == 1
     assert acc.S_XY == pytest.approx(1.0 / 2.0)
     # exactly zero denominators are skipped too
     back0 = BackwardMsg(T=np.array([[-1, 1]]), S_Y=0.0)
-    _, skipped0 = _assemble_x(view_x, ectx, np.array([x1]), back0,
+    _, skipped0 = _assemble_x(view_x, ectx, _r_bits(ectx, [x1]), back0,
                               ProtocolConfig(epsilon=1.0, clamp_mode="raw"))
     assert skipped0 == 1
 
@@ -285,8 +293,8 @@ def test_counts_for_nodes_outside_r_star_are_discarded(mixed_pg):
     tampered = base_t.copy()
     tampered[r.tolist().index(g.index_of("f"))] = 10**12
     cfg = ProtocolConfig(epsilon=1.0)
-    acc1, s1 = _assemble_x(view_x, ectx, r, BackwardMsg(T=base_t, S_Y=0.0), cfg)
-    acc2, s2 = _assemble_x(view_x, ectx, r, BackwardMsg(T=tampered, S_Y=0.0), cfg)
+    acc1, s1 = _assemble_x(view_x, ectx, _r_bits(ectx, r), BackwardMsg(T=base_t, S_Y=0.0), cfg)
+    acc2, s2 = _assemble_x(view_x, ectx, _r_bits(ectx, r), BackwardMsg(T=tampered, S_Y=0.0), cfg)
     assert (acc1, s1) == (acc2, s2)
 
 
@@ -297,9 +305,9 @@ def test_missing_rows_start_from_zero(mixed_pg):
     y_ego = sorted(v for v in view_x.graph.neighbors(ectx.a) if not view_x.is_x(v))
     cfg = ProtocolConfig(epsilon=1.0)
     no_r = np.array([], dtype=np.int64)
-    acc_none, _ = _assemble_x(view_x, ectx, no_r, None, cfg)
+    acc_none, _ = _assemble_x(view_x, ectx, _r_bits(ectx, no_r), None, cfg)
     empty = BackwardMsg(T=np.zeros((0, len(y_ego)), dtype=np.int64), S_Y=0.0)
-    acc_zero, _ = _assemble_x(view_x, ectx, no_r, empty, cfg)
+    acc_zero, _ = _assemble_x(view_x, ectx, _r_bits(ectx, no_r), empty, cfg)
     assert acc_none.S_XY == acc_zero.S_XY == pytest.approx(
         sum(1.0 for _ in ectx.R_star for _ in y_ego))  # all K_x = 1 here
     assert acc_none.S_X == acc_zero.S_X
@@ -364,7 +372,7 @@ def test_one_block_assembly_matches_the_masked_reference():
             for mode in ("clamp_nonneg", "raw"):
                 cfg = ProtocolConfig(epsilon=1.0, clamp_mode=mode)
                 want = _assemble_x_by_masks(view_x, ectx, r, back, cfg)
-                assert _assemble_x(view_x, ectx, r, back, cfg) == want
+                assert _assemble_x(view_x, ectx, _r_bits(ectx, r), back, cfg) == want
                 seen.add((mode, want[1] > 0))
         inside = np.isin(r, r_star)
         seen.add(("R*", r_star.size == 0))
@@ -634,11 +642,14 @@ def test_varint_roundtrip(value):
     assert protocol._read_varint(code, 0) == (value, len(code))
 
 
+_VARINT_REFUSALS = (("8000", 1), ("ff8000", 2), ("8080808080", 4), ("ffffffffff01", 4),
+                    ("8080808010", 0), ("ffffffff1f", 0))
+
+
 def test_varint_refuses_overlong_unterminated_and_oversized():
     # a zero final byte (0 as two bytes, 127 as three), five bytes that
     # all say more follow, and a five-byte value of 2^32 or more
-    for code, offset in (("8000", 1), ("ff8000", 2), ("8080808080", 4),
-                         ("ffffffffff01", 4), ("8080808010", 0), ("ffffffff1f", 0)):
+    for code, offset in _VARINT_REFUSALS:
         with pytest.raises(DecodeError) as e:
             protocol._read_varint(bytes.fromhex(code), 0)
         assert _offset_of(e) == offset
@@ -647,6 +658,96 @@ def test_varint_refuses_overlong_unterminated_and_oversized():
         with pytest.raises(DecodeError) as e:
             decode_msg(frame)
         assert _offset_of(e) == offset
+
+
+def test_varint_fast_path_agrees_with_the_loop():
+    # the one-byte early returns give what the seven-bits-a-byte loops
+    # give, on every value of one and two bytes and on the largest
+    for value in (*range(2**14 + 1), 2**32 - 1):
+        code = protocol._varint(value)
+        assert code == protocol._varint_loop(value)
+        buf = b"\xee" + code + b"\xee"
+        assert (protocol._read_varint(buf, 1) == protocol._read_varint_loop(buf, 1)
+                == (value, 1 + len(code)))
+    for value in (-1, 2**32):
+        for encode in (protocol._varint, protocol._varint_loop):
+            with pytest.raises(ValueError):
+                encode(value)
+
+
+def test_varint_fast_path_keeps_every_refusal_offset():
+    # each malformed varint of the refusal test above, and an empty read,
+    # is refused at the same byte by the reader and by its loop, at the
+    # start of a buffer and after a byte
+    for code, offset in (*_VARINT_REFUSALS, ("", 0)):
+        for prefix in (b"", b"\x05"):
+            data = prefix + bytes.fromhex(code)
+            for read in (protocol._read_varint, protocol._read_varint_loop):
+                with pytest.raises(DecodeError) as e:
+                    read(data, len(prefix))
+                assert _offset_of(e) == len(prefix) + offset
+
+
+def test_decode_refuses_a_width_wider_than_the_counts_need():
+    # every accepted frame is the one encoding of its message: a width
+    # code wider than the counts need is refused at the width byte, and
+    # an empty matrix goes at width 1
+    for rows, cols, values, code in ((1, 3, [0, 0, 0], 8), (1, 2, [127, -128], 2),
+                                     (2, 1, [128, -32768], 4), (1, 2, [2**31 - 1, -(2**31)], 8),
+                                     (0, 3, [], 2), (3, 0, [], 8), (0, 0, [], 4)):
+        frame = _backward_frame(rows, cols, values, 0.5, code=code)
+        with pytest.raises(DecodeError, match="wider") as e:
+            decode_msg(frame)
+        assert _offset_of(e) == 5
+        narrow = encode_msg(BackwardMsg(T=np.array(values, dtype=np.int64).reshape(rows, cols),
+                                        S_Y=0.5))
+        assert narrow[5] < code and encode_msg(decode_msg(narrow)) == narrow
+
+
+def _overlong(value: int, extra: int) -> bytes:
+    """value's LEB128 followed by `extra` redundant groups: a longer
+    form than the shortest when extra > 0."""
+    code = bytearray(_leb128(value))
+    for _ in range(extra):
+        code[-1] |= 0x80
+        code.append(0)
+    return bytes(code)
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_every_accepted_frame_is_its_message_encoding(data):
+    # frames built field by field, some with a longer varint, a wider
+    # width code, a set padding bit, a non-finite S_Y or one byte
+    # changed: whatever decode_msg accepts, encode_msg writes back as is
+    draw = data.draw
+    extra = st.sampled_from((0,) * 7 + (1,))
+    mtype = draw(st.sampled_from((TYPE_FORWARD, TYPE_BACKWARD)))
+    if mtype == TYPE_FORWARD:
+        n = draw(st.integers(0, 40))
+        bits = bytearray(draw(st.binary(min_size=(n + 7) // 8, max_size=(n + 7) // 8)))
+        if n % 8 and draw(st.booleans()):
+            bits[-1] &= 0xFF << 8 - n % 8 & 0xFF  # padding bits clear
+        body = _overlong(n, draw(extra)) + bytes(bits)
+    else:
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        width = draw(st.sampled_from((1, 2, 4, 8)))
+        size = rows * cols * width
+        body = (_overlong(rows, draw(extra)) + _overlong(cols, draw(extra)) + bytes((width,))
+                + draw(st.binary(min_size=size, max_size=size))
+                + draw(st.binary(min_size=8, max_size=8)))
+    payload = bytes((WIRE_VERSION, mtype)) + body
+    frame = _overlong(len(payload), draw(extra)) + payload
+    if draw(st.sampled_from((False, False, True))):
+        at = draw(st.integers(0, len(frame) - 1))
+        frame = frame[:at] + bytes((draw(st.integers(0, 255)),)) + frame[at + 1:]
+    try:
+        msg = decode_msg(frame)
+    except DecodeError:
+        event("refused")
+        return
+    event("accepted")
+    assert encode_msg(msg) == frame
 
 
 def test_decode_error_trailing_garbage():
@@ -1107,12 +1208,12 @@ def test_x_half_never_builds_y_generator(mixed_pg, monkeypatch):
     y_ego = ectx.y_ego_sorted
     back = decode_msg(tx[1][1])
     noise = back.T - noiseless_cores(mixed_pg.view_y(), r_sorted, y_ego)[0].astype(np.int64)
-    scale = np.full(noise.size, geometric_scale(4 * r_sorted.size, cfg.epsilon))
+    runs = [(noise.size, geometric_scale(4 * r_sorted.size, cfg.epsilon))]
     for guess in (np.random.default_rng(seed_x), *_children(seed_x), np.random.default_rng(seed_y),
                   _children(seed_y)[0]):
-        assert two_sided_geometric(scale, guess).tolist() != noise.ravel().tolist()
+        assert geometric_runs(runs, guess).tolist() != noise.ravel().tolist()
     # Y's own generator does reproduce it: the release is Y's draw alone
-    mine = two_sided_geometric(scale, _children(seed_y)[1])
+    mine = geometric_runs(runs, _children(seed_y)[1])
     assert mine.tolist() == noise.ravel().tolist()
 
 
@@ -1242,9 +1343,10 @@ def test_y_refuses_unterminated_length_varint(mixed_pg):
 
 def test_x_accepts_a_frame_of_exactly_its_bound(mixed_pg):
     # R = R* = {e} without mech1: X's bound is the 1 x 3 frame at width 8,
-    # 1 + 2 + 3 + 24 + 8 = 38 bytes, which a width-8 reply fills exactly
+    # 1 + 2 + 3 + 24 + 8 = 38 bytes, which a reply whose counts need
+    # width 8 fills exactly
     cfg = ProtocolConfig(epsilon=1.0, mech_mask=frozenset({"mech2", "mech3"}))
-    frame = _backward_frame(1, 3, [0, 0, 0], 0.5, code=8)
+    frame = _backward_frame(1, 3, [0, 2**40, -7], 0.5, code=8)
     assert len(frame) == protocol._backward_frame_size(1, 3) == 38
     _fake_y_session(mixed_pg, cfg, lambda fwd: frame)
 
@@ -1271,9 +1373,9 @@ def test_x_refuses_non_finite_backward_values(mixed_pg):
     for s_y in (math.nan, -math.inf):
         with pytest.raises(DecodeError):
             _fake_y_session(mixed_pg, cfg,
-                            lambda fwd, v=s_y: _backward_frame(1, 3, [0, 0, 0], v))
+                            lambda fwd, v=s_y: _backward_frame(1, 3, [0, 0, 0], v, code=1))
     # the same stand-in with a well-formed reply completes the session
-    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0, 0, 0], 0.5))
+    _fake_y_session(mixed_pg, cfg, lambda fwd: _backward_frame(1, 3, [0, 0, 0], 0.5, code=1))
 
 
 def test_two_process_rejects_unknown_role(mixed_pg):
