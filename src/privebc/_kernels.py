@@ -10,7 +10,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# bipartite_dense: 0/1 membership matrix rows x cols, and its square case
+# _block: 0/1 membership matrix rows x cols, any node lists
 # ---------------------------------------------------------------------------
 
 def _gather(indptr: np.ndarray, indices: np.ndarray,
@@ -38,27 +38,29 @@ def _locate(sorted_nodes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _block(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
            cols: np.ndarray, dtype: type) -> np.ndarray:
-    """The 0/1 edge-membership matrix between sorted `rows` and node
-    list `cols`, of the given dtype: one pass over cols' neighbour lists
-    and one lookup in rows."""
+    """The 0/1 edge-membership matrix between node lists `rows` and
+    `cols` (no node twice in cols), of the given dtype: one pass over
+    the rows' neighbour lists and one lookup in the argsorted cols."""
     out = np.zeros((rows.size, cols.size), dtype=dtype)
     if rows.size and cols.size:
-        owner, neigh = _gather(indptr, indices, cols)
-        hit, pos = _locate(rows, neigh)
-        out[pos, owner[hit]] = 1
+        owner, neigh = _gather(indptr, indices, rows)
+        order = cols.argsort()
+        hit, pos = _locate(cols[order], neigh)
+        out[owner[hit], order[pos]] = 1
     return out
 
 
 def bipartite_dense(indptr: np.ndarray, indices: np.ndarray,
                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Edge-membership matrix (uint8) between sorted `rows` and node list `cols`."""
+    """Edge-membership matrix (uint8) between node lists `rows` and
+    `cols`, in their orders. Sessions build their blocks through
+    graphs._ego_sums; perfbench's trace times this wrapper."""
     return _block(indptr, indices, rows, cols, np.uint8)
 
 
 def induced_dense(indptr: np.ndarray, indices: np.ndarray,
                   nodes: np.ndarray) -> np.ndarray:
-    """Dense adjacency (uint8) of the subgraph induced on sorted `nodes`;
-    rows and columns follow that order. The adjacency is symmetric, so
-    this is the membership matrix of `nodes` against themselves."""
+    """Dense adjacency (uint8) of the subgraph induced on `nodes`; rows
+    and columns follow their order. The adjacency is symmetric, so this
+    is the membership matrix of `nodes` against themselves."""
     return bipartite_dense(indptr, indices, nodes, nodes)
-

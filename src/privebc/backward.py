@@ -13,9 +13,11 @@ units at sensitivity (d_Y - 1) * 2^20 + 1, scale twice that over eps.
 Every scale is rounded up, never down. Noisy values are released raw
 (possibly negative); any clamping is X-side post-processing.
 
-A session computes the whole reply with one `_reply` call, which draws
-all of its noise at once. spanning_counts and partial_ebc_y name its
-two halves for the benchmark's trace, and compute nothing of their own.
+A session computes the whole reply with one `_reply` call: one block
+of Y's view, built by the ego-sum core that X's assembly and exact_ebc
+share (graphs._ego_sums), gives both noiseless values, and one draw
+noises them. spanning_counts and partial_ebc_y name its two halves
+for the benchmark's trace, and compute nothing of their own.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .dpnum import PrivacyParams, geometric_runs, geometric_scale
-from .graphs import PartitionedGraph, PartyView, _pair_sum, ego_context
+from .graphs import PartitionedGraph, PartyView, _ego_sums, ego_context
 
 
 @dataclass(eq=False)
@@ -47,35 +48,6 @@ SUM_GRID_BITS = 20  # S_Y is released in units of 2^-20
 
 class DegenerateEgoError(ValueError):
     """Y's side of the ego network is too small for a backward message."""
-
-
-def _core_blocks(pg: PartitionedGraph | PartyView, r_sorted: np.ndarray,
-                 y_ego: np.ndarray) -> np.ndarray:
-    """The float 0/1 (|R| + d_Y) x d_Y block over y_ego's columns: its
-    first |R| rows are b, b[r, k] = r~k, and its last d_Y rows are m1,
-    the adjacency inside y_ego. Both noiseless releases are products of
-    it. One pass over y_ego's neighbour lists and one id lookup, over
-    R and y_ego together, fill it."""
-    indptr, indices = pg.graph.csr()
-    out = np.zeros((r_sorted.size + y_ego.size, y_ego.size))
-    owner, neigh = _kernels._gather(indptr, indices, y_ego)
-    rows = np.concatenate((r_sorted, y_ego))
-    order = rows.argsort()
-    hit, pos = _kernels._locate(rows[order], neigh)
-    out[order[pos], owner[hit]] = 1.0
-    return out
-
-
-def _partial_sum_from_blocks(block: np.ndarray, r_size: int) -> float:
-    """Noiseless partial sum over non-adjacent pairs inside y_ego, from
-    the block of _core_blocks over an R of r_size nodes.
-
-    Intermediates are restricted to R u {a} u y_ego; a itself always
-    joins both endpoints, so every denominator is at least 1. The other
-    paths number b.T b + m1 m1, which is block.T @ block because m1 is
-    symmetric; every entry is a small integer, so the product is exact.
-    """
-    return _pair_sum(block[r_size:], 1.0 + block.T @ block)
 
 
 def _release(core: np.ndarray, s_y: float, epsilon: float,
@@ -105,12 +77,12 @@ def _release(core: np.ndarray, s_y: float, epsilon: float,
 def _reply(pg: PartitionedGraph | PartyView, y_ego: np.ndarray, r_sorted: np.ndarray,
            epsilon: float, rng: np.random.Generator | None,
            noisy_t: bool, noisy_s: bool) -> BackwardMsg:
-    """Y's reply from one block, in two dense products, noised from rng
-    as flagged."""
-    block = _core_blocks(pg, r_sorted, y_ego)
-    b, m1 = block[:r_sorted.size], block[r_sorted.size:]
-    return _release(b @ m1, _partial_sum_from_blocks(block, r_sorted.size),
-                    epsilon, rng, noisy_t, noisy_s)
+    """Y's reply to R, noised from rng as flagged. The ego-sum core over
+    y_ego against R gives m1 (the adjacency inside y_ego), the block
+    y_ego x R and the partial sum, whose intermediates are R u {a} u
+    y_ego; the counts are T = (y_ego x R).T @ m1."""
+    m1, yr, s_y = _ego_sums(pg.graph, y_ego, r_sorted)
+    return _release(yr.T @ m1, s_y, epsilon, rng, noisy_t, noisy_s)
 
 
 def spanning_counts(pg: PartitionedGraph | PartyView, a: object, R: frozenset[int],

@@ -136,22 +136,17 @@ def _membership(x_minus: np.ndarray, subset: np.ndarray) -> np.ndarray:
 
 def forward_message(pg: PartitionedGraph | PartyView, a: object, params: PrivacyParams,
                     ctx=None, rng: np.random.Generator | None = None) -> ForwardMsg:
-    """X's private set release for ego a (see forward_message_from_context).
+    """X's private set release for ego a: R* with each node's membership
+    flipped by its own trial.
 
     ctx is ignored: perfbench's trace still passes a context (ROADMAP
     item 2).
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
-    return forward_message_from_context(ego_context(pg, a), params, rng)
-
-
-def forward_message_from_context(ectx: EgoContext, params: PrivacyParams,
-                                 rng: np.random.Generator) -> ForwardMsg:
-    """Release R* with each node's membership flipped by its own trial."""
     if params.delta0 != 1.0:
         raise ValueError("the set release runs with quality sensitivity 1")
-    return _release_set(ectx, _exponent(params), rng)
+    return _release_set(ego_context(pg, a), _exponent(params), rng)
 
 
 def _release_set(ectx: EgoContext, t: float, rng: np.random.Generator) -> ForwardMsg:

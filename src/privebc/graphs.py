@@ -95,8 +95,7 @@ class Graph:
     __slots__ = ("labels", "n", "edge_count", "load_report",
                  "_index", "_indptr", "_indices", "_label_hash", "__weakref__")
 
-    def __init__(self, nodes: Iterable[object], edges: Iterable[tuple[object, object]],
-                 load_report: LoadReport | None = None):
+    def __init__(self, nodes: Iterable[object], edges: Iterable[tuple[object, object]]):
         labels = sorted({str(v) for v in nodes})
         index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
@@ -117,7 +116,7 @@ class Graph:
         self.labels: tuple[str, ...] = tuple(labels)
         self.n = n
         self.edge_count = count
-        self.load_report = load_report
+        self.load_report: LoadReport | None = None  # set by load_edge_list
         self._index = index
         self._label_hash = _LabelHash(self.labels)
         self._indptr = np.zeros(n + 1, dtype=np.int64)
@@ -196,8 +195,8 @@ def load_edge_list(source: str | Path | TextIO | bytes) -> Graph:
         stream = source
     try:
         nodes: set[str] = set()
-        edges: set[tuple[str, str]] = set()
-        self_loops = dups = comments = data_lines = 0
+        edges: list[tuple[str, str]] = []
+        self_loops = comments = data_lines = 0
         for line_no, raw in enumerate(stream, start=1):
             if not raw.isascii():
                 try:
@@ -219,15 +218,13 @@ def load_edge_list(source: str | Path | TextIO | bytes) -> Graph:
             nodes.add(v)
             if u == v:
                 self_loops += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                dups += 1
-                continue
-            edges.add(key)
-        report = LoadReport(data_lines=data_lines, comment_lines=comments,
-                            self_loops=self_loops, duplicates=dups)
-        return Graph(nodes, sorted(edges), load_report=report)
+            else:
+                edges.append((u, v))
+        graph = Graph(nodes, edges)  # which drops the duplicates
+        graph.load_report = LoadReport(
+            data_lines=data_lines, comment_lines=comments, self_loops=self_loops,
+            duplicates=data_lines - self_loops - graph.edge_count)
+        return graph
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
@@ -242,6 +239,15 @@ class _PartyInfoMixin:
 
     graph: Graph
     _is_x: np.ndarray  # bool per dense index
+
+    def __init__(self, graph: Graph, is_x_mask: np.ndarray):
+        """Hold graph and its party mask, cast to bool (a bool mask is
+        not copied); a mask without one entry per node is refused."""
+        mask = np.asarray(is_x_mask, dtype=bool)
+        if mask.shape != (graph.n,):
+            raise ValueError(f"party mask has shape {mask.shape}, expected ({graph.n},)")
+        self.graph = graph
+        self._is_x = mask
 
     def is_x(self, idx: int) -> bool:
         return bool(self._is_x[idx])
@@ -269,9 +275,10 @@ class PartyView(_PartyInfoMixin):
 
     def __init__(self, party: str, graph: Graph, is_x_mask: np.ndarray,
                  vx_indices: np.ndarray | None = None):
+        if party not in (PARTY_X, PARTY_Y):
+            raise ValueError(f"party must be {PARTY_X!r} or {PARTY_Y!r}, not {party!r}")
+        super().__init__(graph, is_x_mask)
         self.party = party
-        self.graph = graph
-        self._is_x = is_x_mask
         if vx_indices is not None:  # X's indices, from the same roster
             self.vx_indices = vx_indices
 
@@ -285,10 +292,8 @@ class PartitionedGraph(_PartyInfoMixin):
     """
 
     def __init__(self, graph: Graph, is_x_mask: np.ndarray):
-        if is_x_mask.shape != (graph.n,):
-            raise ValueError("party mask must have one entry per node")
-        self.graph = graph
-        self._is_x = is_x_mask.astype(bool)
+        # a copy, which the caller cannot change under the cached views
+        super().__init__(graph, np.array(is_x_mask, dtype=bool))
 
     def edge_class_counts(self) -> dict[str, int]:
         indptr, indices = self.graph.csr()
@@ -413,21 +418,27 @@ def _neighbor_array(g: Graph, i: int) -> np.ndarray:
     return indices[indptr[i]:indptr[i + 1]]
 
 
-def _ego_local(g: Graph, a_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """N_a plus a as a sorted index array, and the float 0/1 adjacency
-    of the subgraph g induces on it."""
-    nbrs = _neighbor_array(g, a_idx)
-    pos = int(nbrs.searchsorted(a_idx))
-    local = np.concatenate((nbrs[:pos], [a_idx], nbrs[pos:]))
-    indptr, indices = g.csr()
-    return local, _kernels._block(indptr, indices, local, local, np.float64)
-
-
 def _pair_sum(adj: np.ndarray, paths: np.ndarray) -> float:
     """Sum of 1 / paths[i, j] over the pairs i < j with adj[i, j] == 0,
     taken in row-major pair order."""
     rows, cols = (adj == 0).nonzero()
     return float(np.add.reduce(1.0 / paths[rows, cols][rows < cols]))
+
+
+def _ego_sums(g: Graph, ends: np.ndarray,
+              others: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The core of every EBC sum, over an ego's neighbours split into
+    the disjoint node lists `ends` and `others`: the float 0/1 block of
+    ends against ends, the block of ends against others, and the sum of
+    1 / (1 + 2-paths through ends u others) over the non-adjacent pairs
+    of ends, in row-major pair order. The 1 is the path through the ego,
+    which joins every pair of its neighbours. One block of g's edges
+    feeds all three, and every product of it is a small exact integer.
+    """
+    indptr, indices = g.csr()
+    block = _kernels._block(indptr, indices, ends, np.concatenate((ends, others)), np.float64)
+    xx = block[:, :ends.size]
+    return xx, block[:, ends.size:], _pair_sum(xx, 1.0 + block @ block.T)
 
 
 def exact_ebc(g: Graph, a: object) -> float:
@@ -438,10 +449,5 @@ def exact_ebc(g: Graph, a: object) -> float:
     induced on N_a plus a; every such pair has at least the path
     through a itself.
     """
-    a_idx = g.index_of(a)
-    if g.degree(a_idx) < 2:
-        return 0.0
-    local, m = _ego_local(g, a_idx)
-    others = local != a_idx
-    rows = m[others]
-    return _pair_sum(rows[:, others], rows @ m[:, others])
+    nbrs = _neighbor_array(g, g.index_of(a))
+    return _ego_sums(g, nbrs, nbrs[:0])[2]

@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .backward import BackwardMsg, DegenerateEgoError, _reply
 from .forward import ForwardMsg, _release_set
 from .graphs import (
@@ -33,7 +32,7 @@ from .graphs import (
     PartitionedGraph,
     PartyView,
     _ego_context_idx,
-    _pair_sum,
+    _ego_sums,
     _x_ego_index,
 )
 
@@ -360,9 +359,9 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, member: np.ndarray | None,
     increment counts intermediates in R* u {a}; S_X counts
     intermediates anywhere in N_a u {a}, all through edges X knows.
 
-    Both come from one block of X's view, R* against R* then N_a n V_Y.
-    The ego's column is left out: a is adjacent to all of N_a, so it
-    adds exactly one path to every pair, and no pair it joins is open.
+    Both come from the ego-sum core over R* against N_a n V_Y in X's
+    view (graphs._ego_sums), which gives S_X; k_x adds the path through
+    a, which is adjacent to all of N_a, to the paths through R*.
     """
     r_star, y_ego = ectx.r_star_sorted, ectx.y_ego_sorted
     acc = EbcAccumulator()
@@ -375,10 +374,7 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, member: np.ndarray | None,
         acc.S_Y = back.S_Y
     if not r_star.size:
         return acc, skipped
-    indptr, indices = view_x.graph.csr()
-    block = _kernels._block(indptr, indices, r_star, np.concatenate((r_star, y_ego)), np.float64)
-    xx, xy = block[:, :r_star.size], block[:, r_star.size:]
-
+    xx, xy, acc.S_X = _ego_sums(view_x.graph, r_star, y_ego)
     if y_ego.size:
         denom = xx @ xy + 1.0  # k_x: X-side 2-path counts through R* u {a}
         if back is not None and r_at.size:
@@ -396,9 +392,6 @@ def _assemble_x(view_x: PartyView, ectx: EgoContext, member: np.ndarray | None,
             skipped = int(np.count_nonzero(open_pairs)) - int(np.count_nonzero(usable))
             open_pairs = usable
         acc.S_XY = float(np.add.reduce(1.0 / denom[open_pairs]))
-
-    if r_star.size >= 2:
-        acc.S_X = _pair_sum(xx, block @ block.T + 1.0)
     return acc, skipped
 
 

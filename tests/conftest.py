@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from privebc import Graph, PartitionedGraph
-from privebc.backward import _core_blocks, _partial_sum_from_blocks
+from privebc.graphs import _ego_sums
 
 
 def make_pg(edges, x_labels, isolated=()):
@@ -17,10 +17,9 @@ def make_pg(edges, x_labels, isolated=()):
 
 def noiseless_cores(pg, r_sorted, y_ego):
     """Y's noiseless reply to R: the |R| x d_Y 2-path counts, as floats,
-    and the partial sum, from the block the session's reply uses."""
-    block = _core_blocks(pg, r_sorted, y_ego)
-    return (block[:r_sorted.size] @ block[r_sorted.size:],
-            _partial_sum_from_blocks(block, r_sorted.size))
+    and the partial sum, from the ego-sum core the session's reply uses."""
+    m1, yr, s_y = _ego_sums(pg.graph, y_ego, r_sorted)
+    return yr.T @ m1, s_y
 
 
 def p_scaled_floor(t: float, bits: int) -> int:

@@ -9,7 +9,6 @@ from privebc import BackwardMsg, DegenerateEgoError, PrivacyParams, ProtocolConf
 from privebc import _kernels, dpnum
 from privebc.backward import (
     SUM_GRID_BITS,
-    _core_blocks,
     _release,
     _reply,
     partial_ebc_y,
@@ -17,7 +16,7 @@ from privebc.backward import (
 )
 from privebc.dpnum import geometric_scale
 from privebc.forward import ForwardMsg, _membership
-from privebc.graphs import _ego_context_idx
+from privebc.graphs import _ego_context_idx, _ego_sums
 from privebc.oracle import _edge_pairs, _has
 from privebc.protocol import BudgetLedger, _backward_stage
 
@@ -109,24 +108,31 @@ def test_spanning_counts_deterministic_and_empty_r():
 
 
 def test_core_blocks_match_the_dense_kernels():
-    # one gather fills both blocks; each equals its own kernel call, as
-    # floats, for R inside X^- (empty included) and any Y-side ego
+    # the ego-sum core over Y's ego against R: one gather fills both
+    # blocks, each equal to its own kernel call as floats, and its sum is
+    # the pair-by-pair sum over y_ego's open pairs of 1 / (1 + 2-paths
+    # through R u y_ego), for R inside X^- (empty included)
     rng = np.random.default_rng(29)
     checked = 0
     for seed in range(30):
         g = random_graph(np.random.default_rng(500 + seed), int(rng.integers(3, 26)), 0.35)
         view_y = random_partition(rng, g).view_y()
         indptr, indices = view_y.graph.csr()
+        nbr = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(g.n)]
         for a in view_y.vx_indices[:3]:
             ectx = _ego_context_idx(view_y, int(a))
             x_minus, y_ego = ectx.x_minus_sorted, ectx.y_ego_sorted
             for r in (x_minus[rng.random(x_minus.size) < 0.5], x_minus[:0]):
-                block = _core_blocks(view_y, r, y_ego)
-                b, m1 = block[:r.size], block[r.size:]
-                assert b.dtype == m1.dtype == np.float64
-                assert b.shape == (r.size, y_ego.size) and m1.shape == (y_ego.size,) * 2
-                assert np.array_equal(b, _kernels.bipartite_dense(indptr, indices, r, y_ego))
+                m1, yr, s_y = _ego_sums(view_y.graph, y_ego, r)
+                assert yr.dtype == m1.dtype == np.float64
+                assert yr.shape == (y_ego.size, r.size) and m1.shape == (y_ego.size,) * 2
+                assert np.array_equal(yr.T, _kernels.bipartite_dense(indptr, indices, r, y_ego))
                 assert np.array_equal(m1, _kernels.induced_dense(indptr, indices, y_ego))
+                mids = set(r.tolist()) | set(y_ego.tolist())
+                terms = [1.0 / (1 + len(nbr[i] & nbr[j] & mids))
+                         for p, i in enumerate(y_ego.tolist())
+                         for j in y_ego[p + 1:].tolist() if j not in nbr[i]]
+                assert s_y == float(np.add.reduce(np.array(terms, dtype=float)))
                 checked += r.size > 0 and y_ego.size > 1
     assert checked >= 20
 

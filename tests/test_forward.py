@@ -17,7 +17,6 @@ from privebc import (
 from privebc import ego_context, oracle
 from privebc.dpnum import DEFAULT_CONTEXT, flip_cut
 from privebc.forward import (
-    forward_message_from_context,
     inverse_transform_sample,
     pick_and_flip,
     stratum_distribution,
@@ -328,10 +327,9 @@ def test_forward_message_requires_rng():
 
 def test_forward_message_rejects_tampered_sensitivity():
     pg = _star_pg(2, 2)
-    ectx = ego_context(pg, "a")
-    with pytest.raises(ValueError):
-        forward_message_from_context(ectx, PrivacyParams(epsilon=1.0, delta0=2.0),
-                                     np.random.default_rng(0))
+    with pytest.raises(ValueError, match="quality sensitivity 1"):
+        forward_message(pg, "a", PrivacyParams(epsilon=1.0, delta0=2.0),
+                        rng=np.random.default_rng(0))
 
 
 def test_forward_message_deterministic_under_seed():

@@ -10,6 +10,7 @@ from privebc import (
     Graph,
     GraphParseError,
     PartitionedGraph,
+    PartyView,
     UnknownNodeError,
     WrongPartyError,
     ego_context,
@@ -17,7 +18,7 @@ from privebc import (
     load_edge_list,
     partition_nodes,
 )
-from privebc.graphs import _ego_context_idx, _ego_local
+from privebc.graphs import _ego_context_idx, _ego_sums
 from privebc.oracle import _edge_pairs, _has, ebc_dense_reference, two_path_reference
 
 from .conftest import make_pg, random_graph, random_partition
@@ -38,6 +39,13 @@ def test_load_dedup_and_self_loop():
     assert g.n == 2 and g.edge_count == 1
     assert g.load_report.self_loops == 1
     assert g.load_report.duplicates == 1
+    # a pair given three times in each orientation is one edge and five duplicates
+    g = load_edge_list(b"3 4\n4 3\n1 2\n3 4\n5 5\n4 3\n4 3\n3 4\n")
+    assert g.n == 5 and g.edge_count == 2
+    assert _has(_edge_pairs(g), g.index_of("3"), g.index_of("4"))
+    assert g.load_report.data_lines == 8
+    assert g.load_report.self_loops == 1
+    assert g.load_report.duplicates == 5
 
 
 def test_load_konect_style_weights_ignored():
@@ -262,29 +270,44 @@ def test_two_path_matches_matrix_square():
 
 
 def test_two_path_at_least_one_through_ego():
-    # every count exact_ebc divides by is at least the path through a
+    # every count exact_ebc divides by is at least the path through a,
+    # and is the 1 the ego-sum core adds to the paths through N_a
     rng = np.random.default_rng(6)
     for _ in range(30):
         g = random_graph(rng, 8, 0.35)
         for a_idx in range(g.n):
-            local, m = _ego_local(g, a_idx)
-            nbrs = local != a_idx
-            paths = m[nbrs] @ m[:, nbrs]
-            assert np.all(paths[~np.eye(paths.shape[0], dtype=bool)] >= 1)
+            nbrs = np.array(sorted(g.neighbors(a_idx)), dtype=np.int64)
+            xx, _, _ = _ego_sums(g, nbrs, nbrs[:0])
+            mids = [g.label_of(int(v)) for v in nbrs] + [g.label_of(a_idx)]
+            for p, q in itertools.combinations(range(nbrs.size), 2):
+                want = two_path_reference(g, mids, g.label_of(int(nbrs[p])),
+                                          g.label_of(int(nbrs[q])))
+                assert want >= 1 and 1.0 + (xx @ xx)[p, q] == want
 
 
 def test_two_path_reference_agrees_with_production():
-    # the ego block's square counts 2-paths through N_a u {a}
+    # with N_a split into any ends and others, the ego-sum core's blocks
+    # count 2-paths through N_a u {a} between ends, and its sum takes
+    # them over the open pairs
     rng = np.random.default_rng(10)
     for _ in range(20):
         g = random_graph(rng, 7, 0.4)
         for a_idx in range(g.n):
-            local, m = _ego_local(g, a_idx)
-            paths = m @ m
-            mids = [g.label_of(int(v)) for v in local]
-            for (p, i), (q, j) in itertools.combinations(enumerate(local.tolist()), 2):
-                want = two_path_reference(g, mids, g.label_of(i), g.label_of(j))
+            nbrs = np.array(sorted(g.neighbors(a_idx)), dtype=np.int64)
+            split = rng.random(nbrs.size) < 0.6
+            ends, others = rng.permutation(nbrs[split]), nbrs[~split]
+            xx, xo, s = _ego_sums(g, ends, others)
+            block = np.hstack((xx, xo))
+            paths = 1.0 + block @ block.T
+            mids = [g.label_of(int(v)) for v in nbrs] + [g.label_of(a_idx)]
+            pairs, terms = _edge_pairs(g), []
+            for p, q in itertools.combinations(range(ends.size), 2):
+                i, j = g.label_of(int(ends[p])), g.label_of(int(ends[q]))
+                want = two_path_reference(g, mids, i, j)
                 assert paths[p, q] == want
+                if not _has(pairs, int(ends[p]), int(ends[q])):
+                    terms.append(1.0 / want)
+            assert s == float(np.add.reduce(np.array(terms, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +406,25 @@ def test_view_csr_matches_a_per_row_filter():
             assert view.graph.edge_count == v_indices.size // 2
             assert view.vx_indices is pg.vx_indices
             assert view.vx_indices.tolist() == [i for i in range(g.n) if pg.is_x(i)]
+
+
+def test_party_view_refuses_a_bad_party_or_mask():
+    # a party mask is cast to bool and must hold one entry per node, for
+    # a partition and a view alike; a view belongs to X or to Y
+    g = Graph.from_edges([("0", "1"), ("0", "2"), ("0", "3")])
+    as_ints = np.array([1, 1, 1, 0])
+    for held in (PartyView("X", g, as_ints), PartitionedGraph(g, as_ints).view_x()):
+        assert held._is_x.dtype == bool
+        assert ego_context(held, "0").r_star_sorted.tolist() == [1, 2]
+    for bad in (np.ones(6, dtype=bool), np.ones(3, dtype=bool), np.ones((4, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="party mask"):
+            PartyView("X", g, bad)
+        with pytest.raises(ValueError, match="party mask"):
+            PartitionedGraph(g, bad)
+    with pytest.raises(ValueError, match="party must be"):
+        PartyView("Q", g, np.ones(4, dtype=bool))
+    # a partition keeps its own mask: a later write to the caller's is not seen
+    mask = np.array([True, False, True, False])
+    pg = PartitionedGraph(g, mask)
+    mask[1] = True
+    assert not pg.is_x(1) and not pg.view_x().is_x(1)

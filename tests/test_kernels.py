@@ -61,14 +61,17 @@ def test_induced_dense_backends_agree():
 
 
 def test_bipartite_dense_backends_agree():
-    # the kernel agrees with the set-lookup reference on random disjoint blocks
+    # the kernel agrees with the set-lookup reference on random disjoint
+    # blocks, sorted and (last) in the permuted order of the pool
     indptr, indices = random_graph(np.random.default_rng(2), 40, 0.2).csr()
     _, lookup = _lookup(indptr, indices)
     rng = np.random.default_rng(3)
-    for nr, nc in ((0, 4), (3, 0), (6, 9), (15, 15)):
-        pool = rng.permutation(40)
-        rows = np.sort(pool[:nr]).astype(np.int64)
-        cols = np.sort(pool[nr:nr + nc]).astype(np.int64)
+    for nr, nc, ordered in ((0, 4, True), (3, 0, True), (6, 9, True), (15, 15, True),
+                            (15, 15, False)):
+        pool = rng.permutation(40).astype(np.int64)
+        rows, cols = pool[:nr], pool[nr:nr + nc]
+        if ordered:
+            rows, cols = np.sort(rows), np.sort(cols)
         got = _kernels.bipartite_dense(indptr, indices, rows, cols)
         assert np.array_equal(got, lookup(rows.tolist(), cols.tolist()))
         assert got.shape == (nr, nc)

@@ -36,7 +36,7 @@ from privebc import (
 from privebc import _kernels, protocol
 from privebc.dpnum import geometric_runs, geometric_scale
 from privebc.forward import _membership
-from privebc.graphs import _ego_context_idx, _ego_local, _pair_sum
+from privebc.graphs import _ego_context_idx, _pair_sum
 from privebc.oracle import _edge_pairs, _has
 from privebc.protocol import (
     HANDSHAKE_MAGIC,
@@ -311,6 +311,14 @@ def test_missing_rows_start_from_zero(mixed_pg):
     assert acc_none.S_XY == acc_zero.S_XY == pytest.approx(
         sum(1.0 for _ in ectx.R_star for _ in y_ego))  # all K_x = 1 here
     assert acc_none.S_X == acc_zero.S_X
+
+
+def _ego_local(g, a_idx):
+    """N_a plus a as a sorted index array, and the float 0/1 adjacency
+    of the subgraph g induces on it."""
+    local = np.array(sorted(g.neighbors(a_idx) | {a_idx}), dtype=np.int64)
+    indptr, indices = g.csr()
+    return local, _kernels.induced_dense(indptr, indices, local).astype(np.float64)
 
 
 def _assemble_x_by_masks(view_x, ectx, r_sorted, back, config):
